@@ -96,13 +96,11 @@ class LstmCell(Layer):
         return LstmState(h_next, c_next)
 
 
-def lstm_cell_step(x: Tensor, state: LstmState, cell: LstmCell) -> LstmState:
-    return cell.step(x, state)
-
-
 class BiLstm(Layer):
     """Forward-in-time and backward-in-time LSTM passes, outputs concatenated
-    per step to (batch, time, 2*units)."""
+    per step to (batch, time, 2*units). Each pass is a single
+    `numerics.lstm_sequence` graph node with hand-written backpropagation
+    through time, computing the same recurrence as `LstmCell.step`."""
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
         self.units = units
@@ -110,26 +108,9 @@ class BiLstm(Layer):
         self.bwd = LstmCell(d_in, units, rng, f"{name}/bwd")
 
     def __call__(self, seq: Tensor) -> Tensor:
-        if seq.ndim != 3:
-            raise DimensionError(f"bilstm: expected (batch, time, features), got {seq.shape}")
-        batch, steps, d = seq.shape
-        if steps < 1:
-            raise ContractViolation("bilstm: empty sequence")
-        xs = [nm.reshape(nm.narrow(seq, 1, t, 1), (batch, d)) for t in range(steps)]
-
-        state = LstmState.zeros(batch, self.units)
-        fwd_out = []
-        for t in range(steps):
-            state = self.fwd.step(xs[t], state)
-            fwd_out.append(state.h)
-
-        state = LstmState.zeros(batch, self.units)
-        bwd_out: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in reversed(range(steps)):
-            state = self.bwd.step(xs[t], state)
-            bwd_out[t] = state.h
-
-        return nm.concat([nm.stack(fwd_out, axis=1), nm.stack(bwd_out, axis=1)], axis=-1)
+        fwd = nm.lstm_sequence(seq, self.fwd.w_x, self.fwd.w_h, self.fwd.b)
+        bwd = nm.lstm_sequence(seq, self.bwd.w_x, self.bwd.w_h, self.bwd.b, reverse=True)
+        return nm.concat([fwd, bwd], axis=-1)
 
 
 class MultiHeadAttention(Layer):

@@ -365,6 +365,114 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused recurrence
+# ---------------------------------------------------------------------------
+
+# Per-gate pre-scale (and post-scale) and offset that turn one tanh over the
+# packed (input, forget, candidate, output) gates into three sigmoids,
+# 0.5*(tanh(z/2)+1), and one tanh.
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
+_GATE_OFFSET = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
+
+
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """Hidden states of an LSTM run over a whole (batch, time, features)
+    sequence from a zero state, as one graph node of shape (batch, time,
+    units).
+
+    Gates are packed (input, forget, candidate, output) along the last axis
+    of `w_x` (features, 4*units), `w_h` (units, 4*units) and `b` (4*units),
+    as in `LstmCell.step`. `reverse` runs the recurrence from the last step
+    to the first; output step t always holds the state after reading x[:, t].
+
+    The input projection of every step is one time-major GEMM; only
+    `h @ w_h` stays in the loop. Backward is hand-written BPTT: the gate
+    derivative coefficients are formed for all steps at once, the loop
+    carries just dh/dc and one `dz @ w_h.T`, and the weight and input
+    gradients are three GEMMs over all steps.
+    """
+    if x.ndim != 3:
+        raise DimensionError(
+            f"lstm_sequence: expected (batch, time, features), got {x.shape}")
+    batch, steps, d = x.shape
+    if steps < 1:
+        raise ContractViolation("lstm_sequence: empty sequence")
+    if w_x.ndim != 2 or w_x.shape[0] != d or w_x.shape[1] % 4 != 0:
+        raise DimensionError(
+            f"lstm_sequence: input kernel {w_x.shape} does not fit "
+            f"{d} features and four gates")
+    u = w_x.shape[1] // 4
+    if w_h.shape != (u, 4 * u) or b.shape != (4 * u,):
+        raise DimensionError(
+            f"lstm_sequence: recurrent kernel {w_h.shape} or bias {b.shape} "
+            f"does not fit {u} units")
+    wx, wh, bd = w_x.data, w_h.data, b.data
+
+    # time-major, in processing order
+    xs = x.data.transpose(1, 0, 2)
+    if reverse:
+        xs = xs[::-1]
+    xs = np.ascontiguousarray(xs).reshape(steps * batch, d)
+    xw = (xs @ wx).reshape(steps, batch, 4, u)
+    gates = np.empty((steps, batch, 4, u))
+    cs = np.empty((steps, batch, u))
+    tcs = np.empty((steps, batch, u))
+    hs = np.empty((steps, batch, u))
+    h = np.zeros((batch, u))
+    c = np.zeros((batch, u))
+    for t in range(steps):
+        z = (xw[t].reshape(batch, 4 * u) + h @ wh).reshape(batch, 4, u)
+        z += bd.reshape(4, u)
+        z *= _GATE_SCALE
+        a = np.tanh(z, out=gates[t])
+        a *= _GATE_SCALE
+        a += _GATE_OFFSET
+        c = np.add(a[:, 1] * c, a[:, 0] * a[:, 2], out=cs[t])
+        h = np.multiply(a[:, 3], np.tanh(c, out=tcs[t]), out=hs[t])
+
+    out = hs.transpose(1, 0, 2)
+    if reverse:
+        out = out[:, ::-1]
+
+    def bw(g):
+        gs = g.transpose(1, 0, 2)
+        if reverse:
+            gs = gs[::-1]
+        i, f, cand, o = (gates[:, :, k] for k in range(4))
+        c_prev = np.zeros_like(cs)
+        c_prev[1:] = cs[:-1]
+        # dz_{i,f,g} = dc * coef_c[:, :, k]; dz_o = dh * coef_o;
+        # dc gains dh * dc_dh from the output gate path
+        coef_c = np.stack((cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                           i * (1.0 - cand * cand)), axis=2)
+        coef_o = tcs * o * (1.0 - o)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros((batch, u))
+        dc_next = np.zeros((batch, u))
+        for t in reversed(range(steps)):
+            dh = gs[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(coef_c[t], dc[:, None, :], out=dz[t, :, :3])
+            np.multiply(coef_o[t], dh, out=dz[t, :, 3])
+            if t:
+                dc_next = dc * f[t]
+                dh_next = dz[t].reshape(batch, 4 * u) @ wh.T
+        dz_flat = dz.reshape(steps * batch, 4 * u)
+        g_wx = xs.T @ dz_flat
+        g_wh = hs[:-1].reshape(-1, u).T @ dz_flat[batch:]
+        g_b = dz_flat.sum(axis=0)
+        g_x = (dz_flat @ wx.T).reshape(steps, batch, d)
+        if reverse:
+            g_x = g_x[::-1]
+        return g_x.transpose(1, 0, 2), g_wx, g_wh, g_b
+
+    return _result(out, "lstm_sequence", (x, w_x, w_h, b), bw)
+
+
+# ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------
 

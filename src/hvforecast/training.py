@@ -254,6 +254,11 @@ def fit(
                                     rng=dropout_rng)
                 loss = total_quantile_loss(target, out,
                                            params.cfg.quantile_levels)
+                if not np.isfinite(loss.data).all():
+                    raise GradientError(
+                        f"non-finite training loss {float(loss.data)} in "
+                        f"epoch {epoch}, batch order[{lo}:{lo + len(idx)}] "
+                        f"starting at window {idx[0]}")
                 nm.backward(loss)
                 grads = {n: p.grad for n, p in named.items()}
                 clip_gradient_norm(grads, hyper.grad_clip_norm)

@@ -137,6 +137,13 @@ class TestBiLstm:
             state = net.fwd.step(t(seq[:, i]), state)
             assert np.allclose(out[:, i, :3], state.h.data, atol=1e-12)
 
+    def test_wrong_feature_extent_rejected(self):
+        net = BiLstm(3, 4, np.random.default_rng(0), "b")
+        with pytest.raises(DimensionError):
+            net(t(np.zeros((2, 5, 4))))
+        with pytest.raises(DimensionError):
+            net(t(np.zeros((5, 3))))
+
     def test_gradients(self):
         for seed in SEEDS:
             rng = np.random.default_rng(seed)
@@ -145,6 +152,80 @@ class TestBiLstm:
             report = gradient_check(lambda: nm.tmean(net(seq)),
                                     list(net.parameters()))
             assert report.passed, f"seed {seed}: {report}"
+
+    def test_gradients_include_input_sequence(self):
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            net = BiLstm(2, 3, rng, "b")
+            seq = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+            probe = t(rng.normal(size=(2, 4, 6)))
+            report = gradient_check(lambda: nm.tsum(nm.mul(net(seq), probe)),
+                                    list(net.parameters()) + [seq])
+            assert report.passed, f"seed {seed}: {report}"
+            assert report.coord_count == seq.size + sum(
+                p.size for p in net.parameters())
+
+
+def unrolled_cell(cell, seq, reverse):
+    """Reference for `lstm_sequence`: `LstmCell.step` applied step by step,
+    states stacked back into time order."""
+    batch, steps, d = seq.shape
+    state = LstmState.zeros(batch, cell.units)
+    outs = [None] * steps
+    order = reversed(range(steps)) if reverse else range(steps)
+    for i in order:
+        state = cell.step(nm.reshape(nm.narrow(seq, 1, i, 1), (batch, d)), state)
+        outs[i] = state.h
+    return nm.stack(outs, axis=1)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_matches_unrolled_cell(self, reverse, steps):
+        rng = np.random.default_rng(11 + steps)
+        cell = LstmCell(3, 4, rng, "c")
+        probe = rng.normal(size=(3, steps, 4))
+        x_data = rng.normal(size=(3, steps, 3))
+        results = []
+        for run in (lambda x: nm.lstm_sequence(x, cell.w_x, cell.w_h, cell.b,
+                                               reverse=reverse),
+                    lambda x: unrolled_cell(cell, x, reverse)):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            for p in cell.parameters():
+                p.zero_grad()
+            out = run(x)
+            backward(nm.tsum(nm.mul(out, t(probe))))
+            results.append([out.data, x.grad]
+                           + [p.grad.copy() for p in cell.parameters()])
+        for name, got, want in zip(("h", "x", "w_x", "w_h", "b"), *results):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+    def test_is_one_graph_node(self):
+        rng = np.random.default_rng(0)
+        cell = LstmCell(2, 3, rng, "c")
+        x = Tensor(rng.normal(size=(2, 6, 2)), requires_grad=True)
+        out = nm.lstm_sequence(x, cell.w_x, cell.w_h, cell.b)
+        assert out.op == "lstm_sequence"
+        assert out.parents == (x, cell.w_x, cell.w_h, cell.b)
+
+    def test_empty_sequence_rejected(self):
+        cell = LstmCell(3, 2, np.random.default_rng(0), "c")
+        with pytest.raises(ContractViolation):
+            nm.lstm_sequence(t(np.zeros((2, 0, 3))), cell.w_x, cell.w_h, cell.b)
+
+    def test_wrong_extents_rejected(self):
+        cell = LstmCell(3, 2, np.random.default_rng(0), "c")
+        with pytest.raises(DimensionError):
+            nm.lstm_sequence(t(np.zeros((2, 3))), cell.w_x, cell.w_h, cell.b)
+        with pytest.raises(DimensionError):
+            nm.lstm_sequence(t(np.zeros((2, 3, 4))), cell.w_x, cell.w_h, cell.b)
+        with pytest.raises(DimensionError):
+            nm.lstm_sequence(t(np.zeros((2, 3, 3))), cell.w_x, cell.w_x, cell.b)
+        with pytest.raises(DimensionError):
+            nm.lstm_sequence(t(np.zeros((2, 3, 3))), cell.w_x, cell.w_h,
+                             t(np.zeros(7)))
 
 
 class TestMultiHeadAttention:

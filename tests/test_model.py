@@ -266,6 +266,35 @@ class TestGradients:
         assert report.coord_count == params.parameter_count()
 
 
+class TestGraphSize:
+    def test_tiny_train_step_graph_under_500_nodes(self):
+        # One training step of the tiny profile at its batch size of 32.
+        # Each LSTM pass is one graph node, so the count does not grow with
+        # the sequence length.
+        from hvforecast.config import RunConfig, tiny_profile
+        from hvforecast.training import total_quantile_loss
+
+        profile = tiny_profile(RunConfig())
+        cfg = ModelConfig(n_past=profile.pipeline.n_past,
+                          n_future=profile.pipeline.n_future,
+                          rnn_units=profile.model.rnn_units,
+                          mha_heads=profile.model.mha_heads,
+                          d_model=profile.model.d_model,
+                          dropout_rate=profile.model.dropout_rate,
+                          rng_seed=23)
+        batch = profile.training.batch_size
+        assert batch == 32
+        rng = np.random.default_rng(23)
+        past = rng.uniform(-1, 1, (batch, cfg.n_past, cfg.past_feature_count))
+        future = rng.uniform(-1, 1,
+                             (batch, cfg.n_future, cfg.future_feature_count))
+        target = rng.uniform(-1, 1, (batch, cfg.n_future, cfg.zone_count))
+        out = forward_batch(build_model(cfg), past, future, training=True,
+                            rng=rng)
+        loss = total_quantile_loss(target, out, cfg.quantile_levels)
+        assert len(nm.topological_order(loss)) < 500
+
+
 class TestPredict:
     def physical_inputs(self, cfg, seed=0, nudge=0.0):
         rng = np.random.default_rng(seed)

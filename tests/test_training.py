@@ -284,6 +284,19 @@ class TestFit:
         with pytest.raises(ConfigurationError, match="empty"):
             fit(params, data, empty, Hyperparameters(max_epochs=1))
 
+    def test_non_finite_loss_names_the_batch(self):
+        params = build_model(MICRO)
+        train = micro_data(MICRO, 6)
+        train.target[4, 1, 0] = np.nan
+        with pytest.raises(GradientError,
+                           match=r"epoch 1, batch order\[\d+:\d+\] "
+                                 r"starting at window 4$"):
+            fit(params, train, micro_data(MICRO, 4, seed=1),
+                Hyperparameters(batch_size=1, max_epochs=1))
+        # raised before backward, so no update ever saw the NaN
+        for p in params.parameters():
+            assert np.isfinite(p.data).all()
+
     def test_training_log_is_line_delimited_json(self, tmp_path):
         params = build_model(MICRO)
         data = micro_data(MICRO, 8)
