@@ -37,18 +37,9 @@ from .evaluation import (
     read_forecast_dump,
     write_forecast_dump,
 )
-from .model import ModelConfig, build_model, forward_batch
-from .numerics import no_grad
-from .pipeline import (
-    FUTURE_FEATURES,
-    PAST_FEATURES,
-    TARGET_FEATURES,
-    Scaler,
-    build_windows,
-    split_chronological,
-)
+from .model import build_model, forecast_windows
+from .pipeline import Scaler, ScalerSpec, build_windows, split_chronological
 from .training import (
-    Hyperparameters,
     fit,
     load_checkpoint,
     make_checkpoint,
@@ -91,27 +82,12 @@ def cmd_generate(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        n_past=cfg.pipeline.n_past,
-        n_future=cfg.pipeline.n_future,
-        past_feature_count=len(PAST_FEATURES),
-        future_feature_count=len(FUTURE_FEATURES),
-        zone_count=len(TARGET_FEATURES),
-        rnn_units=cfg.model.rnn_units,
-        mha_heads=cfg.model.mha_heads,
-        d_model=cfg.model.d_model,
-        dropout_rate=cfg.model.dropout_rate,
-        quantile_levels=tuple(cfg.model.quantile_levels),
-        rng_seed=cfg.seed,
-    )
-
-
-def _windows_and_splits(cfg: RunConfig, dataset, n_past: int, n_future: int):
+def _windows_and_splits(cfg: RunConfig, dataset, n_past: int, n_future: int,
+                        scaler: Scaler | None = None):
     windows = build_windows(dataset, n_past=n_past, n_future=n_future,
                             stride=cfg.pipeline.stride,
                             noise_sd=cfg.pipeline.noise_sd,
-                            noise_seed=cfg.seed)
+                            noise_seed=cfg.seed, scaler=scaler)
     return split_chronological(windows, fractions=cfg.pipeline.fractions)
 
 
@@ -120,17 +96,9 @@ def cmd_train(cfg: RunConfig, dataset_path: str | None,
     dataset = load_dataset_csv(dataset_path or cfg.paths.dataset)
     splits = _windows_and_splits(cfg, dataset, cfg.pipeline.n_past,
                                  cfg.pipeline.n_future)
-    params = build_model(_model_config(cfg))
-    hyper = Hyperparameters(
-        batch_size=cfg.training.batch_size,
-        learning_rate=cfg.training.learning_rate,
-        max_epochs=cfg.training.max_epochs,
-        patience=cfg.training.patience,
-        grad_clip_norm=cfg.training.grad_clip_norm,
-        shuffle_seed=cfg.seed,
-    )
-    report = fit(params, splits.train, splits.validation, hyper,
-                 log_path=cfg.paths.train_log)
+    params = build_model(cfg.model_config())
+    report = fit(params, splits.train, splits.validation,
+                 cfg.hyperparameters(), log_path=cfg.paths.train_log)
     out = out_path or cfg.paths.checkpoint
     ckpt = make_checkpoint(params, metadata={
         "best_epoch": report.best_epoch,
@@ -183,36 +151,15 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str | None,
     params = restore_model(ckpt)
     dataset = load_dataset_csv(dataset_path or cfg.paths.dataset)
     mc = ckpt.config
-    splits = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future)
-    test = splits.test
+    scaler = Scaler(ScalerSpec(ckpt.scaler_intervals))
+    test = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future,
+                               scaler).test
     chosen = select_instances(selector, len(test))
-
-    scaler = Scaler()
-    values_parts = []
-    actual_parts = []
-    batch = max(1, cfg.training.batch_size)
-    with no_grad():
-        for lo in range(0, len(chosen), batch):
-            idx = chosen[lo:lo + batch]
-            past, future, target = test.batch(idx)
-            out = forward_batch(params, past, future, training=False).data
-            values_parts.append(out)
-            actual_parts.append(target)
-    scaled_values = np.concatenate(values_parts)
-    scaled_actuals = np.concatenate(actual_parts)
-
-    values = np.empty_like(scaled_values)
-    actuals = np.empty_like(scaled_actuals)
-    for z, name in enumerate(TARGET_FEATURES):
-        values[:, :, z, :] = scaler.inverse_scale(scaled_values[:, :, z, :],
-                                                  name)
-        actuals[:, :, z] = scaler.inverse_scale(scaled_actuals[:, :, z],
-                                                name)
-
+    values, actuals = forecast_windows(params, test, chosen,
+                                       cfg.training.batch_size)
     out = out_path or cfg.paths.forecast_dump
-    instance_ids = [int(test.origins[i]) for i in chosen]
     write_forecast_dump(out, values, actuals, mc.quantile_levels,
-                        instance_ids=instance_ids)
+                        instance_ids=[int(test.origins[i]) for i in chosen])
     print(f"wrote {len(chosen)} forecast instances to {out}")
     return 0
 

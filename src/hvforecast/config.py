@@ -11,7 +11,9 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from .errors import ConfigurationError, ParseError
-from .model import DEFAULT_QUANTILE_LEVELS
+from .model import DEFAULT_QUANTILE_LEVELS, ModelConfig
+from .pipeline import FUTURE_FEATURES, PAST_FEATURES, TARGET_FEATURES
+from .training import Hyperparameters
 
 
 @dataclass(frozen=True)
@@ -56,55 +58,24 @@ class PipelineSection:
 
 @dataclass(frozen=True)
 class ModelSection:
+    """`ModelConfig` knobs; `RunConfig.model_config` maps them."""
+
     rnn_units: int = 200
     mha_heads: int = 4
     d_model: int | None = None
     dropout_rate: float = 0.3
     quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
 
-    def validate(self) -> None:
-        if self.rnn_units < 1:
-            raise ConfigurationError("model.rnn_units must be >= 1")
-        if self.mha_heads < 1:
-            raise ConfigurationError("model.mha_heads must be >= 1")
-        d_model = self.d_model if self.d_model is not None \
-            else 2 * self.rnn_units
-        if d_model % self.mha_heads != 0:
-            raise ConfigurationError(
-                f"model.d_model ({d_model}) must be divisible by "
-                f"model.mha_heads ({self.mha_heads})")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError("model.dropout_rate must be in [0, 1)")
-        levels = tuple(self.quantile_levels)
-        if not levels or any(not 0 < q < 1 for q in levels) \
-                or any(b <= a for a, b in zip(levels, levels[1:])) \
-                or 0.5 not in levels:
-            raise ConfigurationError(
-                "model.quantile_levels must be strictly ascending values in "
-                "(0, 1) including 0.5")
-
 
 @dataclass(frozen=True)
 class TrainingSection:
+    """`Hyperparameters` knobs; `RunConfig.hyperparameters` maps them."""
+
     batch_size: int = 256
     learning_rate: float = 1e-3
     max_epochs: int = 100
     patience: int = 10
     grad_clip_norm: float = 1.0
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError("training.batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(
-                "training.learning_rate must be positive")
-        if self.max_epochs < 1:
-            raise ConfigurationError("training.max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigurationError("training.patience must be >= 0")
-        if self.grad_clip_norm <= 0:
-            raise ConfigurationError(
-                "training.grad_clip_norm must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,10 +126,48 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Check every knob. The model and training sections are checked
+        by the runtime objects they map to, so each knob has one rule."""
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigurationError("seed must be an unsigned 64-bit value")
-        for name in _SECTION_TYPES:
+        for name in ("simulator", "pipeline", "evaluation", "paths"):
             getattr(self, name).validate()
+        for name, runtime in (("model", self.model_config),
+                              ("training", self.hyperparameters)):
+            try:
+                runtime().validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{name}: {exc}") from exc
+
+    def model_config(self) -> ModelConfig:
+        """Model geometry: window lengths from the pipeline section, feature
+        and zone counts from the pipeline's feature tables, weights seeded
+        by the run seed."""
+        return ModelConfig(
+            n_past=self.pipeline.n_past,
+            n_future=self.pipeline.n_future,
+            past_feature_count=len(PAST_FEATURES),
+            future_feature_count=len(FUTURE_FEATURES),
+            zone_count=len(TARGET_FEATURES),
+            rnn_units=self.model.rnn_units,
+            mha_heads=self.model.mha_heads,
+            d_model=self.model.d_model,
+            dropout_rate=self.model.dropout_rate,
+            quantile_levels=tuple(self.model.quantile_levels),
+            rng_seed=self.seed,
+        )
+
+    def hyperparameters(self) -> Hyperparameters:
+        """Training hyperparameters, shuffled by the run seed."""
+        t = self.training
+        return Hyperparameters(
+            batch_size=t.batch_size,
+            learning_rate=t.learning_rate,
+            max_epochs=t.max_epochs,
+            patience=t.patience,
+            grad_clip_norm=t.grad_clip_norm,
+            shuffle_seed=self.seed,
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

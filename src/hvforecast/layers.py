@@ -171,14 +171,6 @@ class Glu(Layer):
         return nm.mul(value, nm.sigmoid(gate))
 
 
-def glu_combine(value: Tensor, gate_preact: Tensor) -> Tensor:
-    """Bare gating a * sigmoid(b) for already-projected halves."""
-    if value.shape != gate_preact.shape:
-        raise DimensionError(
-            f"glu: value {value.shape} and gate {gate_preact.shape} differ")
-    return nm.mul(value, nm.sigmoid(gate_preact))
-
-
 class LayerNorm(Layer):
     """Normalize each last-axis slice to zero mean / unit variance
     (population convention), then apply gain and bias."""

@@ -20,7 +20,7 @@ from . import numerics as nm
 from .errors import ConfigurationError, DimensionError
 from .layers import BiLstm, Dense, Grn, Layer, MultiHeadAttention, dropout_apply
 from .numerics import Parameter, Tensor
-from .pipeline import FUTURE_FEATURES, PAST_FEATURES, TARGET_FEATURES, Scaler
+from .pipeline import FUTURE_FEATURES, PAST_FEATURES, Scaler, WindowSet
 
 DEFAULT_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
 
@@ -251,15 +251,34 @@ def predict(
 
     with nm.no_grad():
         out = model_forward(params, past, future, training=False)
-    scaled = out.data
-    values = np.empty_like(scaled)
-    for z, name in enumerate(TARGET_FEATURES):
-        values[:, z, :] = scaler.inverse_scale(scaled[:, z, :], name)
+    values = scaler.inverse_scale_targets(out.data, axis=1)
     if not np.all(np.isfinite(values)):
         raise DimensionError("forecast produced non-finite values")
     return QuantileForecast(values=values,
                             quantile_levels=tuple(cfg.quantile_levels),
                             clamped_inputs=clamped)
+
+
+def forecast_windows(
+    params: ModelParams,
+    windows: WindowSet,
+    indices,
+    batch_size: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forecast the chosen windows without recording gradients, in chunks
+    of `batch_size`, and map them to degrees C with the scaler the windows
+    were built with. Returns values (N, n_future, zone_count, level_count)
+    and actuals (N, n_future, zone_count)."""
+    indices = list(indices)
+    values, actuals = [], []
+    with nm.no_grad():
+        for lo in range(0, len(indices), batch_size):
+            past, future, target = windows.batch(indices[lo:lo + batch_size])
+            values.append(forward_batch(params, past, future).data)
+            actuals.append(target)
+    scaler = windows.scaler
+    return (scaler.inverse_scale_targets(np.concatenate(values), axis=2),
+            scaler.inverse_scale_targets(np.concatenate(actuals), axis=2))
 
 
 def set_parameter_values(params: ModelParams,

@@ -104,6 +104,18 @@ class Scaler:
         arr = np.asarray(scaled, dtype=float)
         return (arr + 1.0) * (hi - lo) / 2.0 + lo
 
+    def inverse_scale_targets(self, scaled, axis: int) -> np.ndarray:
+        """Map scaled indoor temperatures back to degrees C; `axis` runs
+        over the zones in TARGET_FEATURES order."""
+        arr = np.asarray(scaled, dtype=float)
+        shape = [1] * arr.ndim
+        shape[axis] = len(TARGET_FEATURES)
+        bounds = np.array([self.spec.interval(name)
+                           for name in TARGET_FEATURES])
+        lo = bounds[:, 0].reshape(shape)
+        hi = bounds[:, 1].reshape(shape)
+        return (arr + 1.0) * (hi - lo) / 2.0 + lo
+
     def total_clamped(self) -> int:
         return sum(self.clamp_counts.values())
 
@@ -169,7 +181,7 @@ class WindowSet:
 
     Samples are assembled on access; forecast noise for a sample depends
     only on (noise_seed, origin), so any access order and any subset give
-    identical values.
+    identical values. `scaler` is the one the windows were scaled with.
     """
 
     def __init__(
@@ -196,7 +208,7 @@ class WindowSet:
         self.n_future = n_future
         self.noise_sd = noise_sd
         self.noise_seed = noise_seed
-        self._scaler = scaler
+        self.scaler = scaler
         self._weather_cols = [FUTURE_FEATURES.index(name)
                               for name in WEATHER_FEATURES]
 
@@ -211,7 +223,7 @@ class WindowSet:
             np.random.SeedSequence(self.noise_seed, spawn_key=(origin,)))
         noised = add_forecast_noise(self._weather[lo:hi], rng, self.noise_sd)
         for k, name in enumerate(WEATHER_FEATURES):
-            future[:, self._weather_cols[k]] = self._scaler.scale(
+            future[:, self._weather_cols[k]] = self.scaler.scale(
                 noised[:, k], name)
         return future
 

@@ -387,6 +387,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     payload = blob[header_end:]
     parameters: dict[str, np.ndarray] = {}
+    tensor_bytes = 0
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -398,6 +399,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"extends past end of file")
         parameters[entry["name"]] = np.frombuffer(
             payload[start:end], dtype="<f8").reshape(shape).copy()
+        tensor_bytes += count * 8
+    if len(payload) != tensor_bytes:
+        raise CheckpointError(
+            f"checkpoint payload length {len(payload)} does not match its "
+            f"{tensor_bytes} tensor bytes")
 
     return Checkpoint(
         config=config,

@@ -68,6 +68,7 @@ from hvforecast.layers import (
 from hvforecast.model import (
     ModelConfig,
     build_model,
+    forecast_windows,
     forward_batch,
     model_forward,
 )
@@ -131,26 +132,6 @@ def tiny_model_config(n_past, n_future, rng_seed, dropout=None):
                        dropout_rate=dropout, rng_seed=rng_seed)
 
 
-def forecast_in_celsius(params, windows, indices, batch_size=256):
-    """Forward the chosen windows and inverse-scale to degrees C."""
-    scaler = Scaler()
-    parts, acts = [], []
-    with no_grad():
-        for lo in range(0, len(indices), batch_size):
-            chunk = indices[lo:lo + batch_size]
-            past, future, target = windows.batch(chunk)
-            parts.append(forward_batch(params, past, future).data)
-            acts.append(target)
-    scaled_v = np.concatenate(parts)
-    scaled_a = np.concatenate(acts)
-    values = np.empty_like(scaled_v)
-    actuals = np.empty_like(scaled_a)
-    for z, name in enumerate(TARGET_FEATURES):
-        values[:, :, z, :] = scaler.inverse_scale(scaled_v[:, :, z, :], name)
-        actuals[:, :, z] = scaler.inverse_scale(scaled_a[:, :, z], name)
-    return values, actuals
-
-
 @pytest.fixture(scope="module")
 def desk_run():
     """Tiny profile trained on the seeded 60-day dataset; shared by
@@ -170,8 +151,8 @@ def desk_run():
     started = time.monotonic()
     report = fit(params, splits.train, splits.validation, hyper)
     train_seconds = time.monotonic() - started
-    values, actuals = forecast_in_celsius(params, splits.test,
-                                          range(len(splits.test)))
+    values, actuals = forecast_windows(params, splits.test,
+                                       range(len(splits.test)))
     return SimpleNamespace(mc=mc, report=report, seconds=train_seconds,
                            values=values, actuals=actuals)
 
@@ -365,7 +346,7 @@ def test_criterion_06_horizon_curve(tmp_path):
     fit(params, splits.train, splits.validation,
         Hyperparameters(batch_size=32, max_epochs=1,
                         shuffle_seed=HORIZON_SEED))
-    values, actuals = forecast_in_celsius(params, splits.test, range(16))
+    values, actuals = forecast_windows(params, splits.test, range(16))
     horizon = per_horizon_cvrmse(values, actuals, mc.quantile_levels)
 
     path = tmp_path / "horizon_cvrmse.csv"

@@ -2,11 +2,13 @@
 chain: generate, train, predict, evaluate."""
 
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 
+from hvforecast.building_sim import load_dataset_csv
 from hvforecast.cli import main, select_instances
 from hvforecast.config import (
     RunConfig,
@@ -16,7 +18,18 @@ from hvforecast.config import (
     tiny_profile,
 )
 from hvforecast.errors import ConfigurationError, ParseError
-from hvforecast.training import load_checkpoint
+from hvforecast.evaluation import write_forecast_dump
+from hvforecast.model import forecast_windows
+from hvforecast.pipeline import (
+    FUTURE_FEATURES,
+    PAST_FEATURES,
+    TARGET_FEATURES,
+    Scaler,
+    ScalerSpec,
+    build_windows,
+    split_chronological,
+)
+from hvforecast.training import load_checkpoint, restore_model, save_checkpoint
 
 
 class TestRunConfig:
@@ -63,6 +76,26 @@ class TestRunConfig:
                                         "d_model": 10}})
         with pytest.raises(ConfigurationError, match="seed"):
             config_from_dict({"seed": -1})
+        with pytest.raises(ConfigurationError, match="model: d_model"):
+            config_from_dict({"model": {"d_model": 0}})
+        with pytest.raises(ConfigurationError, match="training: batch_size"):
+            config_from_dict({"training": {"batch_size": 0}})
+        with pytest.raises(ConfigurationError, match="model: dropout_rate"):
+            config_from_dict({"model": {"dropout_rate": 1.0}})
+
+    def test_runtime_objects_follow_sections(self):
+        cfg = config_from_dict({"seed": 7, "pipeline": {"n_past": 96},
+                                "model": {"rnn_units": 8, "mha_heads": 2},
+                                "training": {"batch_size": 16}})
+        mc = cfg.model_config()
+        assert (mc.n_past, mc.n_future, mc.rnn_units, mc.d_model) == (
+            96, 96, 8, 16)
+        assert (mc.past_feature_count, mc.future_feature_count,
+                mc.zone_count) == (len(PAST_FEATURES), len(FUTURE_FEATURES),
+                                   len(TARGET_FEATURES))
+        assert mc.rng_seed == 7
+        hyper = cfg.hyperparameters()
+        assert (hyper.batch_size, hyper.shuffle_seed) == (16, 7)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.json"
@@ -235,6 +268,33 @@ class TestPredict:
         monkeypatch.chdir(chain_dir)
         assert main(["predict", *CHAIN_ARGS, "--instances", "bogus"]) == 2
         assert "selector" in capsys.readouterr().err
+
+    def test_uses_checkpoint_scaler(self, chain_dir, tmp_path, monkeypatch):
+        ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))
+        intervals = dict(ckpt.scaler_intervals, t_in_1=(5.0, 45.0))
+        moved = tmp_path / "moved.ckpt"
+        save_checkpoint(dataclasses.replace(ckpt, scaler_intervals=intervals),
+                        str(moved))
+        monkeypatch.chdir(chain_dir)
+        out = tmp_path / "moved.csv"
+        assert main(["predict", *CHAIN_ARGS, "--instances", "head:4",
+                     "--checkpoint", str(moved), "--out", str(out)]) == 0
+
+        p = tiny_profile(RunConfig()).pipeline
+        windows = build_windows(
+            load_dataset_csv(str(chain_dir / "dataset.csv")),
+            n_past=p.n_past, n_future=p.n_future, stride=p.stride,
+            noise_sd=p.noise_sd, noise_seed=5,
+            scaler=Scaler(ScalerSpec(intervals)))
+        test = split_chronological(windows, fractions=p.fractions).test
+        values, actuals = forecast_windows(restore_model(ckpt), test,
+                                           range(4))
+        expected = tmp_path / "expected.csv"
+        write_forecast_dump(str(expected), values, actuals,
+                            ckpt.config.quantile_levels,
+                            instance_ids=[int(o) for o in test.origins[:4]])
+        assert out.read_bytes() == expected.read_bytes()
+        assert out.read_bytes() != (chain_dir / "forecasts.csv").read_bytes()
 
     def test_corrupt_checkpoint_exits_1(self, chain_dir, tmp_path,
                                         monkeypatch, capsys):

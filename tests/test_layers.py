@@ -290,14 +290,12 @@ class TestGluAndGrn:
         expect = z[:, :2] * (1.0 / (1.0 + np.exp(-z[:, 2:])))
         assert np.allclose(glu(x).data, expect, atol=1e-12)
 
-    def test_glu_combine_shape_guard(self):
-        with pytest.raises(DimensionError):
-            ly.glu_combine(t(np.ones((2, 3))), t(np.ones((2, 2))))
-
     def test_gate_shut_glu_vanishes(self):
-        value = t(np.full((2, 3), 7.0))
-        gate = t(np.full((2, 3), -60.0))
-        assert np.allclose(ly.glu_combine(value, gate).data, 0.0, atol=1e-20)
+        glu = Glu(2, 3, np.random.default_rng(0), "g")
+        glu.proj.w.data[:] = 0.0
+        glu.proj.b.data[:] = [7.0, 7.0, 7.0, -60.0, -60.0, -60.0]
+        x = t(np.ones((2, 2)))
+        assert np.allclose(glu(x).data, 0.0, atol=1e-20)
 
     def test_grn_with_dead_branch_is_plain_layer_norm(self):
         rng = np.random.default_rng(1)

@@ -2,23 +2,35 @@
 determinism, forward shapes, attention invariants, gradient correctness on a
 micro configuration, and physical-unit prediction."""
 
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from hvforecast import numerics as nm
+from hvforecast.building_sim import DATASET_COLUMNS, SimulatedDataset, make_timestamps
 from hvforecast.errors import ConfigurationError, DimensionError
 from hvforecast.model import (
     DEFAULT_QUANTILE_LEVELS,
     ModelConfig,
     QuantileForecast,
     build_model,
+    forecast_windows,
     forward_batch,
     model_forward,
     predict,
     set_parameter_values,
 )
 from hvforecast.numerics import Tensor, gradient_check
-from hvforecast.pipeline import FUTURE_FEATURES, PAST_FEATURES, TABLE1_INTERVALS
+from hvforecast.pipeline import (
+    FUTURE_FEATURES,
+    PAST_FEATURES,
+    TABLE1_INTERVALS,
+    TARGET_FEATURES,
+    Scaler,
+    ScalerSpec,
+    build_windows,
+)
 
 TINY = ModelConfig(n_past=8, n_future=4, past_feature_count=6,
                    future_feature_count=3, zone_count=5, rnn_units=4,
@@ -347,7 +359,6 @@ class TestPredict:
             predict(params, past[:-1], future)
 
     def test_matches_manual_scale_forward_inverse(self):
-        from hvforecast.pipeline import Scaler, TARGET_FEATURES
         cfg = self.full_feature_config()
         params = build_model(cfg)
         past, future = self.physical_inputs(cfg, seed=2)
@@ -363,6 +374,46 @@ class TestPredict:
             scaler.inverse_scale(out[:, z, :], name)
             for z, name in enumerate(TARGET_FEATURES)], axis=1)
         assert np.array_equal(fc.values, manual)
+
+
+class TestForecastWindows:
+    def windows(self, scaler):
+        rng = np.random.default_rng(4)
+        n = 40
+        columns = {name: rng.uniform(*TABLE1_INTERVALS.get(name, (20.0, 35.0)),
+                                     size=n)
+                   for name in DATASET_COLUMNS}
+        dataset = SimulatedDataset(make_timestamps(datetime(2021, 3, 1), n),
+                                   columns)
+        return build_windows(dataset, n_past=8, n_future=4, scaler=scaler)
+
+    @pytest.mark.parametrize("t_in_1", [(10.0, 40.0), (0.0, 50.0)])
+    def test_matches_per_zone_inverse_scale(self, t_in_1):
+        scaler = Scaler(ScalerSpec(dict(TABLE1_INTERVALS, t_in_1=t_in_1)))
+        windows = self.windows(scaler)
+        params = build_model(TestPredict().full_feature_config())
+        indices = [0, 3, 4, 9, 17, 28, 2]
+        values, actuals = forecast_windows(params, windows, indices,
+                                           batch_size=3)
+
+        scaled_v, scaled_a = [], []
+        with nm.no_grad():
+            for lo in range(0, len(indices), 3):
+                past, future, target = windows.batch(indices[lo:lo + 3])
+                scaled_v.append(forward_batch(params, past, future).data)
+                scaled_a.append(target)
+        scaled_v = np.concatenate(scaled_v)
+        scaled_a = np.concatenate(scaled_a)
+        expect_v = np.empty_like(scaled_v)
+        expect_a = np.empty_like(scaled_a)
+        for z, name in enumerate(TARGET_FEATURES):
+            expect_v[:, :, z, :] = scaler.inverse_scale(scaled_v[:, :, z, :],
+                                                        name)
+            expect_a[:, :, z] = scaler.inverse_scale(scaled_a[:, :, z], name)
+        assert values.shape == (7, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
+        assert actuals.shape == (7, 4, 5)
+        assert np.array_equal(values, expect_v)
+        assert np.array_equal(actuals, expect_a)
 
 
 class TestParameterLoading:

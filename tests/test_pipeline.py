@@ -327,7 +327,7 @@ class TestWindowing:
         windows = build_windows(sim_ds)
         for i in range(0, len(windows), 97):
             windows[i]
-        assert windows._scaler.total_clamped() == 0
+        assert windows.scaler.total_clamped() == 0
 
 
 class TestSplits:

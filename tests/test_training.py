@@ -394,6 +394,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(stub))
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = open(path, "rb").read()
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(blob + bytes(16))
+        with pytest.raises(CheckpointError, match="payload length"):
+            load_checkpoint(str(padded))
+
     def test_truncated_header_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
         blob = open(path, "rb").read()
