@@ -38,7 +38,13 @@ from .evaluation import (
     write_forecast_dump,
 )
 from .model import build_model, forecast_windows
-from .pipeline import Scaler, ScalerSpec, build_windows, split_chronological
+from .pipeline import (
+    TARGET_FEATURES,
+    Scaler,
+    ScalerSpec,
+    build_windows,
+    split_chronological,
+)
 from .training import (
     fit,
     load_checkpoint,
@@ -73,6 +79,11 @@ def cmd_generate(cfg: RunConfig, out_path: str | None) -> int:
         "days": cfg.simulator.days,
         "start": cfg.simulator.start,
         "dataset": os.path.basename(out),
+        "audit_max_rel_err": dataset.audit_max_rel_err,
+        "t_in_min_c": {c: float(dataset.columns[c].min())
+                       for c in TARGET_FEATURES},
+        "t_in_max_c": {c: float(dataset.columns[c].max())
+                       for c in TARGET_FEATURES},
     }
     with open(cfg.paths.manifest, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

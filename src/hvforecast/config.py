@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 
@@ -178,6 +179,35 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_type(section: str, name: str, annotation: str, value) -> None:
+    """Refuse a JSON value that cannot hold the field's type: a string, a
+    bool or a NaN/Infinity where a number belongs, a non-integer where a
+    count belongs."""
+    where = f"{section}.{name}"
+    if annotation == "int | None" and value is None:
+        return
+    if annotation in ("int", "int | None"):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigurationError(
+                f"{where} must be an integer, got {value!r}")
+    elif annotation == "float":
+        if not _is_number(value):
+            raise ConfigurationError(
+                f"{where} must be a finite number, got {value!r}")
+    elif annotation.startswith("tuple[float"):
+        if not (isinstance(value, (list, tuple))
+                and all(map(_is_number, value))):
+            raise ConfigurationError(
+                f"{where} must be a list of finite numbers, got {value!r}")
+    elif annotation == "str" and not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string, got {value!r}")
+
+
 def _build_section(cls, data: dict, section: str):
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(known))
@@ -186,6 +216,7 @@ def _build_section(cls, data: dict, section: str):
             f"unknown key {unknown[0]!r} in section {section!r}")
     kwargs = {}
     for name, value in data.items():
+        _check_type(section, name, known[name].type, value)
         if isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value

@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 from datetime import datetime
 
 import numpy as np
@@ -45,8 +47,94 @@ def build_inputs(seed, days, start=None):
 @pytest.fixture(scope="module")
 def year_run():
     weather, schedules, signals = build_inputs(7, 365)
-    dataset = simulate(BuildingSpec(), weather, schedules, signals, audit=True)
+    dataset = simulate(BuildingSpec(), weather, schedules, signals)
     return weather, schedules, signals, dataset
+
+
+class NumpyReference:
+    """The flux routine and explicit-Euler loop that `simulate` ran on
+    5-element numpy arrays before its inner step moved to Python floats.
+    Tests check the scalar loop against it."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.gains = bs._Engine(spec).boundary_gains
+        self.cap = spec.capacitances_j_per_k
+        self.ua_ext = spec.ua_ext_w_per_k
+        self.ua_int = spec.ua_int_w_per_k
+        self.ua_int_rowsum = self.ua_int.sum(axis=1)
+        self.heat_cap_w = np.asarray(spec.heat_capacity_w)
+        self.cool_cap_w = np.asarray(spec.cool_capacity_w)
+        self.stat_gain = np.asarray(spec.thermostat_gain_w_per_k)
+        self.saturated = {"heat": 0, "cool": 0, "vent": 0}
+
+    def fluxes(self, t_zones, t_out, wind, gains_w, sp_heat, sp_cool,
+               window_open):
+        spec = self.spec
+        cond_ext = self.ua_ext * (t_out - t_zones)
+        cond_int = self.ua_int @ t_zones - self.ua_int_rowsum * t_zones
+        heat = np.clip(self.stat_gain * (sp_heat - t_zones),
+                       0.0, self.heat_cap_w)
+        cool = np.clip(self.stat_gain * (t_zones - sp_cool),
+                       0.0, self.cool_cap_w)
+        hvac = heat - cool
+        vent_flow = np.zeros(bs.ZONE_COUNT)
+        for slot, z in enumerate(bs.WINDOW_ZONES):
+            if window_open[slot]:
+                vent_flow[z] = ventilation_flow(
+                    spec.window_open_area_m2, wind, t_zones[z], t_out,
+                    spec.vent_c_wind, spec.vent_c_discharge,
+                    spec.vent_height_m)
+        vent = bs.RHO_CP_AIR * vent_flow * (t_out - t_zones)
+        self.saturated["heat"] += int(np.sum(heat == self.heat_cap_w))
+        self.saturated["cool"] += int(np.sum(cool == self.cool_cap_w))
+        self.saturated["vent"] += int(np.count_nonzero(vent_flow))
+        return cond_ext + cond_int + gains_w + hvac + vent
+
+    def run(self, weather, schedules, signals, inner_step_s=60):
+        """Return (t_in rows, largest audit error) of a run from 20 C."""
+        n = len(weather)
+        dt = float(inner_step_s)
+        t = np.full(bs.ZONE_COUNT, 20.0)
+        rows = np.empty((n, bs.ZONE_COUNT))
+        audit_max = 0.0
+        for k in range(n):
+            rows[k] = t
+            gains, _ = self.gains(
+                weather.t_out_c[k], weather.dni_wm2[k], weather.dhi_wm2[k],
+                schedules.occupancy[k], schedules.equipment_w[k],
+                schedules.lighting_on[k])
+            for j in range(bs.SAMPLE_STEP_S // inner_step_s):
+                total = self.fluxes(
+                    t, float(weather.t_out_c[k]), float(weather.wind_mps[k]),
+                    gains, signals.sp_heat_c[k], signals.sp_cool_c[k],
+                    signals.window_open[k])
+                t_next = t + dt * total / self.cap
+                balance = self.cap * (t_next - t) - total * dt
+                scale = np.maximum(np.abs(total * dt), 1.0)
+                audit_max = max(audit_max,
+                                float(np.max(np.abs(balance) / scale)))
+                if np.any(t_next < -50.0) or np.any(t_next > 60.0):
+                    bad = int(np.argmax((t_next < -50.0) | (t_next > 60.0)))
+                    raise SimulationError(
+                        f"zone {bs.ZONE_NAMES[bad]} diverged to "
+                        f"{t_next[bad]:.2f} C at sample {k}, inner step {j}")
+                t = t_next
+        return rows, audit_max
+
+
+def saturating_inputs(days=3):
+    """Seeded inputs with windows open a third of the time and setpoints
+    that alternate every two hours between far above and far below the
+    zone temperatures, so heating and cooling both run at capacity."""
+    weather, schedules, signals = build_inputs(41, days,
+                                               start=datetime(2021, 1, 18))
+    n = len(weather)
+    hot = (np.arange(n) // 8) % 2 == 0
+    sp_heat = np.where(hot, 40.0, 0.0)[:, None].repeat(5, axis=1)
+    windows = generate_prbs_windows(np.random.default_rng(2), n, p_open=0.2)
+    return weather, schedules, ExcitationSignals(sp_heat, sp_heat + 5.0,
+                                                 windows)
 
 
 class TestVentilationFlow:
@@ -233,7 +321,7 @@ class TestSimulate:
 
     def test_year_energy_balance_audit(self, year_run):
         _, _, _, dataset = year_run
-        assert dataset.audit_max_rel_err is not None
+        assert dataset.audit_max_rel_err > 0.0
         assert dataset.audit_max_rel_err < 1e-6
 
     def test_setpoint_columns_keep_fixed_offset_when_occupied(self, year_run):
@@ -285,11 +373,35 @@ class TestSimulate:
         for name in d1.columns:
             assert np.array_equal(d1.columns[name], d2.columns[name])
 
+    @pytest.mark.parametrize("inner_step_s", [60, 30])
+    def test_scalar_loop_matches_numpy_reference(self, inner_step_s):
+        weather, schedules, signals = saturating_inputs()
+        spec = BuildingSpec()
+        reference = NumpyReference(spec)
+        rows, ref_audit = reference.run(weather, schedules, signals,
+                                        inner_step_s)
+        # the run exercises every branch of the flux routine
+        assert min(reference.saturated.values()) > 1000
+        dataset = simulate(spec, weather, schedules, signals,
+                           inner_step_s=inner_step_s)
+        for z in range(5):
+            col = dataset.columns[f"t_in_{z + 1}"]
+            assert np.max(np.abs(col - rows[:, z])) <= 1e-12
+        assert rows.min() < 12.0 and rows.max() > 30.0
+        assert 0.0 < ref_audit < 1e-6
+        assert 0.0 < dataset.audit_max_rel_err < 1e-6
+
     def test_divergence_guard_names_the_step(self):
         weather, schedules, signals = build_inputs(5, 2)
         fragile = BuildingSpec(capacitance_air_multiple=0.005)
-        with pytest.raises(SimulationError, match="diverged"):
+        with pytest.raises(SimulationError) as expected:
+            NumpyReference(fragile).run(weather, schedules, signals)
+        with pytest.raises(SimulationError) as got:
             simulate(fragile, weather, schedules, signals)
+        assert str(got.value) == str(expected.value)
+        assert re.fullmatch(
+            r"zone (south|east|north|west|core) diverged to -?\d+\.\d\d C "
+            r"at sample \d+, inner step \d+", str(got.value))
 
     def test_series_length_mismatch_rejected(self):
         weather, schedules, signals = build_inputs(5, 2)
@@ -394,6 +506,22 @@ class TestDatasetCsv:
         for name in DATASET_COLUMNS:
             assert np.array_equal(loaded.columns[name],
                                   small_dataset.columns[name]), name
+
+    def test_writer_is_byte_identical_to_repr_per_cell(self, tmp_path,
+                                                       small_dataset):
+        small_dataset.columns["ws_1"] = (
+            small_dataset.columns["ws_1"].astype(np.int64))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp"] + DATASET_COLUMNS)
+            for i, ts in enumerate(small_dataset.timestamps):
+                writer.writerow([ts.isoformat()] + [
+                    repr(float(small_dataset.columns[c][i]))
+                    for c in DATASET_COLUMNS])
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_column_order_is_irrelevant(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.csv"

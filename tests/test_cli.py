@@ -4,6 +4,7 @@ chain: generate, train, predict, evaluate."""
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -82,6 +83,28 @@ class TestRunConfig:
             config_from_dict({"training": {"batch_size": 0}})
         with pytest.raises(ConfigurationError, match="model: dropout_rate"):
             config_from_dict({"model": {"dropout_rate": 1.0}})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"model": {"rnn_units": "8"}}, "model.rnn_units"),
+        ({"training": {"batch_size": "16"}}, "training.batch_size"),
+        ({"training": {"batch_size": True}}, "training.batch_size"),
+        ({"training": {"learning_rate": "0.01"}}, "training.learning_rate"),
+        ({"model": {"dropout_rate": False}}, "model.dropout_rate"),
+        ({"pipeline": {"fractions": [0.6, "0.2", 0.2]}}, "pipeline.fractions"),
+        ({"pipeline": {"noise_sd": float("nan")}}, "pipeline.noise_sd"),
+        ({"training": {"grad_clip_norm": float("inf")}},
+         "training.grad_clip_norm"),
+    ])
+    def test_wrongly_typed_value_exits_2(self, data, message, tmp_path,
+                                         monkeypatch, capsys):
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_dict(data)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(path), "--days", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_runtime_objects_follow_sections(self):
         cfg = config_from_dict({"seed": 7, "pipeline": {"n_past": 96},
@@ -193,6 +216,17 @@ class TestGenerate:
         assert manifest["rows"] == 480
         assert manifest["days"] == 5
         assert len(manifest["config_sha256"]) == 64
+
+    def test_manifest_carries_audit_and_temperature_range(self, chain_dir):
+        manifest = json.loads((chain_dir / "manifest.json").read_text())
+        assert 0.0 < manifest["audit_max_rel_err"] < 1e-6
+        dataset = load_dataset_csv(str(chain_dir / "dataset.csv"))
+        for column in TARGET_FEATURES:
+            lo = manifest["t_in_min_c"][column]
+            hi = manifest["t_in_max_c"][column]
+            assert math.isfinite(lo) and math.isfinite(hi)
+            assert lo == dataset.columns[column].min()
+            assert hi == dataset.columns[column].max()
 
     def test_same_seed_byte_identical(self, chain_dir, tmp_path,
                                       monkeypatch):
