@@ -732,9 +732,12 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 
 def _parse_float(text: str, column: str, row: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"column {column}: not a number: {text!r}", row=row) from None
+    if not math.isfinite(value):
+        raise ParseError(f"column {column}: not finite: {text!r}", row=row)
+    return value
 
 
 def save_weather_csv(weather: WeatherSeries, path: str) -> None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DimensionError, ParseError
-from .model import QuantileForecast
 
 NOMINAL_INTERVALS = (0.90, 0.95, 0.99)
 
@@ -37,22 +36,12 @@ def cvrmse(actual, predicted) -> float:
 
 
 def _coerce_forecasts(forecasts, quantile_levels):
-    """Accept a list of QuantileForecast or a raw (N, H, Z, Q) array and
-    return (values, levels)."""
-    if isinstance(forecasts, (list, tuple)) and forecasts \
-            and isinstance(forecasts[0], QuantileForecast):
-        levels = forecasts[0].quantile_levels
-        for fc in forecasts:
-            if fc.quantile_levels != levels:
-                raise ConfigurationError(
-                    "forecasts disagree on quantile levels")
-        values = np.stack([fc.values for fc in forecasts])
-    else:
-        values = np.asarray(forecasts, dtype=float)
-        levels = quantile_levels
-    if levels is None:
+    """Check a raw (N, H, Z, Q) forecast array against its quantile levels
+    and return (values, levels)."""
+    values = np.asarray(forecasts, dtype=float)
+    if quantile_levels is None:
         raise ConfigurationError("quantile levels are required")
-    levels = tuple(float(q) for q in levels)
+    levels = tuple(float(q) for q in quantile_levels)
     if values.ndim != 4 or values.shape[-1] != len(levels):
         raise DimensionError(
             f"forecast values must be (instances, steps, zones, "

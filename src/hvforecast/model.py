@@ -20,7 +20,8 @@ from . import numerics as nm
 from .errors import ConfigurationError, DimensionError
 from .layers import BiLstm, Dense, Grn, Layer, MultiHeadAttention, dropout_apply
 from .numerics import Parameter, Tensor
-from .pipeline import FUTURE_FEATURES, PAST_FEATURES, Scaler, WindowSet
+from .pipeline import (FUTURE_FEATURES, PAST_FEATURES, Scaler, WindowSet,
+                       scale_features)
 
 DEFAULT_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
 
@@ -241,12 +242,8 @@ def predict(
             f"{cfg.future_feature_count}), got {raw_future.shape}")
 
     before = scaler.total_clamped()
-    past = np.column_stack([
-        scaler.scale(raw_past[:, j], name)
-        for j, name in enumerate(PAST_FEATURES)])
-    future = np.column_stack([
-        scaler.scale(raw_future[:, j], name)
-        for j, name in enumerate(FUTURE_FEATURES)])
+    past = scale_features(raw_past, PAST_FEATURES, scaler)
+    future = scale_features(raw_future, FUTURE_FEATURES, scaler)
     clamped = scaler.total_clamped() - before
 
     with nm.no_grad():

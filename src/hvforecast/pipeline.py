@@ -82,7 +82,8 @@ class ScalerSpec:
 
 
 class Scaler:
-    """Min-max map onto [-1, 1] with clamping and per-feature clamp counts."""
+    """Min-max map onto [-1, 1] with clamping and per-feature clamp counts;
+    non-finite inputs are refused."""
 
     def __init__(self, spec: ScalerSpec | None = None):
         self.spec = spec if spec is not None else ScalerSpec()
@@ -92,6 +93,9 @@ class Scaler:
     def scale(self, values, feature: str) -> np.ndarray:
         lo, hi = self.spec.interval(feature)
         arr = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError(
+                f"cannot scale non-finite values of feature {feature!r}")
         clipped = np.clip(arr, lo, hi)
         hits = int(np.count_nonzero(clipped != arr))
         if hits:
@@ -164,33 +168,34 @@ def add_forecast_noise(
     return noised
 
 
-@dataclass
-class WindowedSample:
-    """One model sample: scaled history, scaled future covariates, and the
-    scaled future indoor temperatures the model must predict."""
+_FUTURE_COLUMNS = np.array([PAST_FEATURES.index(n) for n in FUTURE_FEATURES])
+_TARGET_COLUMNS = np.array([PAST_FEATURES.index(n) for n in TARGET_FEATURES])
+_WEATHER_COLUMNS = [PAST_FEATURES.index(n) for n in WEATHER_FEATURES]
+_NOISED_COLUMNS = [FUTURE_FEATURES.index(n) for n in WEATHER_FEATURES]
 
-    past: np.ndarray       # (n_past, len(PAST_FEATURES))
-    future: np.ndarray     # (n_future, len(FUTURE_FEATURES))
-    target: np.ndarray     # (n_future, len(TARGET_FEATURES))
-    origin: int            # dataset row where the past window starts
-    origin_timestamp: datetime
+
+def scale_features(values, names: tuple[str, ...], scaler: Scaler) -> np.ndarray:
+    """Scale a (rows, len(names)) physical-unit array column by column, each
+    by its own feature's interval."""
+    values = np.asarray(values, dtype=float)
+    return np.column_stack([scaler.scale(values[:, j], name)
+                            for j, name in enumerate(names)])
 
 
 class WindowSet:
-    """Ordered sliding windows over a scaled dataset.
+    """Ordered sliding windows over one scaled feature table.
 
-    Samples are assembled on access; forecast noise for a sample depends
-    only on (noise_seed, origin), so any access order and any subset give
-    identical values. `scaler` is the one the windows were scaled with.
+    `table` holds every PAST_FEATURES column of the dataset, scaled once;
+    the future covariates and targets are fixed column subsets of it.
+    Forecast noise for a window depends only on (noise_seed, origin), so
+    any access order and any subset give identical values. `scaler` is the
+    one the windows were scaled with.
     """
 
     def __init__(
         self,
-        past_matrix: np.ndarray,
-        future_matrix: np.ndarray,
-        target_matrix: np.ndarray,
+        table: np.ndarray,
         weather_physical: np.ndarray,
-        timestamps: list[datetime],
         origins: np.ndarray,
         n_past: int,
         n_future: int,
@@ -198,81 +203,44 @@ class WindowSet:
         noise_seed: int,
         scaler: Scaler,
     ):
-        self._past = past_matrix
-        self._future = future_matrix
-        self._target = target_matrix
+        self.table = table
         self._weather = weather_physical
-        self._timestamps = timestamps
         self.origins = np.asarray(origins, dtype=int)
         self.n_past = n_past
         self.n_future = n_future
         self.noise_sd = noise_sd
         self.noise_seed = noise_seed
         self.scaler = scaler
-        self._weather_cols = [FUTURE_FEATURES.index(name)
-                              for name in WEATHER_FEATURES]
 
     def __len__(self) -> int:
         return len(self.origins)
 
-    def _noised_future(self, origin: int) -> np.ndarray:
-        lo = origin + self.n_past
-        hi = lo + self.n_future
-        future = self._future[lo:hi].copy()
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.noise_seed, spawn_key=(origin,)))
-        noised = add_forecast_noise(self._weather[lo:hi], rng, self.noise_sd)
-        for k, name in enumerate(WEATHER_FEATURES):
-            future[:, self._weather_cols[k]] = self.scaler.scale(
-                noised[:, k], name)
-        return future
-
-    def __getitem__(self, index: int) -> WindowedSample:
-        origin = int(self.origins[index])
-        lo = origin + self.n_past
-        hi = lo + self.n_future
-        return WindowedSample(
-            past=self._past[origin:lo].copy(),
-            future=self._noised_future(origin),
-            target=self._target[lo:hi].copy(),
-            origin=origin,
-            origin_timestamp=self._timestamps[origin],
-        )
-
     def batch(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (past, future, target) arrays for the given sample
-        indices."""
-        samples = [self[int(i)] for i in indices]
-        return (np.stack([s.past for s in samples]),
-                np.stack([s.future for s in samples]),
-                np.stack([s.target for s in samples]))
+        """Stacked scaled (past, future, target) arrays for the given window
+        indices, with forecast noise on the future weather."""
+        origins = self.origins[np.asarray(indices, dtype=int)]
+        starts = origins + self.n_past
+        past_rows = origins[:, None] + np.arange(self.n_past)
+        future_rows = (starts[:, None] + np.arange(self.n_future))[:, :, None]
+        future = self.table[future_rows, _FUTURE_COLUMNS]
+        noised = np.stack([
+            add_forecast_noise(
+                self._weather[lo:lo + self.n_future],
+                np.random.default_rng(np.random.SeedSequence(
+                    self.noise_seed, spawn_key=(int(origin),))),
+                self.noise_sd)
+            for origin, lo in zip(origins, starts)])
+        for k, name in enumerate(WEATHER_FEATURES):
+            future[:, :, _NOISED_COLUMNS[k]] = self.scaler.scale(
+                noised[:, :, k], name)
+        return (self.table[past_rows], future,
+                self.table[future_rows, _TARGET_COLUMNS])
 
     def subset(self, origins: np.ndarray) -> "WindowSet":
         sub = WindowSet.__new__(WindowSet)
         sub.__dict__.update(self.__dict__)
         sub.origins = np.asarray(origins, dtype=int)
         return sub
-
-
-def _feature_matrix(
-    dataset: SimulatedDataset,
-    features: tuple[str, ...],
-    time_table: dict[str, np.ndarray],
-    scaler: Scaler,
-) -> np.ndarray:
-    n = len(dataset)
-    out = np.empty((n, len(features)))
-    for j, name in enumerate(features):
-        if name in time_table:
-            column = time_table[name]
-        else:
-            try:
-                column = dataset.columns[name]
-            except KeyError:
-                raise ConfigurationError(
-                    f"dataset is missing required column {name!r}") from None
-        out[:, j] = scaler.scale(column, name)
-    return out
 
 
 def build_windows(
@@ -305,15 +273,16 @@ def build_windows(
         for name in TIME_FEATURES:
             time_table[name][k] = encoded[name]
 
-    past_matrix = _feature_matrix(dataset, PAST_FEATURES, time_table, scaler)
-    future_matrix = _feature_matrix(dataset, FUTURE_FEATURES, time_table, scaler)
-    target_matrix = _feature_matrix(dataset, TARGET_FEATURES, time_table, scaler)
-    weather_physical = np.column_stack(
-        [dataset.columns[name] for name in WEATHER_FEATURES])
+    source = {**dataset.columns, **time_table}
+    try:
+        physical = np.column_stack([source[name] for name in PAST_FEATURES])
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"dataset is missing required column {exc.args[0]!r}") from None
+    table = scale_features(physical, PAST_FEATURES, scaler)
 
     origins = np.arange(0, n - need + 1, stride)
-    return WindowSet(past_matrix, future_matrix, target_matrix,
-                     weather_physical, dataset.timestamps, origins,
+    return WindowSet(table, physical[:, _WEATHER_COLUMNS], origins,
                      n_past, n_future, noise_sd, noise_seed, scaler)
 
 
@@ -335,11 +304,9 @@ class DatasetSplits:
 
 def split_chronological(
     windows: WindowSet,
-    n_rows: int | None = None,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> DatasetSplits:
-    if n_rows is None:
-        n_rows = windows._past.shape[0]
+    n_rows = len(windows.table)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(
             f"split fractions must sum to 1, got {fractions}")

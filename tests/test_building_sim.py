@@ -557,6 +557,20 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="row 5"):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_column_and_row(self, tmp_path,
+                                                  small_dataset, text):
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",").index("occu_2")
+        cells = lines[6].split(",")
+        cells[column] = text
+        lines[6] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="row 7: column occu_2: not finite"):
+            load_dataset_csv(str(path))
+
 
 class TestBuildingSpecValidation:
     def test_default_spec_is_valid(self):

@@ -272,6 +272,22 @@ class TestTrain:
         assert "t_in_3" in capsys.readouterr().err
 
 
+    def test_non_finite_dataset_cell_exits_2(self, chain_dir, tmp_path,
+                                             monkeypatch, capsys):
+        rows = (chain_dir / "dataset.csv").read_text().splitlines()
+        column = rows[0].split(",").index("occu_2")
+        cells = rows[10].split(",")
+        cells[column] = "nan"
+        rows[10] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", *CHAIN_ARGS, "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "row 11" in err and "occu_2" in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 class TestPredict:
     def test_dump_shape(self, chain_dir):
         with open(chain_dir / "forecasts.csv", newline="") as fh:

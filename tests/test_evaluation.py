@@ -25,7 +25,6 @@ from hvforecast.evaluation import (
     read_forecast_dump,
     write_forecast_dump,
 )
-from hvforecast.model import QuantileForecast
 
 SEVEN_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
 
@@ -128,17 +127,6 @@ class TestPerHorizonCvrmse:
         shuffled = per_horizon_cvrmse(values[perm], actuals[perm], (0.5,))
         assert np.allclose(base.zone_curves, shuffled.zone_curves,
                            rtol=0, atol=1e-10)
-
-    def test_accepts_forecast_objects(self):
-        rng = np.random.default_rng(5)
-        forecasts = []
-        actuals = rng.uniform(18, 22, size=(3, 4, 5))
-        for i in range(3):
-            vals = np.repeat(actuals[i][..., None], 3, axis=-1)
-            forecasts.append(QuantileForecast(
-                values=vals, quantile_levels=(0.05, 0.5, 0.95)))
-        metrics = per_horizon_cvrmse(forecasts, actuals)
-        assert metrics.overall == 0.0
 
     def test_no_instances_rejected(self):
         with pytest.raises(ConfigurationError, match="no forecast"):

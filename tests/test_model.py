@@ -351,6 +351,14 @@ class TestPredict:
         fc = predict(params, past, future)
         assert fc.clamped_inputs == 1
 
+    def test_non_finite_input_refused_naming_feature(self):
+        cfg = self.full_feature_config()
+        params = build_model(cfg)
+        past, future = self.physical_inputs(cfg)
+        future[2, FUTURE_FEATURES.index("sp_heat_3")] = np.nan
+        with pytest.raises(ConfigurationError, match="sp_heat_3"):
+            predict(params, past, future)
+
     def test_wrong_input_shape_names_stage(self):
         cfg = self.full_feature_config()
         params = build_model(cfg)

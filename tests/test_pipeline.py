@@ -27,10 +27,10 @@ from hvforecast.pipeline import (
     PAST_FEATURES,
     TABLE1_INTERVALS,
     TARGET_FEATURES,
+    TIME_FEATURES,
     WEATHER_FEATURES,
     Scaler,
     ScalerSpec,
-    WindowSet,
     add_forecast_noise,
     build_windows,
     encode_time_features,
@@ -116,6 +116,13 @@ class TestScaler:
     def test_in_range_values_not_counted(self):
         scaler = Scaler()
         scaler.scale(np.array([-30.0, 40.0, 5.0]), "t_out")
+        assert scaler.total_clamped() == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        scaler = Scaler()
+        with pytest.raises(ConfigurationError, match="non-finite.*'occu_2'"):
+            scaler.scale(np.array([3.0, bad]), "occu_2")
         assert scaler.total_clamped() == 0
 
     def test_unknown_feature_rejected(self):
@@ -235,37 +242,36 @@ class TestWindowing:
 
     def test_sample_shapes(self):
         windows = build_windows(synth_dataset(800))
-        sample = windows[0]
-        assert sample.past.shape == (672, 36)
-        assert sample.future.shape == (96, 21)
-        assert sample.target.shape == (96, 5)
+        past, future, target = windows.batch([0])
+        assert past[0].shape == (672, 36)
+        assert future[0].shape == (96, 21)
+        assert target[0].shape == (96, 5)
 
     def test_origin_timestamps_follow_stride(self):
         ds = synth_dataset(1000)
         windows = build_windows(ds, stride=7)
-        assert windows[1].origin == 7
-        assert windows[1].origin_timestamp == ds.timestamps[7]
+        assert windows.origins[1] == 7
+        assert ds.timestamps[windows.origins[1]] == ds.timestamps[7]
 
     def test_target_matches_scaled_indoor_temperature(self):
         ds = synth_dataset(800)
         windows = build_windows(ds)
-        sample = windows[2]
+        _, _, target = windows.batch([2])
         scaler = Scaler()
         for z in range(5):
             expect = scaler.scale(
                 ds.columns[f"t_in_{z + 1}"][2 + 672:2 + 768], f"t_in_{z + 1}")
-            assert np.array_equal(sample.target[:, z], expect)
+            assert np.array_equal(target[0][:, z], expect)
 
     def test_column_shuffle_leaves_samples_identical(self):
         ds = synth_dataset(800)
         shuffled = SimulatedDataset(
             ds.timestamps,
             {name: ds.columns[name] for name in reversed(DATASET_COLUMNS)})
-        a = build_windows(ds, noise_seed=9)[5]
-        b = build_windows(shuffled, noise_seed=9)[5]
-        assert np.array_equal(a.past, b.past)
-        assert np.array_equal(a.future, b.future)
-        assert np.array_equal(a.target, b.target)
+        a = build_windows(ds, noise_seed=9).batch([5])
+        b = build_windows(shuffled, noise_seed=9).batch([5])
+        for block_a, block_b in zip(a, b):
+            assert np.array_equal(block_a, block_b)
 
     def test_missing_column_rejected(self):
         ds = synth_dataset(800)
@@ -282,31 +288,33 @@ class TestWindowing:
         ds = synth_dataset(900)
         first = build_windows(ds, noise_seed=4)
         second = build_windows(ds, noise_seed=4)
-        forward = [first[i].future for i in range(len(first))]
-        backward = [second[i].future for i in reversed(range(len(second)))]
+        forward = [first.batch([i])[1][0] for i in range(len(first))]
+        backward = [second.batch([i])[1][0]
+                    for i in reversed(range(len(second)))]
         for i, fut in enumerate(forward):
             assert np.array_equal(fut, backward[len(forward) - 1 - i])
+        _, reversed_batch, _ = second.batch(range(len(second))[::-1])
+        assert np.array_equal(reversed_batch, np.stack(forward[::-1]))
 
     def test_noise_seed_changes_future_weather_only(self):
         ds = synth_dataset(800)
-        a = build_windows(ds, noise_seed=1)[0]
-        b = build_windows(ds, noise_seed=2)[0]
+        a_past, a_future, _ = build_windows(ds, noise_seed=1).batch([0])
+        b_past, b_future, _ = build_windows(ds, noise_seed=2).batch([0])
         weather_cols = [FUTURE_FEATURES.index(n) for n in WEATHER_FEATURES]
         other = [j for j in range(21) if j not in weather_cols]
-        assert not np.array_equal(a.future[:, weather_cols],
-                                  b.future[:, weather_cols])
-        assert np.array_equal(a.future[:, other], b.future[:, other])
-        assert np.array_equal(a.past, b.past)
+        assert not np.array_equal(a_future[0][:, weather_cols],
+                                  b_future[0][:, weather_cols])
+        assert np.array_equal(a_future[0][:, other], b_future[0][:, other])
+        assert np.array_equal(a_past, b_past)
 
     def test_future_aligns_with_next_window_past(self):
         """The future covariates of one sample cover the same rows as the
         tail of the past window 96 origins later."""
         ds = synth_dataset(1000)
         windows = build_windows(ds, noise_sd=0.0)
-        early = windows[0]
-        late = windows[96]
+        past, future, _ = windows.batch([0, 96])
         past_cols = [PAST_FEATURES.index(n) for n in FUTURE_FEATURES]
-        assert np.array_equal(early.future, late.past[-96:, past_cols])
+        assert np.array_equal(future[0], past[1][-96:, past_cols])
 
     def test_batch_stacks_samples(self):
         windows = build_windows(synth_dataset(900))
@@ -314,20 +322,116 @@ class TestWindowing:
         assert past.shape == (3, 672, 36)
         assert future.shape == (3, 96, 21)
         assert target.shape == (3, 96, 5)
-        assert np.array_equal(past[1], windows[3].past)
+        assert np.array_equal(past[1], windows.batch([3])[0][0])
 
     def test_scaled_values_within_unit_interval(self, sim_ds):
         windows = build_windows(sim_ds)
-        sample = windows[len(windows) // 2]
-        for block in (sample.past, sample.future, sample.target):
+        for block in windows.batch([len(windows) // 2]):
             assert float(block.min()) >= -1.0
             assert float(block.max()) <= 1.0
 
     def test_no_clamping_on_simulated_data(self, sim_ds):
         windows = build_windows(sim_ds)
-        for i in range(0, len(windows), 97):
-            windows[i]
+        windows.batch(range(0, len(windows), 97))
         assert windows.scaler.total_clamped() == 0
+
+    def test_each_out_of_range_cell_clamped_once(self):
+        ds = synth_dataset(900)
+        ds.columns["t_out"][700] = 55.0      # past and future of some windows
+        ds.columns["t_in_1"][750] = 3.0      # past and target of some windows
+        windows = build_windows(ds)
+        assert windows.scaler.clamp_counts == {"t_out": 1, "t_in_1": 1}
+        assert windows.scaler.total_clamped() == 2
+
+    def test_non_finite_cell_refused_naming_feature(self):
+        ds = synth_dataset(900)
+        ds.columns["occu_2"][300] = np.nan
+        with pytest.raises(ConfigurationError, match="occu_2"):
+            build_windows(ds)
+
+
+def reference_batch(dataset, windows, indices):
+    """Window-by-window assembly, as the windowing layer read samples before
+    it gathered batches from one scaled table: each window scales its own
+    past, future and target blocks straight from the dataset, then draws
+    and scales its own noised future weather. `WindowSet.batch` must match
+    it exactly."""
+    scaler = Scaler(windows.scaler.spec)
+    encoded = [encode_time_features(ts) for ts in dataset.timestamps]
+    physical = dict(dataset.columns)
+    for name in TIME_FEATURES:
+        physical[name] = np.array([enc[name] for enc in encoded])
+
+    def block(names, lo, hi):
+        return np.column_stack([scaler.scale(physical[name][lo:hi], name)
+                                for name in names])
+
+    pasts, futures, targets = [], [], []
+    for i in indices:
+        origin = int(windows.origins[i])
+        lo, hi = origin + windows.n_past, origin + windows.n_past + windows.n_future
+        rng = np.random.default_rng(
+            np.random.SeedSequence(windows.noise_seed, spawn_key=(origin,)))
+        weather = np.column_stack([physical[name][lo:hi]
+                                   for name in WEATHER_FEATURES])
+        noised = add_forecast_noise(weather, rng, windows.noise_sd)
+        future = block(FUTURE_FEATURES, lo, hi)
+        for k, name in enumerate(WEATHER_FEATURES):
+            future[:, FUTURE_FEATURES.index(name)] = scaler.scale(
+                noised[:, k], name)
+        pasts.append(block(PAST_FEATURES, origin, lo))
+        futures.append(future)
+        targets.append(block(TARGET_FEATURES, lo, hi))
+    return np.stack(pasts), np.stack(futures), np.stack(targets)
+
+
+MOVED_INTERVALS = dict(TABLE1_INTERVALS, t_out=(-10.0, 25.0),
+                       w_out=(2.0, 20.0), t_in_2=(15.0, 30.0))
+
+
+class TestBatchMatchesReference:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return synth_dataset(800, seed=5)
+
+    def assert_matches(self, dataset, windows, indices):
+        got = windows.batch(indices)
+        expect = reference_batch(dataset, windows, indices)
+        for block_got, block_expect in zip(got, expect):
+            assert block_got.dtype == block_expect.dtype
+            assert np.array_equal(block_got, block_expect)
+
+    @pytest.mark.parametrize("noise_sd", [
+        0.0, 0.01, 0.5, np.array([0.5, 0.0, 2.0, 40.0, 0.0])])
+    def test_shuffled_indices(self, dataset, noise_sd):
+        windows = build_windows(dataset, n_past=96, n_future=24,
+                                noise_sd=noise_sd, noise_seed=3)
+        order = np.random.default_rng(0).permutation(len(windows))[:25]
+        self.assert_matches(dataset, windows, order)
+
+    def test_stride(self, dataset):
+        windows = build_windows(dataset, n_past=96, n_future=24, stride=7,
+                                noise_seed=8)
+        self.assert_matches(dataset, windows, range(len(windows)))
+
+    def test_subset(self, dataset):
+        windows = build_windows(dataset, n_past=96, n_future=24,
+                                noise_sd=0.5, noise_seed=2)
+        subset = windows.subset(windows.origins[100:400:13])
+        self.assert_matches(dataset, subset, [5, 0, 17, 3])
+
+    def test_paper_geometry(self, dataset):
+        windows = build_windows(dataset, noise_seed=6)
+        self.assert_matches(dataset, windows, [len(windows) - 1, 0, 7])
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    def test_moved_scaling_interval(self, dataset, noise_sd):
+        windows = build_windows(dataset, n_past=96, n_future=24,
+                                noise_sd=noise_sd, noise_seed=4,
+                                scaler=Scaler(ScalerSpec(MOVED_INTERVALS)))
+        assert windows.scaler.clamp_counts["t_out"] > 0
+        order = np.random.default_rng(1).permutation(len(windows))[:25]
+        self.assert_matches(dataset, windows, order)
 
 
 class TestSplits:
@@ -365,12 +469,12 @@ class TestSplits:
         ds = synth_dataset(4000)
         windows = build_windows(ds, noise_seed=13)
         splits = split_chronological(windows)
-        probe = splits.validation[0]
-        full_index = int(np.where(windows.origins == probe.origin)[0][0])
-        direct = windows[full_index]
-        assert np.array_equal(probe.past, direct.past)
-        assert np.array_equal(probe.future, direct.future)
-        assert np.array_equal(probe.target, direct.target)
+        probe = splits.validation.batch([0])
+        origin = splits.validation.origins[0]
+        full_index = int(np.where(windows.origins == origin)[0][0])
+        direct = windows.batch([full_index])
+        for block_probe, block_direct in zip(probe, direct):
+            assert np.array_equal(block_probe, block_direct)
 
     def test_too_small_for_any_split_rejected(self):
         ds = synth_dataset(900)
