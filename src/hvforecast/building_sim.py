@@ -263,10 +263,6 @@ class SimulatedDataset:
     columns: dict[str, np.ndarray]
     audit_max_rel_err: float = math.nan
 
-    @property
-    def row_count(self) -> int:
-        return len(self.timestamps)
-
     def __len__(self) -> int:
         return len(self.timestamps)
 

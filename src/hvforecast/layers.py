@@ -48,7 +48,7 @@ class Dense(Layer):
         self.b = Parameter(f"{name}/b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return nm.add_bias(nm.matmul(x, self.w), self.b)
+        return nm.affine(x, self.w, self.b)
 
 
 class LstmState:
@@ -117,7 +117,9 @@ class MultiHeadAttention(Layer):
     """Scaled dot-product attention run over several heads in parallel.
 
     Self-attention passes the same sequence for queries and keys/values;
-    cross-attention draws keys/values from a second sequence.
+    cross-attention draws keys/values from a second sequence. The head
+    split, scores, softmax, mixing and merge are one `numerics.attention`
+    node between the four dense maps.
     """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator, name: str):
@@ -125,34 +127,21 @@ class MultiHeadAttention(Layer):
             raise ConfigurationError(f"mha: d_model {d_model} not divisible by {heads} heads")
         self.d_model = d_model
         self.heads = heads
-        self.d_head = d_model // heads
         self.wq = Dense(d_model, d_model, rng, f"{name}/q")
         self.wk = Dense(d_model, d_model, rng, f"{name}/k")
         self.wv = Dense(d_model, d_model, rng, f"{name}/v")
         self.wo = Dense(d_model, d_model, rng, f"{name}/out")
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        batch, steps, _ = x.shape
-        return nm.transpose(nm.reshape(x, (batch, steps, self.heads, self.d_head)),
-                            (0, 2, 1, 3))
 
     def __call__(self, q_seq: Tensor, kv_seq: Tensor, return_weights: bool = False):
         if q_seq.shape[-1] != self.d_model or kv_seq.shape[-1] != self.d_model:
             raise DimensionError(
                 f"mha: feature extents {q_seq.shape[-1]}/{kv_seq.shape[-1]} "
                 f"do not match d_model {self.d_model}")
-        batch, tq, _ = q_seq.shape
-        q = self._split_heads(self.wq(q_seq))            # (B, H, Tq, dh)
-        k = self._split_heads(self.wk(kv_seq))           # (B, H, Tk, dh)
-        v = self._split_heads(self.wv(kv_seq))
-        scores = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))),
-                        1.0 / math.sqrt(self.d_head))    # (B, H, Tq, Tk)
-        weights = nm.softmax_last_axis(scores)
-        mixed = nm.matmul(weights, v)                    # (B, H, Tq, dh)
-        merged = nm.reshape(nm.transpose(mixed, (0, 2, 1, 3)), (batch, tq, self.d_model))
-        out = self.wo(merged)
+        mixed, weights = nm.attention(self.wq(q_seq), self.wk(kv_seq),
+                                      self.wv(kv_seq), self.heads)
+        out = self.wo(mixed)
         if return_weights:
-            return out, weights
+            return out, Tensor(weights)
         return out
 
 
@@ -161,14 +150,10 @@ class Glu(Layer):
     output = value * sigmoid(gate)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name: str):
-        self.d_out = d_out
         self.proj = Dense(d_in, 2 * d_out, rng, f"{name}/proj")
 
     def __call__(self, x: Tensor) -> Tensor:
-        z = self.proj(x)
-        value = nm.narrow(z, -1, 0, self.d_out)
-        gate = nm.narrow(z, -1, self.d_out, self.d_out)
-        return nm.mul(value, nm.sigmoid(gate))
+        return nm.glu(self.proj(x))
 
 
 class LayerNorm(Layer):
@@ -187,17 +172,7 @@ class LayerNorm(Layer):
         self.bias = Parameter(f"{name}/bias", np.zeros(d))
 
     def __call__(self, x: Tensor, eps: float | None = None) -> Tensor:
-        return layer_norm_forward(x, self.gain, self.bias, self.eps if eps is None else eps)
-
-
-def layer_norm_forward(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    d = x.shape[-1]
-    mean = nm.tmean(x, axis=-1, keepdims=True)
-    centered = nm.sub(x, nm.expand_last(mean, d))
-    var = nm.tmean(nm.mul(centered, centered), axis=-1, keepdims=True)
-    inv_std = nm.power(nm.add(var, eps), -0.5)
-    normed = nm.mul(centered, nm.expand_last(inv_std, d))
-    return nm.add_bias(nm.scale_by_vector(normed, gain), bias)
+        return nm.layer_norm(x, self.gain, self.bias, self.eps if eps is None else eps)
 
 
 class Grn(Layer):

@@ -7,10 +7,12 @@ graph once in reverse topological order and accumulates gradients into the
 `grad` field of the participating leaves.
 
 Broadcasting is deliberately restricted: binary elementwise ops require
-equal shapes or a Python scalar. The explicit lifts `add_bias`,
-`scale_by_vector` and `expand_last` cover the trailing-axis patterns the
-layers need, so a shape mismatch is always a loud error instead of a silent
-broadcast.
+equal shapes or a Python scalar, so a shape mismatch is always a loud error
+instead of a silent broadcast. The layers' dense blocks are fused nodes with
+hand-written backwards: `affine`, `layer_norm`, `glu`, `attention`,
+`quantile_loss` and `lstm_sequence`. Each applies its trailing-axis vectors
+internally after checking their extents, and keeps only what its backward
+needs, so one layer stores one output instead of a chain of intermediates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, GradientError
+from .errors import ConfigurationError, ContractViolation, DimensionError, GradientError
 
 _GRAD_ENABLED = True
 
@@ -76,28 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
 
-    # operator sugar; the module-level functions carry the contracts
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -151,14 +131,6 @@ def add(a: Tensor, b) -> Tensor:
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _result(a.data - c, "sub", (a,), lambda g: (g,))
-    _check_same_shape("sub", a, b)
-    return _result(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         c = float(b)
@@ -168,22 +140,18 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    _check_same_shape("maximum", a, b)
-    mask = a.data >= b.data
-    return _result(np.where(mask, a.data, b.data), "maximum", (a, b),
-                   lambda g: (g * mask, g * ~mask))
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _result(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 0.5*(tanh(x/2)+1) is overflow-free for any finite x
-    y = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     return _result(y, "sigmoid", (a,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -197,12 +165,6 @@ def elu(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     return _result(y, "exp", (a,), lambda g: (g * y,))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    y = a.data ** p
-    base = a.data
-    return _result(y, "power", (a,), lambda g: (g * p * base ** (p - 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +200,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
     return _result(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(orig),))
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(int(i) for i in np.argsort(axes))
-    return _result(a.data.transpose(axes), "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -301,26 +258,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _result(x.data + b.data, "add_bias", (x, b), bw)
 
 
-def scale_by_vector(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply by a rank-1 vector along the last axis of x."""
-    if v.ndim != 1 or v.shape[0] != x.shape[-1]:
-        raise DimensionError(f"scale_by_vector: vector {v.shape} does not match {x.shape}")
-    xd, vd = x.data, v.data
-
-    def bw(g):
-        return g * vd, (g * xd).reshape(-1, g.shape[-1]).sum(axis=0)
-
-    return _result(xd * vd, "scale_by_vector", (x, v), bw)
-
-
-def expand_last(x: Tensor, extent: int) -> Tensor:
-    """Broadcast a trailing singleton axis to `extent` (explicit, for keepdims stats)."""
-    if x.shape[-1] != 1:
-        raise DimensionError(f"expand_last: last extent of {x.shape} is not 1")
-    out = np.broadcast_to(x.data, x.shape[:-1] + (extent,))
-    return _result(out, "expand_last", (x,), lambda g: (g.sum(axis=-1, keepdims=True),))
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
@@ -333,35 +270,173 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
-    if axis is None:
-        n = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else axis
-        n = int(np.prod([shape[i] for i in axes]))
+# ---------------------------------------------------------------------------
+# fused dense blocks
+# ---------------------------------------------------------------------------
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b along the last axis of `x`, as one node: one GEMM with the
+    bias added in place, so only the result is stored."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"affine: input {x.shape} does not fit kernel {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"affine: bias {b.shape} does not match kernel {w.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, shape).copy(),)
+        g_rows = g.reshape(-1, g.shape[-1])
+        return g @ wd.T, xd.reshape(-1, xd.shape[-1]).T @ g_rows, g_rows.sum(axis=0)
 
-    return _result(a.data.mean(axis=axis, keepdims=keepdims), "mean", (a,), bw)
+    return _result(out, "affine", (x, w, b), bw)
 
 
-def softmax_last_axis(x: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    if x.shape[-1] < 1:
-        raise DimensionError("softmax_last_axis: empty last axis")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalise each last-axis slice of `x` to zero mean and unit
+    (population) variance, then apply `gain` and `bias`.
+
+    Keeps only the normalised input and the inverse standard deviation; the
+    backward is the closed form of Ba et al. (arXiv:1607.06450),
+    dx = inv_std * (gy - mean(gy) - x_hat * mean(gy * x_hat)) with
+    gy = g * gain.
+    """
+    d = x.shape[-1] if x.ndim else 0
+    if d < 1 or gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(
+            f"layer_norm: gain {gain.shape} or bias {bias.shape} does not "
+            f"match the last extent of {x.shape}")
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = ((normed * normed).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed *= inv_std
+    out = normed * gain.data
+    out += bias.data
+    gd = gain.data
 
     def bw(g):
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
+        g_rows = g.reshape(-1, d)
+        g_gain = (g * normed).reshape(-1, d).sum(axis=0)
+        gy = g * gd
+        gx = gy - gy.mean(axis=-1, keepdims=True)
+        gx -= normed * (gy * normed).mean(axis=-1, keepdims=True)
+        gx *= inv_std
+        return gx, g_gain, g_rows.sum(axis=0)
 
-    return _result(y, "softmax", (x,), bw)
+    return _result(out, "layer_norm", (x, gain, bias), bw)
+
+
+def glu(z: Tensor) -> Tensor:
+    """Gated linear unit over the two halves of the last axis of `z`:
+    value * sigmoid(gate), value first. Keeps nothing but its input; the
+    backward recomputes the gate."""
+    if z.ndim < 1 or z.shape[-1] % 2 or z.shape[-1] == 0:
+        raise DimensionError(f"glu: last extent of {z.shape} is not a positive even number")
+    d = z.shape[-1] // 2
+    value, gate = z.data[..., :d], z.data[..., d:]
+
+    def bw(g):
+        s = _sigmoid(gate)
+        gz = np.empty(z.shape)
+        np.multiply(g, s, out=gz[..., :d])
+        gs = g * value
+        gs *= s
+        gs *= 1.0 - s
+        gz[..., d:] = gs
+        return (gz,)
+
+    return _result(value * _sigmoid(gate), "glu", (z,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over `heads` heads, as one node.
+
+    `q` is (batch, Tq, d) and `k`, `v` are (batch, Tk, d). Each is split
+    into `heads` slices of d/heads features; every head mixes `v` by the
+    softmax of its scaled scores, and the heads are merged back to
+    (batch, Tq, d). Returns that node and the softmax weights
+    (batch, heads, Tq, Tk) as a read-only array. The weights are the only
+    intermediate kept: the backward takes the softmax row term from the
+    node's own output, sum_k(dW * W) = sum_j(dO * O) per query and head.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
+        raise DimensionError(
+            f"attention: expected (batch, time, features) queries and equal "
+            f"keys/values, got {q.shape}, {k.shape}, {v.shape}")
+    batch, tq, dm = q.shape
+    tk = k.shape[1]
+    if k.shape[0] != batch or k.shape[2] != dm:
+        raise DimensionError(f"attention: keys {k.shape} do not fit queries {q.shape}")
+    if tq < 1 or tk < 1:
+        raise DimensionError(f"attention: empty sequence, {q.shape} and {k.shape}")
+    if heads < 1 or dm % heads:
+        raise DimensionError(f"attention: {dm} features do not split into {heads} heads")
+    dh = dm // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a, steps):
+        return a.reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a, steps):
+        return a.transpose(0, 2, 1, 3).reshape(batch, steps, dm)
+
+    qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
+    weights = qh @ kh.transpose(0, 1, 3, 2)
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = merge(weights @ vh, tq)
+
+    def bw(g):
+        gm = split(g, tq)
+        g_v = weights.transpose(0, 1, 3, 2) @ gm
+        gs = gm @ vh.transpose(0, 1, 3, 2)
+        gs -= (gm * split(out, tq)).sum(axis=-1, keepdims=True)
+        gs *= weights
+        gs *= scale
+        g_q = gs @ kh
+        g_k = gs.transpose(0, 1, 3, 2) @ qh
+        return merge(g_q, tq), merge(g_k, tk), merge(g_v, tk)
+
+    shown = weights.view()
+    shown.flags.writeable = False
+    return _result(out, "attention", (q, k, v), bw), shown
+
+
+def quantile_loss(actual: Tensor, predicted: Tensor, levels: Sequence[float]) -> Tensor:
+    """Mean over `levels` of the mean pinball loss
+    max(q * (y - yhat), (q - 1) * (y - yhat)), as one scalar node.
+
+    `predicted` carries one slice per level on its last axis and otherwise
+    matches `actual`. Keeps only the sign of each error.
+    """
+    levels = tuple(float(q) for q in levels)
+    if not levels:
+        raise ConfigurationError("quantile levels must be non-empty")
+    for q in levels:
+        if not 0.0 < q < 1.0:
+            raise ConfigurationError(f"quantile level {q} outside (0, 1)")
+    if predicted.shape != actual.shape + (len(levels),):
+        raise DimensionError(
+            f"quantile loss: predicted {predicted.shape} does not match actual "
+            f"{actual.shape} with {len(levels)} levels on its last axis")
+    count = len(levels)
+    n = actual.size
+    err = actual.data[None] - np.moveaxis(predicted.data, -1, 0)   # (levels, ...)
+    total = 0.0
+    for e, q in zip(err, levels):
+        total += float(np.maximum(e * q, e * (q - 1.0)).mean())
+    below = err < 0.0
+    q = np.array(levels).reshape((count,) + (1,) * actual.ndim)
+
+    def bw(g):
+        g_err = np.where(below, q - 1.0, q)
+        g_err *= (g * (1.0 / count)) / n
+        g_pred = np.ascontiguousarray(np.moveaxis(-g_err, 0, -1))
+        g_act = g_err.sum(axis=0) if actual.requires_grad else None
+        return g_act, g_pred
+
+    return _result(np.array(total * (1.0 / count)), "quantile_loss", (actual, predicted), bw)
 
 
 # ---------------------------------------------------------------------------

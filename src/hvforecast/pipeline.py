@@ -160,8 +160,9 @@ def add_forecast_noise(
             f"weather_future must be (n, {len(WEATHER_FEATURES)}), "
             f"got {arr.shape}")
     if np.all(sd_arr == 0.0):
-        return arr.copy()
-    noised = arr + rng.normal(0.0, 1.0, size=arr.shape) * sd_arr
+        noised = arr.copy()
+    else:
+        noised = arr + rng.normal(0.0, 1.0, size=arr.shape) * sd_arr
     for j, name in enumerate(WEATHER_FEATURES):
         lo, hi = TABLE1_INTERVALS[name]
         np.clip(noised[:, j], lo, hi, out=noised[:, j])

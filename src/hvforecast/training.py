@@ -34,40 +34,20 @@ def _as_tensor(x) -> Tensor:
 
 
 def pinball_loss(actual, predicted, q: float) -> Tensor:
-    """Mean over elements of max(q*(y - yhat), (q - 1)*(y - yhat))."""
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"quantile level {q} outside (0, 1)")
+    """Mean over elements of max(q*(y - yhat), (q - 1)*(y - yhat)): the
+    one-level case of `numerics.quantile_loss`."""
     y = _as_tensor(actual)
     yhat = _as_tensor(predicted)
     if y.shape != yhat.shape:
         raise DimensionError(
             f"pinball loss: actual {y.shape} vs predicted {yhat.shape}")
-    err = nm.sub(y, yhat)
-    return nm.tmean(nm.maximum(nm.mul(err, q), nm.mul(err, q - 1.0)))
+    return nm.quantile_loss(y, nm.reshape(yhat, yhat.shape + (1,)), (q,))
 
 
 def total_quantile_loss(actual, predicted, levels) -> Tensor:
     """Unweighted mean of pinball losses across all levels; `predicted`
     carries one slice per level on its last axis."""
-    levels = tuple(levels)
-    if not levels:
-        raise ConfigurationError("quantile levels must be non-empty")
-    y = _as_tensor(actual)
-    yhat = _as_tensor(predicted)
-    if yhat.shape[-1] != len(levels):
-        raise DimensionError(
-            f"quantile loss: last axis {yhat.shape[-1]} does not match "
-            f"{len(levels)} levels")
-    if yhat.shape[:-1] != y.shape:
-        raise DimensionError(
-            f"quantile loss: predicted {yhat.shape} does not broadcast to "
-            f"actual {y.shape}")
-    total = None
-    for k, q in enumerate(levels):
-        slice_k = nm.reshape(nm.narrow(yhat, yhat.ndim - 1, k, 1), y.shape)
-        term = pinball_loss(y, slice_k, q)
-        total = term if total is None else nm.add(total, term)
-    return nm.mul(total, 1.0 / len(levels))
+    return nm.quantile_loss(_as_tensor(actual), _as_tensor(predicted), levels)
 
 
 @dataclass

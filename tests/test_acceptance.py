@@ -90,6 +90,8 @@ from hvforecast.training import (
     total_quantile_loss,
 )
 
+import unfused as uf
+
 DESK_SEED = 23
 DESK_DAYS = 60
 # window centred on the seasonal minimum so all three chronological splits
@@ -177,7 +179,7 @@ def layer_gradient_cases(seed):
 
     def cell_loss():  # nonzero initial state exercises the forget gate
         nxt = cell.step(x_cell, state)
-        return nm.tmean(nm.add(nxt.h, nxt.c))
+        return uf.tmean(nm.add(nxt.h, nxt.c))
 
     bilstm = BiLstm(3, 2, rng, "bilstm")
     x_bilstm = Tensor(u(-1, 1, (2, 4, 3)))
@@ -204,13 +206,13 @@ def layer_gradient_cases(seed):
         return total_quantile_loss(y_head, out, (0.1, 0.5, 0.9))
 
     return [
-        ("dense", lambda: nm.tmean(dense(x_dense)), dense),
+        ("dense", lambda: uf.tmean(dense(x_dense)), dense),
         ("lstm_cell", cell_loss, cell),
-        ("bilstm", lambda: nm.tmean(bilstm(x_bilstm)), bilstm),
-        ("mha", lambda: nm.tmean(mha(q_mha, kv_mha)), mha),
-        ("glu", lambda: nm.tmean(glu(x_glu)), glu),
-        ("grn", lambda: nm.tmean(grn(x_grn)), grn),
-        ("layer_norm", lambda: nm.tmean(norm(x_norm)), norm),
+        ("bilstm", lambda: uf.tmean(bilstm(x_bilstm)), bilstm),
+        ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)), mha),
+        ("glu", lambda: uf.tmean(glu(x_glu)), glu),
+        ("grn", lambda: uf.tmean(grn(x_grn)), grn),
+        ("layer_norm", lambda: uf.tmean(norm(x_norm)), norm),
         ("quantile_head", head_loss, head),
     ]
 

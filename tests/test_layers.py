@@ -17,6 +17,8 @@ from hvforecast.layers import (
 )
 from hvforecast.numerics import Tensor, backward, gradient_check
 
+import unfused as uf
+
 SEEDS = range(10)
 
 
@@ -43,7 +45,7 @@ class TestDense:
             rng = np.random.default_rng(seed)
             d = Dense(3, 2, rng, "d")
             x = Tensor(rng.normal(size=(4, 3)))
-            report = gradient_check(lambda: nm.tmean(nm.tanh(d(x))),
+            report = gradient_check(lambda: uf.tmean(nm.tanh(d(x))),
                                     list(d.parameters()))
             assert report.passed, f"seed {seed}: {report}"
 
@@ -96,7 +98,7 @@ class TestLstmCell:
             def f():
                 s = cell.step(x0, LstmState.zeros(2, 3))
                 s = cell.step(x1, s)
-                return nm.tmean(s.h)
+                return uf.tmean(s.h)
 
             report = gradient_check(f, list(cell.parameters()))
             assert report.passed, f"seed {seed}: {report}"
@@ -149,7 +151,7 @@ class TestBiLstm:
             rng = np.random.default_rng(seed)
             net = BiLstm(2, 2, rng, "b")
             seq = Tensor(rng.normal(size=(2, 3, 2)))
-            report = gradient_check(lambda: nm.tmean(net(seq)),
+            report = gradient_check(lambda: uf.tmean(net(seq)),
                                     list(net.parameters()))
             assert report.passed, f"seed {seed}: {report}"
 
@@ -276,7 +278,7 @@ class TestMultiHeadAttention:
             mha = MultiHeadAttention(4, 2, rng, "m")
             q = Tensor(rng.normal(size=(2, 2, 4)))
             kv = Tensor(rng.normal(size=(2, 3, 4)))
-            report = gradient_check(lambda: nm.tmean(mha(q, kv)),
+            report = gradient_check(lambda: uf.tmean(mha(q, kv)),
                                     list(mha.parameters()))
             assert report.passed, f"seed {seed}: {report}"
 
@@ -320,7 +322,7 @@ class TestGluAndGrn:
             rng = np.random.default_rng(seed)
             grn = Grn(3, rng, "g")
             x = Tensor(rng.normal(size=(4, 3)))
-            report = gradient_check(lambda: nm.tmean(grn(x)),
+            report = gradient_check(lambda: uf.tmean(grn(x)),
                                     list(grn.parameters()))
             assert report.passed, f"seed {seed}: {report}"
 
@@ -364,7 +366,7 @@ class TestLayerNorm:
             x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
             def f():
-                return nm.tmean(nm.mul(ln(x), ln(x)))
+                return uf.tmean(nm.mul(ln(x), ln(x)))
 
             report = gradient_check(f, [ln.gain, ln.bias])
             assert report.passed, f"seed {seed}: {report}"

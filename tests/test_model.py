@@ -32,6 +32,8 @@ from hvforecast.pipeline import (
     build_windows,
 )
 
+import unfused as uf
+
 TINY = ModelConfig(n_past=8, n_future=4, past_feature_count=6,
                    future_feature_count=3, zone_count=5, rnn_units=4,
                    mha_heads=2, d_model=8, dropout_rate=0.3, rng_seed=1)
@@ -230,6 +232,23 @@ class TestForward:
         sums = weights.sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-10
 
+    def test_collected_attention_equals_unfused_reference(self):
+        cfg = ModelConfig(n_past=8, n_future=4, past_feature_count=6,
+                          future_feature_count=3, zone_count=5, rnn_units=4,
+                          mha_heads=2, d_model=8, dropout_rate=0.0, rng_seed=7)
+        params = build_model(cfg)
+        rng = np.random.default_rng(8)
+        past = rng.uniform(-1, 1, (3, cfg.n_past, cfg.past_feature_count))
+        future = rng.uniform(-1, 1, (3, cfg.n_future, cfg.future_feature_count))
+        _, weights = forward_batch(params, past, future, collect_attention=True)
+        enc = params.encoder(Tensor(past), False, None)
+        dec = params.decoder(Tensor(future), False, None)
+        cross = params.cross
+        _, expect = uf.attention(cross.wq(dec), cross.wk(enc), cross.wv(enc),
+                                 cfg.mha_heads)
+        assert weights.shape == (3, cfg.mha_heads, cfg.n_future, cfg.n_past)
+        assert np.array_equal(weights, expect.data)
+
     def test_every_future_window_signal_reaches_output(self):
         cfg = ModelConfig(n_past=8, n_future=4,
                           past_feature_count=len(PAST_FEATURES),
@@ -253,8 +272,8 @@ def micro_pinball(out: Tensor, target: np.ndarray, levels) -> Tensor:
     y = Tensor(target)
     for k, q in enumerate(levels):
         pred = nm.reshape(nm.narrow(out, 2, k, 1), out.shape[:2])
-        err = nm.sub(y, pred)
-        terms.append(nm.tmean(nm.maximum(nm.mul(err, q),
+        err = uf.sub(y, pred)
+        terms.append(uf.tmean(uf.maximum(nm.mul(err, q),
                                          nm.mul(err, q - 1.0))))
     total = terms[0]
     for t in terms[1:]:
@@ -279,9 +298,10 @@ class TestGradients:
 
 
 class TestGraphSize:
-    def test_tiny_train_step_graph_under_500_nodes(self):
+    def test_tiny_train_step_graph_under_100_op_nodes(self):
         # One training step of the tiny profile at its batch size of 32.
-        # Each LSTM pass is one graph node, so the count does not grow with
+        # Each LSTM pass, dense map, layer norm, GLU, attention core and the
+        # quantile loss is one graph node, so the count does not grow with
         # the sequence length.
         from hvforecast.config import RunConfig, tiny_profile
         from hvforecast.training import total_quantile_loss
@@ -304,7 +324,10 @@ class TestGraphSize:
         out = forward_batch(build_model(cfg), past, future, training=True,
                             rng=rng)
         loss = total_quantile_loss(target, out, cfg.quantile_levels)
-        assert len(nm.topological_order(loss)) < 500
+        ops = [n.op for n in nm.topological_order(loss) if n.op != "leaf"]
+        assert len(ops) < 100
+        assert not {"add_bias", "narrow", "softmax", "power", "expand_last",
+                    "maximum", "scale_by_vector"} & set(ops)
 
 
 class TestPredict:

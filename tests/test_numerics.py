@@ -7,6 +7,8 @@ from hvforecast import numerics as nm
 from hvforecast.errors import ContractViolation, DimensionError, GradientError
 from hvforecast.numerics import Parameter, Tensor, backward, gradient_check
 
+import unfused as uf
+
 
 def t(x, grad=False):
     return Tensor(np.asarray(x, dtype=float), requires_grad=grad)
@@ -77,17 +79,17 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = nm.softmax_last_axis(t([0.0, 0.0, 0.0])).data
+        out = uf.softmax_last_axis(t([0.0, 0.0, 0.0])).data
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_stability_under_large_inputs(self):
-        out = nm.softmax_last_axis(t([1000.0, 0.0])).data
+        out = uf.softmax_last_axis(t([1000.0, 0.0])).data
         assert np.isfinite(out).all()
         assert out[0] == pytest.approx(1.0, abs=1e-12)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_values(self):
-        out = nm.softmax_last_axis(t([1.0, 2.0, 3.0])).data
+        out = uf.softmax_last_axis(t([1.0, 2.0, 3.0])).data
         e = np.exp([1.0, 2.0, 3.0])
         assert np.allclose(out, e / e.sum(), atol=1e-12)
         assert out == pytest.approx([0.09003057, 0.24472847, 0.66524096], abs=1e-7)
@@ -95,7 +97,7 @@ class TestSoftmax:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one_and_bounded(self, row):
-        out = nm.softmax_last_axis(t(np.array([row, row]))).data
+        out = uf.softmax_last_axis(t(np.array([row, row]))).data
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -144,7 +146,7 @@ class TestBackward:
         def f():
             h = nm.tanh(nm.matmul(x, w1))
             out = nm.sigmoid(nm.add_bias(nm.matmul(h, w2), bias))
-            return nm.tmean(nm.mul(out, out))
+            return uf.tmean(nm.mul(out, out))
 
         report = gradient_check(f, [w1, w2, bias], step=1e-5, tol=1e-6)
         assert report.passed, report
@@ -183,7 +185,7 @@ class TestStructuralOps:
 
     def test_transpose_reshape_grads(self):
         x = t(np.arange(6.0).reshape(2, 3), grad=True)
-        y = nm.reshape(nm.transpose(x, (1, 0)), (6,))
+        y = nm.reshape(uf.transpose(x, (1, 0)), (6,))
         backward(nm.tsum(nm.mul(y, y)))
         assert np.allclose(x.grad, 2 * x.data)
 
@@ -195,7 +197,7 @@ class TestStructuralOps:
 
     def test_mean_axis(self):
         x = t(np.arange(6.0).reshape(2, 3), grad=True)
-        m = nm.tmean(x, axis=-1, keepdims=True)
+        m = uf.tmean(x, axis=-1, keepdims=True)
         assert m.shape == (2, 1)
         backward(nm.tsum(m))
         assert np.allclose(x.grad, np.full((2, 3), 1 / 3))
@@ -231,7 +233,7 @@ class TestGradientCheck:
     def test_finite_values_everywhere_after_ops(self):
         rng = np.random.default_rng(2)
         x = t(rng.normal(size=(3, 3)) * 10)
-        for fn in (nm.tanh, nm.sigmoid, nm.elu, nm.softmax_last_axis):
+        for fn in (nm.tanh, nm.sigmoid, nm.elu, uf.softmax_last_axis):
             assert np.isfinite(fn(x).data).all()
 
 
@@ -241,3 +243,127 @@ class TestNoGrad:
         with nm.no_grad():
             y = nm.mul(x, x)
         assert not y.requires_grad and y.parents == ()
+
+
+def probe_loss(out, probe):
+    return out if out.size == 1 else nm.tsum(nm.mul(out, Tensor(probe)))
+
+
+def fused_and_reference(fused, reference, arrays, seed=0):
+    """Outputs and every input gradient of `fused` and `reference` on the
+    same inputs, reduced by the same random probe."""
+    probe = None
+    results = []
+    for fn in (fused, reference):
+        inputs = [t(a.copy(), grad=True) for a in arrays]
+        out = fn(*inputs)
+        if probe is None:
+            probe = np.random.default_rng(seed).normal(size=out.shape)
+        backward(probe_loss(out, probe))
+        results.append((out, [x.grad for x in inputs]))
+    return results
+
+
+FUSED_CASES = {
+    "affine": ("affine", nm.affine, uf.affine, [(3, 5, 4), (4, 6), (6,)]),
+    "affine_2d": ("affine", nm.affine, uf.affine, [(7, 4), (4, 2), (2,)]),
+    "layer_norm": ("layer_norm", lambda x, g, b: nm.layer_norm(x, g, b, 1e-5),
+                   lambda x, g, b: uf.layer_norm(x, g, b, 1e-5),
+                   [(3, 5, 4), (4,), (4,)]),
+    "glu": ("glu", nm.glu, uf.glu, [(3, 5, 8)]),
+    **{f"attention_{kind}_{heads}h": (
+        "attention",
+        lambda q, k, v, heads=heads: nm.attention(q, k, v, heads)[0],
+        lambda q, k, v, heads=heads: uf.attention(q, k, v, heads)[0],
+        [(3, 5, 4), (3, tk, 4), (3, tk, 4)])
+       for kind, tk in (("self", 5), ("cross", 7)) for heads in (1, 2, 4)},
+    "quantile_loss": (
+        "quantile_loss",
+        lambda y, p: nm.quantile_loss(y, p, (0.1, 0.5, 0.8)),
+        lambda y, p: uf.quantile_loss(y, p, (0.1, 0.5, 0.8)),
+        [(3, 5, 2), (3, 5, 2, 3)]),
+}
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_matches_unfused_reference(self, case):
+        _, fused, reference, shapes = FUSED_CASES[case]
+        rng = np.random.default_rng(len(case))
+        arrays = [rng.normal(size=s) for s in shapes]
+        (out, grads), (ref_out, ref_grads) = fused_and_reference(
+            fused, reference, arrays)
+        assert out.shape == ref_out.shape
+        assert np.max(np.abs(out.data - ref_out.data)) <= 1e-12
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.shape == ref_g.shape
+            assert np.max(np.abs(g - ref_g)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_one_node(self, case):
+        op, fused, _, shapes = FUSED_CASES[case]
+        inputs = [t(np.ones(s), grad=True) for s in shapes]
+        out = fused(*inputs)
+        assert [n.op for n in nm.topological_order(out)] == ["leaf"] * len(inputs) + [op]
+        assert out.parents == tuple(inputs)
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_gradient_check(self, case):
+        _, fused, _, shapes = FUSED_CASES[case]
+        rng = np.random.default_rng(3)
+        params = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+        probe = rng.normal(size=fused(*params).shape)
+        report = gradient_check(lambda: probe_loss(fused(*params), probe), params,
+                                tol=1e-6)
+        assert report.passed, report
+
+    def test_attention_weights_match_reference_and_are_read_only(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (t(rng.normal(size=s)) for s in ((2, 3, 6), (2, 4, 6), (2, 4, 6)))
+        _, weights = nm.attention(q, k, v, 3)
+        _, ref = uf.attention(q, k, v, 3)
+        assert weights.shape == (2, 3, 3, 4)
+        assert np.array_equal(weights, ref.data)
+        assert not weights.flags.writeable
+
+    def test_quantile_loss_one_level_each_side_of_median(self):
+        rng = np.random.default_rng(6)
+        y, p = rng.normal(size=(4, 3)), rng.normal(size=(4, 3, 1))
+        for q in (0.05, 0.5, 0.95):
+            (out, grads), (ref, ref_grads) = fused_and_reference(
+                lambda a, b: nm.quantile_loss(a, b, (q,)),
+                lambda a, b: uf.quantile_loss(a, b, (q,)), [y, p])
+            assert out.item() == ref.item()
+            for g, ref_g in zip(grads, ref_grads):
+                assert np.max(np.abs(g - ref_g)) <= 1e-12
+
+    def test_extent_errors(self):
+        x = t(np.ones((2, 3, 4)))
+        with pytest.raises(DimensionError, match="affine"):
+            nm.affine(x, t(np.ones((3, 2))), t(np.ones(2)))
+        with pytest.raises(DimensionError, match="affine"):
+            nm.affine(x, t(np.ones((4, 2))), t(np.ones(3)))
+        with pytest.raises(DimensionError, match="affine"):
+            nm.affine(t(np.ones(4)), t(np.ones((4, 2))), t(np.ones(2)))
+        with pytest.raises(DimensionError, match="layer_norm"):
+            nm.layer_norm(x, t(np.ones(3)), t(np.ones(4)), 1e-5)
+        with pytest.raises(DimensionError, match="layer_norm"):
+            nm.layer_norm(x, t(np.ones(4)), t(np.ones((1, 4))), 1e-5)
+        with pytest.raises(DimensionError, match="glu"):
+            nm.glu(t(np.ones((2, 3))))
+        with pytest.raises(DimensionError, match="glu"):
+            nm.glu(t(np.ones((2, 0))))
+        with pytest.raises(DimensionError, match="attention"):
+            nm.attention(x, t(np.ones((2, 5, 3))), t(np.ones((2, 5, 3))), 2)
+        with pytest.raises(DimensionError, match="attention"):
+            nm.attention(x, t(np.ones((3, 5, 4))), t(np.ones((3, 5, 4))), 2)
+        with pytest.raises(DimensionError, match="attention"):
+            nm.attention(x, t(np.ones((2, 5, 4))), t(np.ones((2, 6, 4))), 2)
+        with pytest.raises(DimensionError, match="attention"):
+            nm.attention(x, x, x, 3)
+        with pytest.raises(DimensionError, match="attention"):
+            nm.attention(t(np.ones((2, 3))), x, x, 2)
+        with pytest.raises(DimensionError, match="quantile"):
+            nm.quantile_loss(t(np.ones((2, 3))), t(np.ones((2, 3, 2))), (0.5,))
+        with pytest.raises(DimensionError, match="quantile"):
+            nm.quantile_loss(t(np.ones((2, 3))), t(np.ones((2, 4, 1))), (0.5,))

@@ -343,6 +343,17 @@ class TestWindowing:
         assert windows.scaler.clamp_counts == {"t_out": 1, "t_in_1": 1}
         assert windows.scaler.total_clamped() == 2
 
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.01])
+    def test_batch_reads_do_not_recount_clamps(self, noise_sd):
+        ds = synth_dataset(900)
+        ds.columns["t_out"][700] = 55.0      # in the future block of some windows
+        windows = build_windows(ds, n_past=96, n_future=24, noise_sd=noise_sd)
+        assert windows.scaler.total_clamped() == 1
+        for _ in range(2):
+            for lo in range(0, len(windows), 64):
+                windows.batch(range(lo, min(lo + 64, len(windows))))
+        assert windows.scaler.clamp_counts == {"t_out": 1}
+
     def test_non_finite_cell_refused_naming_feature(self):
         ds = synth_dataset(900)
         ds.columns["occu_2"][300] = np.nan
