@@ -33,9 +33,6 @@ DEFAULT_HOLIDAYS = (
     (1, 1), (5, 1), (7, 4), (9, 6), (11, 25), (12, 24), (12, 25), (12, 31),
 )
 
-WEATHER_CSV_COLUMNS = ("timestamp", "t_out_c", "rh_pct", "wind_mps",
-                       "dni_wm2", "dhi_wm2")
-
 # Dataset schema: timestamp plus every model variable, one row per 15 min.
 DATASET_COLUMNS = (
     ["t_out", "h_out", "w_out", "l_norm", "l_hor", "hol"]
@@ -734,63 +731,6 @@ def _parse_float(text: str, column: str, row: int) -> float:
     if not math.isfinite(value):
         raise ParseError(f"column {column}: not finite: {text!r}", row=row)
     return value
-
-
-def save_weather_csv(weather: WeatherSeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEATHER_CSV_COLUMNS)
-        for i, ts in enumerate(weather.timestamps):
-            writer.writerow([
-                ts.isoformat(),
-                repr(float(weather.t_out_c[i])),
-                repr(float(weather.rh_pct[i])),
-                repr(float(weather.wind_mps[i])),
-                repr(float(weather.dni_wm2[i])),
-                repr(float(weather.dhi_wm2[i])),
-            ])
-
-
-def load_weather_csv(path: str) -> WeatherSeries:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty weather file", row=1)
-        if tuple(header) != WEATHER_CSV_COLUMNS:
-            missing = set(WEATHER_CSV_COLUMNS) - set(header)
-            detail = f"missing columns {sorted(missing)}" if missing else f"got {header}"
-            raise ParseError(f"weather header mismatch: {detail}", row=1)
-        timestamps: list[datetime] = []
-        values: list[list[float]] = []
-        for line_no, fields in enumerate(reader, start=2):
-            if len(fields) != len(WEATHER_CSV_COLUMNS):
-                raise ParseError(
-                    f"expected {len(WEATHER_CSV_COLUMNS)} fields, got {len(fields)}",
-                    row=line_no)
-            ts = _parse_timestamp(fields[0], line_no)
-            if timestamps:
-                gap = (ts - timestamps[-1]).total_seconds()
-                if gap != SAMPLE_STEP_S:
-                    raise ParseError(
-                        f"timestamp gap of {gap:.0f}s (need {SAMPLE_STEP_S}s)",
-                        row=line_no)
-            row_vals = []
-            for column, text in zip(WEATHER_CSV_COLUMNS[1:], fields[1:]):
-                value = _parse_float(text, column, line_no)
-                lo, hi = WEATHER_INTERVALS[column]
-                if not lo <= value <= hi:
-                    raise ParseError(
-                        f"column {column}: {value} outside [{lo}, {hi}]",
-                        row=line_no)
-                row_vals.append(value)
-            timestamps.append(ts)
-            values.append(row_vals)
-    if not timestamps:
-        raise ParseError("weather file has no data rows", row=2)
-    arr = np.asarray(values)
-    return WeatherSeries(timestamps, arr[:, 0], arr[:, 1], arr[:, 2],
-                         arr[:, 3], arr[:, 4])
 
 
 def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:

@@ -1,6 +1,14 @@
 """Forecast evaluation: CVRMSE aggregate and per horizon step, empirical
 coverage of central prediction intervals with quantile-crossing
 bookkeeping, pinball scores, and deterministic CSV / JSON-lines exports.
+
+The forecast dump (`hvforecast predict` writes it, `hvforecast evaluate`
+reads it) holds one CSV row per (instance, step, zone, quantile level).
+It is written one instance at a time and read column by column: one
+`np.loadtxt` call parses the body, numpy checks the grid, and one
+fancy-index assignment fills the dense arrays. Malformed files are
+rescanned row by row, so each error names the same row a row-at-a-time
+reader would.
 """
 
 from __future__ import annotations
@@ -8,6 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,31 +224,44 @@ def export_metrics(metrics, path: str, fmt: str = "csv") -> str:
     return path
 
 
+# One dump row; the field names are the CSV header.
+_DUMP_DTYPE = np.dtype([("instance", "i8"), ("step", "i8"), ("zone", "i8"),
+                        ("q_level", "f8"), ("value_c", "f8"),
+                        ("actual_c", "f8")])
+_INT64_LIMIT = 2 ** 63
+
+
 def write_forecast_dump(path: str, forecasts, actuals,
                         quantile_levels=None, instance_ids=None) -> str:
     """Write every forecast value as one CSV row:
-    instance,step,zone,q_level,value_c,actual_c. Floats use repr so the
-    dump is lossless."""
+    instance,step,zone,q_level,value_c,actual_c, with `\\r\\n` line ends
+    and no quoting. Floats use repr so the dump is lossless. Rows are
+    formatted one instance at a time."""
     values, levels = _coerce_forecasts(forecasts, quantile_levels)
     actuals = _check_actuals(values, actuals)
-    n, steps, zones, _ = values.shape
+    n = values.shape[0]
     if instance_ids is None:
-        instance_ids = list(range(n))
+        instance_ids = range(n)
     if len(instance_ids) != n:
         raise DimensionError(
             f"{len(instance_ids)} instance ids for {n} instances")
+    try:
+        ids = np.array([operator.index(inst) for inst in instance_ids],
+                       dtype=np.int64).tolist()
+    except (TypeError, OverflowError):
+        raise ConfigurationError(
+            "instance ids must be 64-bit integers") from None
+    level_text = [repr(q) for q in levels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "step", "zone", "q_level", "value_c",
-                         "actual_c"])
-        for i, inst in enumerate(instance_ids):
-            for h in range(steps):
-                for z in range(zones):
-                    actual = repr(float(actuals[i, h, z]))
-                    for k, q in enumerate(levels):
-                        writer.writerow([inst, h + 1, z + 1, repr(float(q)),
-                                         repr(float(values[i, h, z, k])),
-                                         actual])
+        fh.write(",".join(_DUMP_DTYPE.names) + "\r\n")
+        for inst, grid, truth in zip(ids, values, actuals):
+            fh.write("".join([
+                f"{inst},{h},{z},{q},{v!r},{a}\r\n"
+                for h, (cells, row_truth) in enumerate(
+                    zip(grid.tolist(), truth.tolist()), start=1)
+                for z, (cell, a) in enumerate(
+                    zip(cells, map(repr, row_truth)), start=1)
+                for q, v in zip(level_text, cell)]))
     return path
 
 
@@ -251,72 +274,162 @@ class ForecastDump:
 
 
 def read_forecast_dump(path: str) -> ForecastDump:
-    """Parse a forecast dump back into dense arrays; the grid must be
-    complete and consistently ordered per instance."""
-    expected_header = ["instance", "step", "zone", "q_level", "value_c",
-                       "actual_c"]
-    cells: dict[int, dict[tuple[int, int, float], tuple[float, float]]] = {}
-    order: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ParseError(
-                f"forecast dump header must be {expected_header}", row=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ParseError(
-                    f"expected 6 columns, got {len(row)}", row=lineno)
-            try:
-                inst = int(row[0])
-                step = int(row[1])
-                zone = int(row[2])
-                q = float(row[3])
-                value = float(row[4])
-                actual = float(row[5])
-            except ValueError as exc:
-                raise ParseError(f"bad value: {exc}", row=lineno) from exc
-            if inst not in cells:
-                cells[inst] = {}
-                order.append(inst)
-            key = (step, zone, q)
-            if key in cells[inst]:
-                raise ParseError(
-                    f"duplicate cell instance={inst} step={step} "
-                    f"zone={zone} q={q}", row=lineno)
-            cells[inst][key] = (value, actual)
+    """Parse a forecast dump back into dense arrays. Rows may come in any
+    order; instances keep the order of their first row. The grid must be
+    complete, without duplicate cells, and each (instance, step, zone) must
+    carry one actual_c across its quantile rows.
 
-    if not order:
+    The body is parsed by one `np.loadtxt` call. If it refuses the file, or
+    skips blank lines, the rows are rescanned one at a time to name the
+    first bad one."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(_DUMP_DTYPE.names):
+            raise ParseError(f"forecast dump header must be "
+                             f"{list(_DUMP_DTYPE.names)}", row=1)
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x reads "1.0" in an int column with only a
+                # DeprecationWarning; int() refuses it.
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_DUMP_DTYPE, delimiter=",",
+                                  comments=None, ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+    if rows is not None and len(rows) == _count_lines(path) - 1:
+        return _assemble_dump(rows, None)
+    return _assemble_dump(*_scan_rows(path))
+
+
+def _count_lines(path: str) -> int:
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += chunk.count(b"\n")
+            last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def _scan_rows(path: str) -> tuple[np.ndarray, ParseError | None]:
+    """Parse the dump body one csv row at a time. Returns the rows before
+    the first malformed one, and that row's error (None if every row
+    parses)."""
+    parsed, error = [], None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 6:
+                    raise ParseError(f"expected 6 columns, got {len(row)}",
+                                     row=lineno)
+                try:
+                    ints = [int(text) for text in row[:3]]
+                    floats = [float(text) for text in row[3:]]
+                except ValueError as exc:
+                    raise ParseError(f"bad value: {exc}", row=lineno) from exc
+                if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in ints):
+                    raise ParseError("bad value: integer out of range",
+                                     row=lineno)
+                parsed.append((*ints, *floats))
+    except ParseError as exc:
+        error = exc
+    return np.array(parsed, dtype=_DUMP_DTYPE), error
+
+
+def _refusal(rows: np.ndarray, error: ParseError) -> ParseError:
+    """The error a faulty dump is refused with. A row-by-row read meets a
+    duplicate cell before any grid fault or later bad row, so the first
+    duplicate among `rows` wins over `error`."""
+    if len(rows) < 2:
+        return error
+    keys = [rows[name] for name in ("q_level", "zone", "step", "instance")]
+    order = np.lexsort(keys)   # stable: rows of one cell stay in file order
+    repeat = np.ones(len(rows) - 1, dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        repeat &= ordered[1:] == ordered[:-1]
+    if not repeat.any():
+        return error
+    dup = int(order[1:][repeat].min())
+    inst, step, zone, q = rows[dup].tolist()[:4]
+    return ParseError(f"duplicate cell instance={inst} step={step} "
+                      f"zone={zone} q={q}", row=dup + 2)
+
+
+def _assemble_dump(rows: np.ndarray, error: ParseError | None) -> ForecastDump:
+    """Check the grid of parsed dump rows and scatter them into dense
+    arrays. `error` is the parse error of the row after the last one in
+    `rows`, if any. A complete grid has no duplicate cells, so they are
+    looked for only once some check fails."""
+    if error is not None:
+        raise _refusal(rows, error)
+    if not len(rows):
         raise ParseError("forecast dump has no data rows", row=2)
-    first = cells[order[0]]
-    steps = sorted({k[0] for k in first})
-    zones = sorted({k[1] for k in first})
-    levels = sorted({k[2] for k in first})
-    if steps != list(range(1, len(steps) + 1)):
-        raise ParseError(f"steps must be 1..{len(steps)}, got {steps[:5]}...")
-    if zones != list(range(1, len(zones) + 1)):
-        raise ParseError(f"zones must be 1..{len(zones)}, got {zones}")
 
-    shape = (len(order), len(steps), len(zones), len(levels))
-    values = np.empty(shape)
-    actuals = np.empty(shape[:3])
-    for i, inst in enumerate(order):
-        grid = cells[inst]
-        if len(grid) != len(steps) * len(zones) * len(levels):
-            raise ParseError(
-                f"instance {inst} has {len(grid)} cells, expected "
-                f"{len(steps) * len(zones) * len(levels)}")
-        for h, step in enumerate(steps):
-            for z, zone in enumerate(zones):
-                for k, q in enumerate(levels):
-                    try:
-                        value, actual = grid[(step, zone, q)]
-                    except KeyError:
-                        raise ParseError(
-                            f"instance {inst} is missing step={step} "
-                            f"zone={zone} q={q}") from None
-                    values[i, h, z, k] = value
-                    actuals[i, h, z] = actual
+    inst, step, zone, q = (rows[name] for name in
+                           ("instance", "step", "zone", "q_level"))
+    ids, first_row, inverse = np.unique(inst, return_index=True,
+                                        return_inverse=True)
+    by_appearance = np.argsort(first_row)
+    # position of each row's instance in order of first appearance
+    idx = np.argsort(by_appearance)[inverse.reshape(-1)]
+    order = ids[by_appearance].tolist()
+
+    lead = idx == 0
+    steps, zones, levels = (np.unique(col[lead]) for col in (step, zone, q))
+    if not np.array_equal(steps, np.arange(1, len(steps) + 1)):
+        raise _refusal(rows, ParseError(
+            f"steps must be 1..{len(steps)}, got {steps[:5].tolist()}..."))
+    if not np.array_equal(zones, np.arange(1, len(zones) + 1)):
+        raise _refusal(rows, ParseError(
+            f"zones must be 1..{len(zones)}, got {zones.tolist()}"))
+
+    n_s, n_z, n_q = len(steps), len(zones), len(levels)
+    per_instance = n_s * n_z * n_q
+    k = np.minimum(np.searchsorted(levels, q), n_q - 1)
+    in_grid = ((step >= 1) & (step <= n_s) & (zone >= 1) & (zone <= n_z)
+               & (levels[k] == q))
+    cell = ((step - 1) * n_z + (zone - 1)) * n_q + k
+
+    # Instances are checked in order, each for its cell count and then for
+    # a missing cell. Those before the first miscounted one have exactly
+    # `per_instance` rows, so their presence grid is no larger than the
+    # dump.
+    counts = np.bincount(idx, minlength=len(order))
+    miscounted = np.flatnonzero(counts != per_instance)
+    checked = int(miscounted[0]) if miscounted.size else len(order)
+    present = np.zeros((checked, per_instance), dtype=bool)
+    head = in_grid & (idx < checked)
+    present[idx[head], cell[head]] = True
+    gaps = np.flatnonzero(~present.all(axis=1))
+    if gaps.size:
+        i = int(gaps[0])
+        h, z, kk = np.unravel_index(int(np.argmin(present[i])),
+                                    (n_s, n_z, n_q))
+        raise _refusal(rows, ParseError(
+            f"instance {order[i]} is missing step={int(steps[h])} "
+            f"zone={int(zones[z])} q={float(levels[kk])}"))
+    if checked < len(order):
+        raise _refusal(rows, ParseError(
+            f"instance {order[checked]} has {int(counts[checked])} cells, "
+            f"expected {per_instance}"))
+
+    # Every row is now a distinct grid cell.
+    values = np.empty((len(order), n_s, n_z, n_q))
+    values.reshape(-1)[idx * per_instance + cell] = rows["value_c"]
+    actual = rows["actual_c"]
+    point = idx * (n_s * n_z) + cell // n_q
+    actuals = np.empty(values.shape[:3])
+    lowest = k == 0
+    actuals.reshape(-1)[point[lowest]] = actual[lowest]
+    differs = (actuals.reshape(-1)[point].view(np.int64)
+               != actual.view(np.int64))
+    if differs.any():
+        r = int(np.argmax(differs))
+        raise ParseError(
+            f"actual_c differs across the quantile rows of instance="
+            f"{order[idx[r]]} step={int(step[r])} zone={int(zone[r])}",
+            row=r + 2)
     return ForecastDump(values=values, actuals=actuals,
-                        quantile_levels=tuple(levels),
-                        instance_ids=list(order))
+                        quantile_levels=tuple(levels.tolist()),
+                        instance_ids=order)

@@ -91,16 +91,24 @@ class Scaler:
         self.clamp_counts: dict[str, int] = {}
 
     def scale(self, values, feature: str) -> np.ndarray:
+        """`rescale`, after refusing non-finite values and adding the cells
+        outside the feature's interval to `clamp_counts`."""
         lo, hi = self.spec.interval(feature)
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError(
                 f"cannot scale non-finite values of feature {feature!r}")
-        clipped = np.clip(arr, lo, hi)
-        hits = int(np.count_nonzero(clipped != arr))
+        hits = int(np.count_nonzero((arr < lo) | (arr > hi)))
         if hits:
             self.clamp_counts[feature] = (
                 self.clamp_counts.get(feature, 0) + hits)
+        return self.rescale(arr, feature)
+
+    def rescale(self, values, feature: str) -> np.ndarray:
+        """Clamp to the feature's interval and map onto [-1, 1] without
+        counting, for values derived from cells `scale` has counted."""
+        lo, hi = self.spec.interval(feature)
+        clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
         return 2.0 * (clipped - lo) / (hi - lo) - 1.0
 
     def inverse_scale(self, scaled, feature: str) -> np.ndarray:
@@ -232,7 +240,7 @@ class WindowSet:
                 self.noise_sd)
             for origin, lo in zip(origins, starts)])
         for k, name in enumerate(WEATHER_FEATURES):
-            future[:, :, _NOISED_COLUMNS[k]] = self.scaler.scale(
+            future[:, :, _NOISED_COLUMNS[k]] = self.scaler.rescale(
                 noised[:, :, k], name)
         return (self.table[past_rows], future,
                 self.table[future_rows, _TARGET_COLUMNS])

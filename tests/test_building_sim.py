@@ -22,10 +22,8 @@ from hvforecast.building_sim import (
     generate_prbs_windows,
     generate_schedules,
     load_dataset_csv,
-    load_weather_csv,
     make_timestamps,
     save_dataset_csv,
-    save_weather_csv,
     simulate,
     step_zone,
     synth_weather,
@@ -442,54 +440,6 @@ class TestSynthWeather:
         ts = make_timestamps(datetime(2021, 1, 1), 200)
         deltas = {(b - a).total_seconds() for a, b in zip(ts, ts[1:])}
         assert deltas == {900.0}
-
-
-class TestWeatherCsv:
-    def test_round_trip_is_lossless(self, tmp_path):
-        rng = np.random.default_rng(8)
-        original = synth_weather(rng, 2)
-        path = tmp_path / "weather.csv"
-        save_weather_csv(original, str(path))
-        loaded = load_weather_csv(str(path))
-        assert loaded.timestamps == original.timestamps
-        assert np.array_equal(loaded.t_out_c, original.t_out_c)
-        assert np.array_equal(loaded.dni_wm2, original.dni_wm2)
-        assert np.array_equal(loaded.wind_mps, original.wind_mps)
-
-    def test_one_day_file_has_96_records(self, tmp_path):
-        rng = np.random.default_rng(8)
-        path = tmp_path / "weather.csv"
-        save_weather_csv(synth_weather(rng, 1), str(path))
-        assert len(load_weather_csv(str(path))) == 96
-
-    def test_out_of_interval_value_names_row(self, tmp_path):
-        rng = np.random.default_rng(8)
-        w = synth_weather(rng, 1)
-        w.t_out_c[3] = 55.0
-        path = tmp_path / "weather.csv"
-        save_weather_csv(w, str(path))
-        with pytest.raises(ParseError, match="row 5"):
-            load_weather_csv(str(path))  # header + 1-based data rows
-
-    def test_missing_column_rejected(self, tmp_path):
-        rng = np.random.default_rng(8)
-        path = tmp_path / "weather.csv"
-        save_weather_csv(synth_weather(rng, 1), str(path))
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace("wind_mps", "breeze")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="wind_mps"):
-            load_weather_csv(str(path))
-
-    def test_gap_in_timestamps_rejected(self, tmp_path):
-        rng = np.random.default_rng(8)
-        path = tmp_path / "weather.csv"
-        save_weather_csv(synth_weather(rng, 1), str(path))
-        lines = path.read_text().splitlines()
-        del lines[10]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            load_weather_csv(str(path))
 
 
 class TestDatasetCsv:

@@ -3,9 +3,12 @@ exports, and the forecast dump round trip."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvforecast.errors import (
     ConfigurationError,
@@ -25,6 +28,8 @@ from hvforecast.evaluation import (
     read_forecast_dump,
     write_forecast_dump,
 )
+
+import rowwise_dump as ref
 
 SEVEN_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
 
@@ -362,3 +367,239 @@ class TestForecastDump:
         redone = per_horizon_cvrmse(dump.values, dump.actuals,
                                     dump.quantile_levels)
         assert np.array_equal(direct.zone_curves, redone.zone_curves)
+
+
+def dump_arrays(rng, n, steps, zones, levels):
+    values = rng.uniform(18, 22, size=(n, steps, zones, len(levels)))
+    actuals = rng.uniform(18, 22, size=(n, steps, zones))
+    return values, actuals
+
+
+def set_field(line, j, text):
+    fields = line.split(",")
+    fields[j] = text
+    return ",".join(fields)
+
+
+def edit_field(lines, i, j, text):
+    return lines[:i] + [set_field(lines[i], j, text)] + lines[i + 1:]
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: its dump, or its ParseError's
+    message and row."""
+    try:
+        return reader(path)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.row)
+
+
+def assert_same_dump(got, want):
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.int64),
+                          want.values.view(np.int64))
+    assert np.array_equal(got.actuals.view(np.int64),
+                          want.actuals.view(np.int64))
+    assert got.quantile_levels == want.quantile_levels
+    assert got.instance_ids == want.instance_ids
+
+
+def assert_same_outcome(path):
+    got = read_outcome(read_forecast_dump, path)
+    want = read_outcome(ref.read_forecast_dump, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert_same_dump(got, want)
+
+
+extreme_floats = st.floats(allow_nan=False, allow_infinity=True,
+                          width=64)
+
+
+class TestDumpCodec:
+    """The columnar writer and reader against the row-at-a-time
+    references in `rowwise_dump`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), steps=st.integers(1, 6),
+           zones=st.integers(1, 4),
+           levels=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=5,
+                           unique=True),
+           ids=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=5,
+                        max_size=5, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1),
+           extremes=st.lists(extreme_floats, max_size=8))
+    def test_matches_reference(self, tmp_path_factory, n, steps, zones,
+                               levels, ids, seed, extremes):
+        rng = np.random.default_rng(seed)
+        values, actuals = dump_arrays(rng, n, steps, zones, levels)
+        flat = values.reshape(-1)
+        flat[rng.integers(0, flat.size, len(extremes))] = extremes
+        folder = tmp_path_factory.mktemp("dump")
+        path, want = folder / "new.csv", folder / "ref.csv"
+        write_forecast_dump(str(path), values, actuals, levels, ids[:n])
+        ref.write_forecast_dump(str(want), values, actuals, levels, ids[:n])
+        data = path.read_bytes()
+        assert data == want.read_bytes()
+        assert_same_dump(read_forecast_dump(str(path)),
+                         ref.read_forecast_dump(str(path)))
+
+        header, *lines = data.split(b"\r\n")[:-1]
+        rng.shuffle(lines)
+        path.write_bytes(b"".join(line + b"\r\n" for line in [header] + lines))
+        got = read_forecast_dump(str(path))
+        assert_same_dump(got, ref.read_forecast_dump(str(path)))
+        order = [ids.index(i) for i in got.instance_ids]
+        assert got.quantile_levels == tuple(sorted(levels))
+        assert np.array_equal(got.values,
+                              values[order][..., np.argsort(levels)])
+        assert np.array_equal(got.actuals, actuals[order])
+
+    def test_byte_identical_at_desk_size(self, tmp_path):
+        rng = np.random.default_rng(20)
+        values, actuals = dump_arrays(rng, 256, 12, 5, SEVEN_LEVELS)
+        ids = [int(i) for i in rng.permutation(4000)[:256]]
+        path, want = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_forecast_dump(str(path), values, actuals, SEVEN_LEVELS, ids)
+        ref.write_forecast_dump(str(want), values, actuals, SEVEN_LEVELS, ids)
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_dump(read_forecast_dump(str(path)),
+                         ref.read_forecast_dump(str(path)))
+
+    def test_numpy_integer_ids_write_the_same_bytes(self, tmp_path):
+        values, actuals = dump_arrays(np.random.default_rng(21), 3, 2, 2,
+                                      (0.5,))
+        path, want = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_forecast_dump(str(path), values, actuals, (0.5,),
+                            np.array([7, 3, 9], dtype=np.int64))
+        ref.write_forecast_dump(str(want), values, actuals, (0.5,), [7, 3, 9])
+        assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("ids", [[1.0, 2.0], ["a", "b"], [0, 2 ** 63]])
+    def test_ids_outside_int64_refused(self, tmp_path, ids):
+        values, actuals = dump_arrays(np.random.default_rng(22), 2, 2, 2,
+                                      (0.5,))
+        with pytest.raises(ConfigurationError, match="64-bit integers"):
+            write_forecast_dump(str(tmp_path / "d.csv"), values, actuals,
+                                (0.5,), ids)
+
+    def test_ids_outside_int64_unreadable(self, tmp_path):
+        # the row-at-a-time reader took any Python int
+        path = tmp_path / "dump.csv"
+        path.write_text("instance,step,zone,q_level,value_c,actual_c\n"
+                        "0,1,1,0.5,20.0,20.0\n"
+                        f"{2 ** 63},1,1,0.5,20.0,20.0\n")
+        with pytest.raises(ParseError, match="row 3: .*out of range"):
+            read_forecast_dump(str(path))
+
+    # Each edit takes the body lines (without line ends) of a 3-instance,
+    # 4-step, 2-zone, 3-level dump and returns them changed.
+    EDITS = {
+        "blank line": lambda b: b[:5] + [""] + b[5:],
+        "trailing blank line": lambda b: b + [""],
+        "five fields": lambda b: b[:3] + [b[3].rsplit(",", 1)[0]] + b[4:],
+        "seven fields": lambda b: b[:3] + [b[3] + ",1.0"] + b[4:],
+        "float in int column": lambda b: edit_field(b, 6, 1, "1.0"),
+        "underscore instance": lambda b: edit_field(b, 6, 0, "1_0"),
+        "underscore steps": lambda b: [
+            set_field(line, 1, "0_" + line.split(",")[1]) for line in b],
+        "bad float": lambda b: edit_field(b, 4, 4, "not-a-number"),
+        "empty float": lambda b: edit_field(b, 4, 5, ""),
+        "quoted field": lambda b: edit_field(b, 0, 0, '"0"'),
+        "duplicate cell": lambda b: b + [b[0]],
+        "two duplicate cells": lambda b: b + [b[5], b[0]],
+        "duplicate before bad row": lambda b: (
+            b[:3] + [b[0]] + edit_field(b[3:], 5, 0, "x")),
+        "bad row before duplicate": lambda b: (
+            edit_field(b[:8], 3, 0, "x") + [b[0]] + b[8:]),
+        "missing cell": lambda b: b[:7] + b[8:],
+        "missing instance cells": lambda b: b[:-2],
+        "extra step": lambda b: b + [set_field(b[-1], 1, "5")],
+        "step moved": lambda b: b[:-1] + [set_field(b[-1], 1, "9")],
+        "step 0": lambda b: edit_field(b, 0, 1, "0"),
+        "zone 3 in first instance": lambda b: edit_field(b, 5, 2, "3"),
+        "level moved": lambda b: edit_field(b, 30, 3, "0.25"),
+        "level off the grid": lambda b: edit_field(b, 31, 3, "0.25"),
+        "header only": lambda b: [],
+        "infinite values": lambda b: [
+            set_field(set_field(line, 4, "inf"), 5, "-inf") for line in b],
+        "rows reversed": lambda b: b[::-1],
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_faulty_body_matches_reference(self, tmp_path, edit):
+        values, actuals = dump_arrays(np.random.default_rng(23), 3, 4, 2,
+                                      (0.05, 0.5, 0.95))
+        path = tmp_path / "dump.csv"
+        write_forecast_dump(str(path), values, actuals, (0.05, 0.5, 0.95))
+        header, *body = path.read_bytes().decode().split("\r\n")[:-1]
+        body = self.EDITS[edit](body)
+        path.write_bytes("".join(line + "\r\n"
+                                 for line in [header] + body).encode())
+        assert_same_outcome(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\r\n",
+        "instance,step,zone,quantile,value_c,actual_c\r\n1,1,1,0.5,1.0,1.0\r\n",
+        "instance,step,zone,q_level,value_c\r\n1,1,1,0.5,1.0\r\n",
+        "instance,step,zone,q_level,value_c,actual_c\r\n",
+        "instance,step,zone,q_level,value_c,actual_c",
+        "instance,step,zone,q_level,value_c,actual_c\n1,1,1,0.5,1.0,1.0",
+    ])
+    def test_faulty_file_matches_reference(self, tmp_path, text):
+        path = tmp_path / "dump.csv"
+        path.write_bytes(text.encode())
+        assert_same_outcome(str(path))
+
+    def test_error_names_row(self, tmp_path):
+        values, actuals = dump_arrays(np.random.default_rng(24), 2, 3, 2,
+                                      (0.5,))
+        path = tmp_path / "dump.csv"
+        write_forecast_dump(str(path), values, actuals, (0.5,))
+        lines = path.read_bytes().split(b"\r\n")
+        lines[6] = b"0,1,2,0.5,oops,20.0"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match="row 7: bad value") as info:
+            read_forecast_dump(str(path))
+        assert info.value.row == 7
+
+    def test_actual_mismatch_across_levels_refused(self, tmp_path):
+        levels = (0.05, 0.5, 0.95)
+        values, actuals = dump_arrays(np.random.default_rng(25), 2, 3, 2,
+                                      levels)
+        path = tmp_path / "dump.csv"
+        write_forecast_dump(str(path), values, actuals, levels)
+        lines = path.read_bytes().split(b"\r\n")
+        # row 15 is instance 0, step 3, zone 1, q 0.5
+        fields = lines[14].split(b",")
+        assert fields[:4] == [b"0", b"3", b"1", b"0.5"]
+        fields[5] = repr(float(fields[5]) + 0.25).encode()
+        lines[14] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match="actual_c differs") as info:
+            read_forecast_dump(str(path))
+        assert info.value.row == 15
+        assert "instance=0 step=3 zone=1" in str(info.value)
+        # the row-at-a-time reader kept the last level's value
+        kept = ref.read_forecast_dump(str(path)).actuals
+        assert kept[0, 2, 0] == actuals[0, 2, 0]
+
+    def test_read_peaks_below_reference(self, tmp_path):
+        # desk-train size: 256 instances x 12 steps x 5 zones x 7 levels
+        values, actuals = dump_arrays(np.random.default_rng(26), 256, 12, 5,
+                                      SEVEN_LEVELS)
+        path = tmp_path / "dump.csv"
+        write_forecast_dump(str(path), values, actuals, SEVEN_LEVELS)
+        assert path.read_bytes().count(b"\n") == 1 + 107_520
+        peaks = []
+        for reader in (read_forecast_dump, ref.read_forecast_dump):
+            tracemalloc.start()
+            try:
+                reader(str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]

@@ -354,6 +354,20 @@ class TestWindowing:
                 windows.batch(range(lo, min(lo + 64, len(windows))))
         assert windows.scaler.clamp_counts == {"t_out": 1}
 
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.01])
+    def test_narrow_weather_interval_not_recounted(self, noise_sd):
+        # Noised weather is clipped to Table 1 first; a scaler interval
+        # inside that must not clamp and count it again on every read.
+        intervals = dict(TABLE1_INTERVALS, t_out=(-10.0, 25.0))
+        windows = build_windows(synth_dataset(900), noise_sd=noise_sd,
+                                scaler=Scaler(ScalerSpec(intervals)))
+        built = windows.scaler.total_clamped()
+        assert built == 444
+        for _ in range(2):
+            for lo in range(0, len(windows), 32):
+                windows.batch(range(lo, min(lo + 32, len(windows))))
+        assert windows.scaler.total_clamped() == built
+
     def test_non_finite_cell_refused_naming_feature(self):
         ds = synth_dataset(900)
         ds.columns["occu_2"][300] = np.nan
