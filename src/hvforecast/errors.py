@@ -14,7 +14,8 @@ class ContractViolation(RuntimeError):
 
 
 class GradientError(RuntimeError):
-    """A gradient computation produced NaN/Inf or could not be verified."""
+    """A forward or gradient computation produced NaN/Inf, or a gradient
+    could not be verified."""
 
 
 class SimulationError(RuntimeError):

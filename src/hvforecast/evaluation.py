@@ -1,6 +1,6 @@
 """Forecast evaluation: CVRMSE aggregate and per horizon step, empirical
 coverage of central prediction intervals with quantile-crossing
-bookkeeping, pinball scores, and deterministic CSV / JSON-lines exports.
+bookkeeping, pinball scores, and deterministic CSV exports.
 
 The forecast dump (`hvforecast predict` writes it, `hvforecast evaluate`
 reads it) holds one CSV row per (instance, step, zone, quantile level).
@@ -14,7 +14,6 @@ reader would.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import operator
 import warnings
@@ -189,12 +188,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def export_metrics(metrics, path: str, fmt: str = "csv") -> str:
-    """Write a metrics object deterministically. HorizonMetrics rows carry
-    (zone, step, cvrmse_pct); CoverageReport rows carry (level, coverage,
-    crossing_freq). Values are printed at 6 significant digits."""
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigurationError(f"unknown export format {fmt!r}")
+def export_metrics(metrics, path: str) -> str:
+    """Write a metrics object deterministically as CSV. HorizonMetrics rows
+    carry (zone, step, cvrmse_pct); CoverageReport rows carry (level,
+    coverage, crossing_freq). Values are printed at 6 significant digits."""
     if isinstance(metrics, HorizonMetrics):
         header = ("zone", "step", "cvrmse_pct")
         rows = [(z + 1, h + 1, _fmt(metrics.zone_curves[z, h]))
@@ -211,14 +208,9 @@ def export_metrics(metrics, path: str, fmt: str = "csv") -> str:
 
     try:
         with open(path, "w", newline="") as fh:
-            if fmt == "csv":
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-            else:
-                for row in rows:
-                    fh.write(json.dumps(dict(zip(header, row)),
-                                        sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
     return path

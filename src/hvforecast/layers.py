@@ -3,9 +3,9 @@ attention, gated linear unit, gated residual network, layer norm, dense,
 dropout.
 
 All layers are pure functions of (input, weights, rng stream). Sequences are
-(batch, time, features); single-sample helpers wrap a batch of one. Weights
-are `Parameter` leaves registered under slash-separated names so a model can
-enumerate them for optimization and checkpointing.
+(batch, time, features). Weights are `Parameter` leaves registered under
+slash-separated names so a model can enumerate them for optimization and
+checkpointing.
 """
 
 from __future__ import annotations
@@ -132,17 +132,16 @@ class MultiHeadAttention(Layer):
         self.wv = Dense(d_model, d_model, rng, f"{name}/v")
         self.wo = Dense(d_model, d_model, rng, f"{name}/out")
 
-    def __call__(self, q_seq: Tensor, kv_seq: Tensor, return_weights: bool = False):
+    def __call__(self, q_seq: Tensor, kv_seq: Tensor) -> tuple[Tensor, np.ndarray]:
+        """Returns the output and the attention weights (batch, heads, Tq,
+        Tk) as a read-only array."""
         if q_seq.shape[-1] != self.d_model or kv_seq.shape[-1] != self.d_model:
             raise DimensionError(
                 f"mha: feature extents {q_seq.shape[-1]}/{kv_seq.shape[-1]} "
                 f"do not match d_model {self.d_model}")
         mixed, weights = nm.attention(self.wq(q_seq), self.wk(kv_seq),
                                       self.wv(kv_seq), self.heads)
-        out = self.wo(mixed)
-        if return_weights:
-            return out, Tensor(weights)
-        return out
+        return self.wo(mixed), weights
 
 
 class Glu(Layer):

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, GradientError
 from .layers import BiLstm, Dense, Grn, Layer, MultiHeadAttention, dropout_apply
 from .numerics import Parameter, Tensor
-from .pipeline import (FUTURE_FEATURES, PAST_FEATURES, Scaler, WindowSet,
-                       scale_features)
+from .pipeline import FUTURE_FEATURES, PAST_FEATURES, WindowSet
 
 DEFAULT_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
 
@@ -75,17 +74,6 @@ class ModelConfig:
             raise ConfigurationError("quantile_levels must include 0.5")
 
 
-@dataclass
-class QuantileForecast:
-    """Forecast values in degrees C, one per (future step, zone, quantile
-    level), plus how many raw inputs had to be clamped into their documented
-    intervals before scaling."""
-
-    values: np.ndarray
-    quantile_levels: tuple[float, ...]
-    clamped_inputs: int = 0
-
-
 class _Branch(Layer):
     """Projection, self-attention, and bidirectional LSTM. The attention
     output passes through dropout, rejoins the projected stream through a
@@ -110,7 +98,7 @@ class _Branch(Layer):
     def __call__(self, seq: Tensor, training: bool,
                  rng: np.random.Generator | None) -> Tensor:
         x = self.proj(seq)
-        a = self.attn(x, x)
+        a, _ = self.attn(x, x)
         a = dropout_apply(a, self.dropout_rate, training, rng)
         x = self.grn_attn(nm.add(x, a))
         h = self.lstm(x)
@@ -156,16 +144,14 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     return ModelParams(cfg)
 
 
-def _as_batched_tensor(x, want_steps: int, want_features: int,
-                       stage: str) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=float))
-    if t.ndim == 2:
-        t = nm.reshape(t, (1,) + t.shape)
-    if t.ndim != 3 or t.shape[1] != want_steps or t.shape[2] != want_features:
+def _batched_input(x, want_steps: int, want_features: int,
+                   stage: str) -> Tensor:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 3 or arr.shape[1:] != (want_steps, want_features):
         raise DimensionError(
             f"{stage}: expected (batch, {want_steps}, {want_features}), "
-            f"got {t.shape}")
-    return t
+            f"got {arr.shape}")
+    return Tensor(arr)
 
 
 def forward_batch(
@@ -176,15 +162,17 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     collect_attention: bool = False,
 ):
-    """Run the model over a batch. Returns a Tensor of shape
+    """Run the model over a batch of scaled windows, `past` of shape
+    (batch, n_past, past_feature_count) and `future` of shape
+    (batch, n_future, future_feature_count). Returns a Tensor of shape
     (batch, n_future, zone_count, level_count); with `collect_attention`
     also returns the cross-attention weights as a plain array of shape
     (batch, heads, n_future, n_past)."""
     cfg = params.cfg
-    past_t = _as_batched_tensor(past, cfg.n_past, cfg.past_feature_count,
-                                "encoder input")
-    future_t = _as_batched_tensor(future, cfg.n_future,
-                                  cfg.future_feature_count, "decoder input")
+    past_t = _batched_input(past, cfg.n_past, cfg.past_feature_count,
+                            "encoder input")
+    future_t = _batched_input(future, cfg.n_future, cfg.future_feature_count,
+                              "decoder input")
     if past_t.shape[0] != future_t.shape[0]:
         raise DimensionError(
             f"batch mismatch: past {past_t.shape[0]} vs future "
@@ -192,7 +180,7 @@ def forward_batch(
 
     enc = params.encoder(past_t, training, rng)
     dec = params.decoder(future_t, training, rng)
-    crossed, weights = params.cross(dec, enc, return_weights=True)
+    crossed, weights = params.cross(dec, enc)
     x = params.grn_cross(nm.add(dec, crossed))
     x = params.out_lstm(x)
     x = params.grn_out(x)
@@ -201,59 +189,8 @@ def forward_batch(
     out = nm.reshape(flat, (batch, cfg.n_future, cfg.zone_count,
                             len(cfg.quantile_levels)))
     if collect_attention:
-        return out, weights.data.copy()
+        return out, weights.copy()
     return out
-
-
-def model_forward(
-    params: ModelParams,
-    past,
-    future,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Single-sample forward: (n_past, F_past) and (n_future, F_future) in
-    scaled units to (n_future, zone_count, level_count) in scaled units."""
-    out = forward_batch(params, past, future, training=training, rng=rng)
-    return nm.reshape(out, out.shape[1:])
-
-
-def predict(
-    params: ModelParams,
-    raw_past: np.ndarray,
-    raw_future: np.ndarray,
-    scaler: Scaler | None = None,
-) -> QuantileForecast:
-    """Forecast from physical-unit feature matrices: scale inputs feature by
-    feature, run inference, and inverse-scale the outputs to degrees C.
-    Inputs outside their documented intervals are clamped and counted."""
-    cfg = params.cfg
-    if scaler is None:
-        scaler = Scaler()
-    raw_past = np.asarray(raw_past, dtype=float)
-    raw_future = np.asarray(raw_future, dtype=float)
-    if raw_past.shape != (cfg.n_past, cfg.past_feature_count):
-        raise DimensionError(
-            f"encoder input: expected ({cfg.n_past}, "
-            f"{cfg.past_feature_count}), got {raw_past.shape}")
-    if raw_future.shape != (cfg.n_future, cfg.future_feature_count):
-        raise DimensionError(
-            f"decoder input: expected ({cfg.n_future}, "
-            f"{cfg.future_feature_count}), got {raw_future.shape}")
-
-    before = scaler.total_clamped()
-    past = scale_features(raw_past, PAST_FEATURES, scaler)
-    future = scale_features(raw_future, FUTURE_FEATURES, scaler)
-    clamped = scaler.total_clamped() - before
-
-    with nm.no_grad():
-        out = model_forward(params, past, future, training=False)
-    values = scaler.inverse_scale_targets(out.data, axis=1)
-    if not np.all(np.isfinite(values)):
-        raise DimensionError("forecast produced non-finite values")
-    return QuantileForecast(values=values,
-                            quantile_levels=tuple(cfg.quantile_levels),
-                            clamped_inputs=clamped)
 
 
 def forecast_windows(
@@ -265,7 +202,8 @@ def forecast_windows(
     """Forecast the chosen windows without recording gradients, in chunks
     of `batch_size`, and map them to degrees C with the scaler the windows
     were built with. Returns values (N, n_future, zone_count, level_count)
-    and actuals (N, n_future, zone_count)."""
+    and actuals (N, n_future, zone_count). Non-finite forecasts are refused,
+    naming the origin of the first window that has one."""
     indices = list(indices)
     values, actuals = [], []
     with nm.no_grad():
@@ -274,8 +212,15 @@ def forecast_windows(
             values.append(forward_batch(params, past, future).data)
             actuals.append(target)
     scaler = windows.scaler
-    return (scaler.inverse_scale_targets(np.concatenate(values), axis=2),
-            scaler.inverse_scale_targets(np.concatenate(actuals), axis=2))
+    values = scaler.inverse_scale_targets(np.concatenate(values), axis=2)
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        origin = windows.origins[indices[int(np.argmin(finite))]]
+        raise GradientError(
+            f"forecast for the window at origin {origin} has non-finite "
+            f"values")
+    return values, scaler.inverse_scale_targets(np.concatenate(actuals),
+                                                axis=2)
 
 
 def set_parameter_values(params: ModelParams,

@@ -183,14 +183,6 @@ _WEATHER_COLUMNS = [PAST_FEATURES.index(n) for n in WEATHER_FEATURES]
 _NOISED_COLUMNS = [FUTURE_FEATURES.index(n) for n in WEATHER_FEATURES]
 
 
-def scale_features(values, names: tuple[str, ...], scaler: Scaler) -> np.ndarray:
-    """Scale a (rows, len(names)) physical-unit array column by column, each
-    by its own feature's interval."""
-    values = np.asarray(values, dtype=float)
-    return np.column_stack([scaler.scale(values[:, j], name)
-                            for j, name in enumerate(names)])
-
-
 class WindowSet:
     """Ordered sliding windows over one scaled feature table.
 
@@ -288,7 +280,8 @@ def build_windows(
     except KeyError as exc:
         raise ConfigurationError(
             f"dataset is missing required column {exc.args[0]!r}") from None
-    table = scale_features(physical, PAST_FEATURES, scaler)
+    table = np.column_stack([scaler.scale(physical[:, j], name)
+                             for j, name in enumerate(PAST_FEATURES)])
 
     origins = np.arange(0, n - need + 1, stride)
     return WindowSet(table, physical[:, _WEATHER_COLUMNS], origins,

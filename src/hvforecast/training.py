@@ -27,6 +27,8 @@ from .pipeline import TABLE1_INTERVALS
 
 CHECKPOINT_MAGIC = b"HVF1"
 CHECKPOINT_VERSION = 1
+_HEADER_KEYS = ("config", "metadata", "rng_seed", "scaler_intervals",
+                "tensors")
 
 
 def _as_tensor(x) -> Tensor:
@@ -355,13 +357,28 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(blob[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"checkpoint header must be a JSON object, got "
+            f"{type(header).__name__}")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}, expected "
             f"{CHECKPOINT_VERSION}")
-
-    cfg_dict = dict(header["config"])
+    absent = [key for key in _HEADER_KEYS if key not in header]
+    if absent:
+        raise CheckpointError(f"checkpoint header is missing {absent}")
+    cfg_dict = header["config"]
+    if not isinstance(cfg_dict, dict):
+        raise CheckpointError("checkpoint config must be a JSON object")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    missing = sorted(fields - set(cfg_dict))
+    extra = sorted(set(cfg_dict) - fields)
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint config key mismatch: missing {missing}, "
+            f"unexpected {extra}")
     cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
     config = ModelConfig(**cfg_dict)
 

@@ -70,7 +70,6 @@ from hvforecast.model import (
     build_model,
     forecast_windows,
     forward_batch,
-    model_forward,
 )
 from hvforecast.numerics import Tensor, gradient_check, no_grad
 from hvforecast.pipeline import (
@@ -209,7 +208,7 @@ def layer_gradient_cases(seed):
         ("dense", lambda: uf.tmean(dense(x_dense)), dense),
         ("lstm_cell", cell_loss, cell),
         ("bilstm", lambda: uf.tmean(bilstm(x_bilstm)), bilstm),
-        ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)), mha),
+        ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)[0]), mha),
         ("glu", lambda: uf.tmean(glu(x_glu)), glu),
         ("grn", lambda: uf.tmean(grn(x_grn)), grn),
         ("layer_norm", lambda: uf.tmean(norm(x_norm)), norm),
@@ -262,21 +261,21 @@ def test_criterion_02_reference_geometry():
                        zone_count=len(TARGET_FEATURES))
     assert (full.n_past, full.n_future, full.rnn_units) == (672, 96, 200)
     params = build_model(full)
-    past = rng.uniform(-1, 1, (full.n_past, full.past_feature_count))
-    future = rng.uniform(-1, 1, (full.n_future, full.future_feature_count))
+    past = rng.uniform(-1, 1, (1, full.n_past, full.past_feature_count))
+    future = rng.uniform(-1, 1, (1, full.n_future, full.future_feature_count))
     with no_grad():
-        out = model_forward(params, past, future)
-    assert out.shape == (96, 5, len(full.quantile_levels))
+        out = forward_batch(params, past, future)
+    assert out.shape == (1, 96, 5, len(full.quantile_levels))
 
     profile = tiny_profile(RunConfig())
     tiny = tiny_model_config(profile.pipeline.n_past,
                              profile.pipeline.n_future, rng_seed=0)
     tiny_params = build_model(tiny)
-    past = rng.uniform(-1, 1, (tiny.n_past, tiny.past_feature_count))
-    future = rng.uniform(-1, 1, (tiny.n_future, tiny.future_feature_count))
+    past = rng.uniform(-1, 1, (1, tiny.n_past, tiny.past_feature_count))
+    future = rng.uniform(-1, 1, (1, tiny.n_future, tiny.future_feature_count))
     with no_grad():
-        tiny_out = model_forward(tiny_params, past, future)
-    assert tiny_out.shape == (12, 5, len(tiny.quantile_levels))
+        tiny_out = forward_batch(tiny_params, past, future)
+    assert tiny_out.shape == (1, 12, 5, len(tiny.quantile_levels))
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

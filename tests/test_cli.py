@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 
 import pytest
 
@@ -355,6 +356,37 @@ class TestPredict:
         assert main(["predict", *CHAIN_ARGS, "--checkpoint",
                      str(bad)]) == 1
         assert "truncated" in capsys.readouterr().err
+
+    def test_malformed_header_is_one_error_line(self, chain_dir, tmp_path,
+                                                monkeypatch, capsys):
+        blob = (chain_dir / "model.ckpt").read_bytes()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.loads(blob[12:end])
+        del header["config"]
+        text = json.dumps(header).encode()
+        bad = tmp_path / "no-config.ckpt"
+        bad.write_bytes(blob[:4] + struct.pack("<Q", len(text)) + text
+                        + blob[end:])
+        monkeypatch.chdir(chain_dir)
+        assert main(["predict", *CHAIN_ARGS, "--checkpoint",
+                     str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: checkpoint header is missing ['config']"]
+        assert "Traceback" not in err
+
+    def test_nan_weight_refused_naming_window(self, chain_dir, tmp_path,
+                                              monkeypatch, capsys):
+        ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))
+        ckpt.parameters["head/b"][0] = math.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, str(nan_ckpt))
+        out = tmp_path / "forecasts.csv"
+        monkeypatch.chdir(chain_dir)
+        assert main(["predict", *CHAIN_ARGS, "--instances", "head:4",
+                     "--checkpoint", str(nan_ckpt), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluate:

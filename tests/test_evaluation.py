@@ -2,7 +2,6 @@
 exports, and the forecast dump round trip."""
 
 import csv
-import json
 import tracemalloc
 
 import numpy as np
@@ -261,16 +260,6 @@ class TestExports:
             assert float(row[2]) == pytest.approx(
                 metrics.zone_curves[z, h], rel=1e-5)
 
-    def test_jsonl_lines_parse_independently(self, tmp_path):
-        metrics = self.make_metrics(zones=2, steps=3)
-        path = str(tmp_path / "m.jsonl")
-        export_metrics(metrics, path, fmt="jsonl")
-        lines = open(path).read().strip().splitlines()
-        assert len(lines) == 6
-        for line in lines:
-            record = json.loads(line)
-            assert set(record) == {"zone", "step", "cvrmse_pct"}
-
     def test_coverage_csv_schema(self, tmp_path):
         report = CoverageReport(nominal_levels=(0.90, 0.95, 0.99),
                                 coverage={0.90: 0.91, 0.95: 0.96,
@@ -283,11 +272,6 @@ class TestExports:
         assert rows[0] == ["level", "coverage", "crossing_freq"]
         assert len(rows) == 4
         assert rows[1] == ["0.9", "0.91", "0.0125"]
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="format"):
-            export_metrics(self.make_metrics(zones=1, steps=2),
-                           str(tmp_path / "x.bin"), fmt="bin")
 
     def test_unwritable_path_names_path(self, tmp_path):
         metrics = self.make_metrics(zones=1, steps=2)

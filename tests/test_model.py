@@ -1,6 +1,6 @@
 """Tests for the quantile forecaster: configuration validation, build
 determinism, forward shapes, attention invariants, gradient correctness on a
-micro configuration, and physical-unit prediction."""
+micro configuration, and forecasts in degrees C."""
 
 from datetime import datetime
 
@@ -9,16 +9,13 @@ import pytest
 
 from hvforecast import numerics as nm
 from hvforecast.building_sim import DATASET_COLUMNS, SimulatedDataset, make_timestamps
-from hvforecast.errors import ConfigurationError, DimensionError
+from hvforecast.errors import ConfigurationError, DimensionError, GradientError
 from hvforecast.model import (
     DEFAULT_QUANTILE_LEVELS,
     ModelConfig,
-    QuantileForecast,
     build_model,
     forecast_windows,
     forward_batch,
-    model_forward,
-    predict,
     set_parameter_values,
 )
 from hvforecast.numerics import Tensor, gradient_check
@@ -44,11 +41,20 @@ MICRO = ModelConfig(n_past=5, n_future=3, past_feature_count=2,
                     quantile_levels=(0.1, 0.5, 0.9), rng_seed=0)
 
 
-def random_inputs(cfg, seed=0):
+def random_inputs(cfg, seed=0, batch=1):
     rng = np.random.default_rng(seed)
-    past = rng.uniform(-1, 1, size=(cfg.n_past, cfg.past_feature_count))
-    future = rng.uniform(-1, 1, size=(cfg.n_future, cfg.future_feature_count))
+    past = rng.uniform(-1, 1, size=(batch, cfg.n_past, cfg.past_feature_count))
+    future = rng.uniform(-1, 1,
+                         size=(batch, cfg.n_future, cfg.future_feature_count))
     return past, future
+
+
+def full_feature_config():
+    return ModelConfig(n_past=8, n_future=4,
+                       past_feature_count=len(PAST_FEATURES),
+                       future_feature_count=len(FUTURE_FEATURES),
+                       zone_count=5, rnn_units=4, mha_heads=2, d_model=8,
+                       rng_seed=11)
 
 
 class TestModelConfig:
@@ -172,55 +178,51 @@ class TestBuild:
 
 
 class TestForward:
-    def test_single_sample_output_shape(self):
-        params = build_model(TINY)
-        past, future = random_inputs(TINY)
-        out = model_forward(params, past, future)
-        assert out.shape == (4, 5, len(DEFAULT_QUANTILE_LEVELS))
-        assert np.all(np.isfinite(out.data))
-
     def test_batched_output_shape(self):
         params = build_model(TINY)
-        past, future = random_inputs(TINY)
-        out = forward_batch(params, np.stack([past, past, past]),
-                            np.stack([future, future, future]))
-        assert out.shape == (3, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
+        for batch in (1, 3):
+            past, future = random_inputs(TINY, batch=batch)
+            out = forward_batch(params, past, future)
+            assert out.shape == (batch, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
+            assert np.all(np.isfinite(out.data))
 
     def test_inference_bit_identical(self):
         params = build_model(TINY)
         past, future = random_inputs(TINY, seed=3)
-        a = model_forward(params, past, future, training=False)
-        b = model_forward(params, past, future, training=False)
+        a = forward_batch(params, past, future, training=False)
+        b = forward_batch(params, past, future, training=False)
         assert np.array_equal(a.data, b.data)
 
     def test_training_mode_reproducible_with_seed(self):
         params = build_model(TINY)
         past, future = random_inputs(TINY, seed=4)
-        a = model_forward(params, past, future, training=True,
+        a = forward_batch(params, past, future, training=True,
                           rng=np.random.default_rng(7))
-        b = model_forward(params, past, future, training=True,
+        b = forward_batch(params, past, future, training=True,
                           rng=np.random.default_rng(7))
         assert np.array_equal(a.data, b.data)
 
     def test_training_mode_dropout_changes_output(self):
         params = build_model(TINY)
         past, future = random_inputs(TINY, seed=4)
-        plain = model_forward(params, past, future, training=False)
-        dropped = model_forward(params, past, future, training=True,
+        plain = forward_batch(params, past, future, training=False)
+        dropped = forward_batch(params, past, future, training=True,
                                 rng=np.random.default_rng(7))
         assert not np.array_equal(plain.data, dropped.data)
 
     def test_wrong_past_shape_names_encoder(self):
         params = build_model(TINY)
         past, future = random_inputs(TINY)
-        with pytest.raises(DimensionError, match="encoder input"):
-            model_forward(params, past[:-1], future)
+        for bad_past, bad_future in ((past[:, :-1], future),
+                                     (past[0], future[0])):
+            with pytest.raises(DimensionError, match="encoder input"):
+                forward_batch(params, bad_past, bad_future)
 
     def test_wrong_future_shape_names_decoder(self):
         params = build_model(TINY)
         past, future = random_inputs(TINY)
         with pytest.raises(DimensionError, match="decoder input"):
-            model_forward(params, past, future[:, :-1])
+            forward_batch(params, past, future[:, :, :-1])
 
     def test_cross_attention_rows_sum_to_one(self):
         params = build_model(TINY)
@@ -257,12 +259,12 @@ class TestForward:
                           dropout_rate=0.0, rng_seed=3)
         params = build_model(cfg)
         past, future = random_inputs(cfg, seed=6)
-        base = model_forward(params, past, future).data
+        base = forward_batch(params, past, future).data
         for w in range(1, 5):
             col = FUTURE_FEATURES.index(f"ws_{w}")
             poked = future.copy()
-            poked[2, col] += 0.5
-            delta = model_forward(params, past, poked).data - base
+            poked[0, 2, col] += 0.5
+            delta = forward_batch(params, past, poked).data - base
             assert np.max(np.abs(delta)) > 0.0
 
 
@@ -271,7 +273,7 @@ def micro_pinball(out: Tensor, target: np.ndarray, levels) -> Tensor:
     terms = []
     y = Tensor(target)
     for k, q in enumerate(levels):
-        pred = nm.reshape(nm.narrow(out, 2, k, 1), out.shape[:2])
+        pred = nm.reshape(nm.narrow(out, 3, k, 1), out.shape[:3])
         err = uf.sub(y, pred)
         terms.append(uf.tmean(uf.maximum(nm.mul(err, q),
                                          nm.mul(err, q - 1.0))))
@@ -286,10 +288,10 @@ class TestGradients:
         params = build_model(MICRO)
         past, future = random_inputs(MICRO, seed=9)
         rng = np.random.default_rng(10)
-        target = rng.uniform(-1, 1, size=(MICRO.n_future, MICRO.zone_count))
+        target = rng.uniform(-1, 1, size=(1, MICRO.n_future, MICRO.zone_count))
 
         def loss():
-            out = model_forward(params, past, future, training=False)
+            out = forward_batch(params, past, future, training=False)
             return micro_pinball(out, target, MICRO.quantile_levels)
 
         report = gradient_check(loss, params.parameters(), tol=1e-4)
@@ -330,83 +332,6 @@ class TestGraphSize:
                     "maximum", "scale_by_vector"} & set(ops)
 
 
-class TestPredict:
-    def physical_inputs(self, cfg, seed=0, nudge=0.0):
-        rng = np.random.default_rng(seed)
-        past = np.column_stack([
-            rng.uniform(lo, hi, size=cfg.n_past) + nudge
-            for lo, hi in (TABLE1_INTERVALS[n] for n in PAST_FEATURES)])
-        future = np.column_stack([
-            rng.uniform(lo, hi, size=cfg.n_future)
-            for lo, hi in (TABLE1_INTERVALS[n] for n in FUTURE_FEATURES)])
-        return past, future
-
-    def full_feature_config(self):
-        return ModelConfig(n_past=8, n_future=4,
-                           past_feature_count=len(PAST_FEATURES),
-                           future_feature_count=len(FUTURE_FEATURES),
-                           zone_count=5, rnn_units=4, mha_heads=2, d_model=8,
-                           rng_seed=11)
-
-    def test_forecast_shape_and_finiteness(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past, future = self.physical_inputs(cfg)
-        fc = predict(params, past, future)
-        assert isinstance(fc, QuantileForecast)
-        assert fc.values.shape == (4, 5, len(DEFAULT_QUANTILE_LEVELS))
-        assert np.all(np.isfinite(fc.values))
-        assert fc.clamped_inputs == 0
-
-    def test_constant_inputs_finite(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past = np.full((cfg.n_past, cfg.past_feature_count), 0.5)
-        future = np.full((cfg.n_future, cfg.future_feature_count), 0.5)
-        fc = predict(params, past, future)
-        assert np.all(np.isfinite(fc.values))
-
-    def test_out_of_interval_inputs_counted(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past, future = self.physical_inputs(cfg)
-        past[0, PAST_FEATURES.index("t_out")] = 99.0
-        fc = predict(params, past, future)
-        assert fc.clamped_inputs == 1
-
-    def test_non_finite_input_refused_naming_feature(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past, future = self.physical_inputs(cfg)
-        future[2, FUTURE_FEATURES.index("sp_heat_3")] = np.nan
-        with pytest.raises(ConfigurationError, match="sp_heat_3"):
-            predict(params, past, future)
-
-    def test_wrong_input_shape_names_stage(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past, future = self.physical_inputs(cfg)
-        with pytest.raises(DimensionError, match="encoder input"):
-            predict(params, past[:-1], future)
-
-    def test_matches_manual_scale_forward_inverse(self):
-        cfg = self.full_feature_config()
-        params = build_model(cfg)
-        past, future = self.physical_inputs(cfg, seed=2)
-        fc = predict(params, past, future)
-        scaler = Scaler()
-        sp = np.column_stack([scaler.scale(past[:, j], n)
-                              for j, n in enumerate(PAST_FEATURES)])
-        sf = np.column_stack([scaler.scale(future[:, j], n)
-                              for j, n in enumerate(FUTURE_FEATURES)])
-        with nm.no_grad():
-            out = model_forward(params, sp, sf).data
-        manual = np.stack([
-            scaler.inverse_scale(out[:, z, :], name)
-            for z, name in enumerate(TARGET_FEATURES)], axis=1)
-        assert np.array_equal(fc.values, manual)
-
-
 class TestForecastWindows:
     def windows(self, scaler):
         rng = np.random.default_rng(4)
@@ -422,7 +347,7 @@ class TestForecastWindows:
     def test_matches_per_zone_inverse_scale(self, t_in_1):
         scaler = Scaler(ScalerSpec(dict(TABLE1_INTERVALS, t_in_1=t_in_1)))
         windows = self.windows(scaler)
-        params = build_model(TestPredict().full_feature_config())
+        params = build_model(full_feature_config())
         indices = [0, 3, 4, 9, 17, 28, 2]
         values, actuals = forecast_windows(params, windows, indices,
                                            batch_size=3)
@@ -446,6 +371,13 @@ class TestForecastWindows:
         assert np.array_equal(values, expect_v)
         assert np.array_equal(actuals, expect_a)
 
+    def test_non_finite_forecast_names_window_origin(self):
+        windows = self.windows(Scaler())
+        params = build_model(full_feature_config())
+        params.named_parameters()["head/b"].data[0] = np.nan
+        with pytest.raises(GradientError, match="origin 9 "):
+            forecast_windows(params, windows, [9, 3, 4], batch_size=2)
+
 
 class TestParameterLoading:
     def test_round_trip_values(self):
@@ -455,8 +387,8 @@ class TestParameterLoading:
         dst = build_model(ModelConfig(**{**TINY.__dict__, "rng_seed": 99}))
         set_parameter_values(dst, snapshot)
         past, future = random_inputs(TINY, seed=8)
-        a = model_forward(src, past, future).data
-        b = model_forward(dst, past, future).data
+        a = forward_batch(src, past, future).data
+        b = forward_batch(dst, past, future).data
         assert np.array_equal(a, b)
 
     def test_name_mismatch_rejected(self):

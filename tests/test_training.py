@@ -3,6 +3,7 @@ loop with early stopping, and checkpoint persistence."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hvforecast.errors import (
     DimensionError,
     GradientError,
 )
-from hvforecast.model import ModelConfig, build_model, model_forward
+from hvforecast.model import ModelConfig, build_model, forward_batch
 from hvforecast.numerics import Parameter, Tensor
 from hvforecast.training import (
     CHECKPOINT_MAGIC,
@@ -321,8 +322,8 @@ class TestFit:
         for _ in range(500):
             for p in named.values():
                 p.zero_grad()
-            out = model_forward(params, past[0], future[0], training=False)
-            loss = total_quantile_loss(target[0], out,
+            out = forward_batch(params, past[:1], future[:1], training=False)
+            loss = total_quantile_loss(target[:1], out,
                                        MICRO.quantile_levels)
             if initial is None:
                 initial = float(loss.data)
@@ -364,12 +365,12 @@ class TestCheckpoint:
         params, _, path = self.roundtrip(tmp_path)
         restored = restore_model(load_checkpoint(path))
         rng = np.random.default_rng(11)
-        past = rng.uniform(-1, 1, size=(MICRO.n_past,
+        past = rng.uniform(-1, 1, size=(1, MICRO.n_past,
                                         MICRO.past_feature_count))
-        future = rng.uniform(-1, 1, size=(MICRO.n_future,
+        future = rng.uniform(-1, 1, size=(1, MICRO.n_future,
                                           MICRO.future_feature_count))
-        a = model_forward(params, past, future).data
-        b = model_forward(restored, past, future).data
+        a = forward_batch(params, past, future).data
+        b = forward_batch(restored, past, future).data
         assert np.array_equal(a, b)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -401,6 +402,29 @@ class TestCheckpoint:
         padded.write_bytes(blob + bytes(16))
         with pytest.raises(CheckpointError, match="payload length"):
             load_checkpoint(str(padded))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: {k: v for k, v in h.items() if k != "config"},
+         r"missing \['config'\]"),
+        (lambda h: {**h, "config": {k: v for k, v in h["config"].items()
+                                    if k != "quantile_levels"}},
+         r"missing \['quantile_levels'\]"),
+        (lambda h: {**h, "config": {**h["config"], "width": 3}},
+         r"unexpected \['width'\]"),
+        (lambda h: {**h, "config": 5}, "config must be a JSON object"),
+        (lambda h: [h], "header must be a JSON object"),
+    ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
+            "numeric-config", "list-header"])
+    def test_malformed_header_names_field(self, tmp_path, edit, match):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = open(path, "rb").read()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.dumps(edit(json.loads(blob[12:end]))).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header))
+                        + header + blob[end:])
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(bad))
 
     def test_truncated_header_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
