@@ -178,13 +178,19 @@ class TestBuild:
 
 
 class TestForward:
+    def test_single_sample_output_shape(self):
+        params = build_model(TINY)
+        past, future = random_inputs(TINY)
+        out = forward_batch(params, past, future)
+        assert out.shape == (1, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
+        assert np.all(np.isfinite(out.data))
+
     def test_batched_output_shape(self):
         params = build_model(TINY)
-        for batch in (1, 3):
-            past, future = random_inputs(TINY, batch=batch)
-            out = forward_batch(params, past, future)
-            assert out.shape == (batch, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
-            assert np.all(np.isfinite(out.data))
+        past, future = random_inputs(TINY, batch=3)
+        out = forward_batch(params, past, future)
+        assert out.shape == (3, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
+        assert np.all(np.isfinite(out.data))
 
     def test_inference_bit_identical(self):
         params = build_model(TINY)
