@@ -237,16 +237,6 @@ class ExcitationSignals:
 
 
 @dataclass
-class ZoneState:
-    """Instantaneous condition of one zone."""
-
-    t_in_c: float
-    shade_active: bool = False
-    window_open: bool = False
-    hvac_power_w: float = 0.0
-
-
-@dataclass
 class SimulatedDataset:
     """All dataset columns keyed by name, plus the shared timestamp axis.
 
@@ -418,8 +408,8 @@ def ventilation_flow(
 
 
 class _Engine:
-    """Per-zone constants as Python floats and the one flux routine shared
-    by the scalar step API and the simulation loop."""
+    """Per-zone constants as Python floats and the flux routine of the
+    simulation loop."""
 
     def __init__(self, spec: BuildingSpec):
         spec.validate()
@@ -449,7 +439,7 @@ class _Engine:
         occupants: np.ndarray,
         equipment_w: np.ndarray,
         lights_on: float,
-    ) -> tuple[np.ndarray, bool]:
+    ) -> np.ndarray:
         """Per-zone gains that stay constant within one 15-min block.
 
         Takes one block (scalar weather, (5,) schedules) or many at once
@@ -457,13 +447,13 @@ class _Engine:
         come out the same either way.
         """
         spec = self.spec
-        shade = t_out > spec.shade_threshold_c
-        attenuation = np.where(shade, spec.shade_factor, 1.0)
+        attenuation = np.where(t_out > spec.shade_threshold_c,
+                               spec.shade_factor, 1.0)
         solar = (spec.solar_g_value * self.win_area
                  * (self.dni_frac * dni + self.dhi_frac * dhi) * attenuation)
         internal = (spec.occupant_gain_w * occupants + equipment_w
                     + spec.lighting_w_per_m2 * self.floor * lights_on)
-        return solar + internal, shade
+        return solar + internal
 
     def zone_flux(
         self,
@@ -475,9 +465,9 @@ class _Engine:
         sp_heat: float,
         sp_cool: float,
         window_open: bool,
-    ) -> tuple[float, float]:
-        """Return (total flux W, hvac W) into zone `z` at zone temperatures
-        `t`. The terms are summed in a fixed order: envelope conduction,
+    ) -> float:
+        """Return the total flux (W) into zone `z` at zone temperatures `t`.
+        The terms are summed in a fixed order: envelope conduction,
         interzone conduction, gains, HVAC, and ventilation when the zone's
         window is open."""
         ua_ext, neighbours, ua_sum, stat_gain, heat_cap, cool_cap = self.zones[z]
@@ -495,65 +485,15 @@ class _Engine:
             cool = 0.0
         elif cool > cool_cap:
             cool = cool_cap
-        hvac = heat - cool
         total = (ua_ext * (t_out - t_z) + (coupled - ua_sum * t_z)
-                 + gain_w + hvac)
+                 + gain_w + (heat - cool))
         if window_open:
             spec = self.spec
             flow = ventilation_flow(
                 spec.window_open_area_m2, wind, t_z, t_out,
                 spec.vent_c_wind, spec.vent_c_discharge, spec.vent_height_m)
             total += RHO_CP_AIR * flow * (t_out - t_z)
-        return total, hvac
-
-
-def step_zone(
-    state: ZoneState,
-    neighbor_temps_c: (list | tuple | np.ndarray),
-    weather: dict,
-    schedule: dict,
-    setpoints: tuple[float, float],
-    spec: BuildingSpec,
-    zone: int,
-    dt_s: float,
-) -> ZoneState:
-    """Advance one zone by one explicit-Euler step of dt_s seconds.
-
-    `neighbor_temps_c` lists all five zone temperatures (the entry for
-    `zone` is replaced by state.t_in_c). `weather` needs t_out_c, wind_mps,
-    dni_wm2, dhi_wm2; `schedule` needs occupants, equipment_w, lights_on.
-    """
-    if dt_s <= 0:
-        raise ConfigurationError("dt_s must be positive")
-    engine = _Engine(spec)
-    t_zones = [float(v) for v in neighbor_temps_c]
-    if len(t_zones) != ZONE_COUNT:
-        raise ConfigurationError(
-            f"neighbor_temps_c needs {ZONE_COUNT} entries, got {len(t_zones)}")
-    t_zones[zone] = float(state.t_in_c)
-
-    occupants = np.zeros(ZONE_COUNT)
-    equipment = np.zeros(ZONE_COUNT)
-    occupants[zone] = schedule.get("occupants", 0.0)
-    equipment[zone] = schedule.get("equipment_w", 0.0)
-    gains, shade = engine.boundary_gains(
-        weather["t_out_c"], weather.get("dni_wm2", 0.0),
-        weather.get("dhi_wm2", 0.0), occupants, equipment,
-        schedule.get("lights_on", 0.0))
-
-    total, hvac = engine.zone_flux(
-        zone, t_zones, float(weather["t_out_c"]),
-        float(weather.get("wind_mps", 0.0)), float(gains[zone]),
-        float(setpoints[0]), float(setpoints[1]),
-        bool(state.window_open) and zone in WINDOW_ZONES)
-
-    t_next = state.t_in_c + dt_s * total / engine.cap[zone]
-    if not -50.0 <= t_next <= 60.0:
-        raise SimulationError(
-            f"zone {ZONE_NAMES[zone]} diverged to {t_next:.2f} C in step_zone")
-    return ZoneState(t_in_c=float(t_next), shade_active=shade,
-                     window_open=bool(state.window_open),
-                     hvac_power_w=hvac)
+        return total
 
 
 def simulate(
@@ -561,7 +501,6 @@ def simulate(
     weather: WeatherSeries,
     schedules: ScheduleSet,
     signals: ExcitationSignals,
-    steps: int | None = None,
     inner_step_s: int = 60,
     initial_t_in_c: float = 20.0,
 ) -> SimulatedDataset:
@@ -574,14 +513,16 @@ def simulate(
     outweighs the arithmetic. Every inner step audits the energy balance
     of each zone and refuses a temperature outside [-50, 60] C.
     """
-    n = len(weather) if steps is None else steps
+    n = len(weather)
     if n < 1:
         raise ConfigurationError("simulation needs at least one step")
-    for name, series in (("weather", weather), ("schedules", schedules),
-                         ("signals", signals)):
+    for name, series in (("schedules", schedules), ("signals", signals)):
         if len(series) < n:
             raise ConfigurationError(
                 f"{name} covers {len(series)} steps, need {n}")
+    if inner_step_s < 1:
+        raise ConfigurationError(
+            f"inner step {inner_step_s}s must be at least 1s")
     if SAMPLE_STEP_S % inner_step_s != 0:
         raise ConfigurationError(
             f"inner step {inner_step_s}s must divide {SAMPLE_STEP_S}s")
@@ -596,13 +537,13 @@ def simulate(
     audit_max = 0.0
 
     # Each block's constant inputs, converted to Python floats up front.
-    gains, _ = engine.boundary_gains(
-        weather.t_out_c[:n, None], weather.dni_wm2[:n, None],
-        weather.dhi_wm2[:n, None], schedules.occupancy[:n],
+    gains = engine.boundary_gains(
+        weather.t_out_c[:, None], weather.dni_wm2[:, None],
+        weather.dhi_wm2[:, None], schedules.occupancy[:n],
         schedules.equipment_w[:n], schedules.lighting_on[:n, None])
     window_open = np.zeros((n, ZONE_COUNT), dtype=bool)
     window_open[:, WINDOW_ZONES] = signals.window_open[:n] != 0
-    blocks = zip(weather.t_out_c[:n].tolist(), weather.wind_mps[:n].tolist(),
+    blocks = zip(weather.t_out_c.tolist(), weather.wind_mps.tolist(),
                  gains.tolist(), signals.sp_heat_c[:n].tolist(),
                  signals.sp_cool_c[:n].tolist(), window_open.tolist())
 
@@ -612,8 +553,8 @@ def simulate(
         for j in range(inner_per_block):
             t_next = []
             for z, cap, gain, sp_heat, sp_cool, is_open in block:
-                total, _ = flux(z, t, t_out, wind, gain, sp_heat, sp_cool,
-                                is_open)
+                total = flux(z, t, t_out, wind, gain, sp_heat, sp_cool,
+                             is_open)
                 t_z = t[z]
                 t_new = t_z + dt * total / cap
                 scale = abs(total * dt)
@@ -630,11 +571,11 @@ def simulate(
     t_in_rows = np.array(rows)
 
     columns: dict[str, np.ndarray] = {
-        "t_out": weather.t_out_c[:n].astype(float),
-        "h_out": weather.rh_pct[:n].astype(float),
-        "w_out": weather.wind_mps[:n].astype(float),
-        "l_norm": weather.dni_wm2[:n].astype(float),
-        "l_hor": weather.dhi_wm2[:n].astype(float),
+        "t_out": weather.t_out_c.astype(float),
+        "h_out": weather.rh_pct.astype(float),
+        "w_out": weather.wind_mps.astype(float),
+        "l_norm": weather.dni_wm2.astype(float),
+        "l_hor": weather.dhi_wm2.astype(float),
         "hol": schedules.holiday[:n].astype(float),
     }
     for i in range(ZONE_COUNT):
@@ -647,7 +588,7 @@ def simulate(
         columns[f"ws_{w + 1}"] = signals.window_open[:n, w].astype(float)
 
     return SimulatedDataset(
-        timestamps=list(weather.timestamps[:n]),
+        timestamps=list(weather.timestamps),
         columns=columns,
         audit_max_rel_err=audit_max)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import time
@@ -29,6 +30,14 @@ CHECKPOINT_MAGIC = b"HVF1"
 CHECKPOINT_VERSION = 1
 _HEADER_KEYS = ("config", "metadata", "rng_seed", "scaler_intervals",
                 "tensors")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_tensor(x) -> Tensor:
@@ -379,24 +388,57 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint config key mismatch: missing {missing}, "
             f"unexpected {extra}")
+    for name, value in cfg_dict.items():
+        if name == "quantile_levels":
+            valid = isinstance(value, list) and all(map(_is_number, value))
+        elif name == "dropout_rate":
+            valid = _is_number(value)
+        else:  # every other ModelConfig field is an integer
+            valid = _is_int(value)
+        if not valid:
+            raise CheckpointError(
+                f"checkpoint config {name} has invalid value {value!r}")
     cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
     config = ModelConfig(**cfg_dict)
+    intervals = header["scaler_intervals"]
+    if not isinstance(intervals, dict):
+        raise CheckpointError(
+            "checkpoint scaler_intervals must be a JSON object")
+    for name, interval in intervals.items():
+        if not (isinstance(interval, list) and len(interval) == 2
+                and all(map(_is_number, interval))):
+            raise CheckpointError(
+                f"checkpoint scaler_intervals {name} must be a [low, high] "
+                f"pair, got {interval!r}")
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError("checkpoint tensors must be a JSON list")
 
     payload = blob[header_end:]
     parameters: dict[str, np.ndarray] = {}
     tensor_bytes = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
+    for i, entry in enumerate(header["tensors"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise CheckpointError(f"checkpoint tensor entry {i} has no name")
+        name = entry["name"]
+        shape = entry.get("shape")
+        if not (isinstance(shape, list)
+                and all(_is_int(d) and d >= 0 for d in shape)):
+            raise CheckpointError(
+                f"checkpoint tensor {name} has invalid shape {shape!r}")
+        # save_checkpoint writes the payloads back to back in header order,
+        # so any other offset would alias or skip bytes.
+        if entry.get("offset") != tensor_bytes:
+            raise CheckpointError(
+                f"checkpoint tensor {name} has offset "
+                f"{entry.get('offset')!r}, expected {tensor_bytes}")
+        end = tensor_bytes + 8 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(
-                f"checkpoint file is truncated: tensor {entry['name']} "
+                f"checkpoint file is truncated: tensor {name} "
                 f"extends past end of file")
-        parameters[entry["name"]] = np.frombuffer(
-            payload[start:end], dtype="<f8").reshape(shape).copy()
-        tensor_bytes += count * 8
+        parameters[name] = np.frombuffer(
+            payload[tensor_bytes:end], dtype="<f8").reshape(shape).copy()
+        tensor_bytes = end
     if len(payload) != tensor_bytes:
         raise CheckpointError(
             f"checkpoint payload length {len(payload)} does not match its "
@@ -405,8 +447,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config=config,
         parameters=parameters,
-        scaler_intervals={k: tuple(v)
-                          for k, v in header["scaler_intervals"].items()},
+        scaler_intervals={k: tuple(v) for k, v in intervals.items()},
         rng_seed=header["rng_seed"],
         metadata=header["metadata"],
         version=version,

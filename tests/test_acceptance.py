@@ -37,13 +37,11 @@ from hvforecast.building_sim import (
     Calendar,
     ExcitationSignals,
     SimulatedDataset,
-    ZoneState,
     generate_mprs_setpoints,
     generate_prbs_windows,
     generate_schedules,
     make_timestamps,
     simulate,
-    step_zone,
     synth_weather,
     ventilation_flow,
 )
@@ -90,6 +88,7 @@ from hvforecast.training import (
 )
 
 import unfused as uf
+from sim_inputs import constant_inputs
 
 DESK_SEED = 23
 DESK_DAYS = 60
@@ -372,15 +371,15 @@ def test_criterion_07_simulator_physics():
     for _ in range(100):
         t_in = rng.uniform(18.0, 35.0)
         t_out = t_in - rng.uniform(0.5, 15.0)
-        weather = {"t_out_c": t_out, "wind_mps": rng.uniform(0.0, 4.0),
-                   "dni_wm2": 0.0, "dhi_wm2": 0.0}
+        wind = rng.uniform(0.0, 4.0)
         zone = int(rng.integers(0, 4))
-        neighbors = list(rng.uniform(15.0, 30.0, size=5))
-        closed = step_zone(ZoneState(t_in, window_open=False), neighbors,
-                           weather, {}, (0.0, 100.0), spec, zone, 60.0)
-        opened = step_zone(ZoneState(t_in, window_open=True), neighbors,
-                           weather, {}, (0.0, 100.0), spec, zone, 60.0)
-        assert opened.t_in_c < closed.t_in_c
+        closed = simulate(spec, *constant_inputs(2, t_out, wind),
+                          initial_t_in_c=t_in)
+        opened = simulate(spec, *constant_inputs(2, t_out, wind,
+                                                 open_windows=(zone,)),
+                          initial_t_in_c=t_in)
+        column = f"t_in_{zone + 1}"
+        assert opened.columns[column][1] < closed.columns[column][1]
 
     flow = ventilation_flow(1.0, 2.0, 22.0, 10.0)
     assert abs(flow - 0.768) < 1e-3

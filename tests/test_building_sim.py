@@ -1,7 +1,7 @@
 import csv
 import math
 import re
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from hvforecast.building_sim import (
     ExcitationSignals,
     ScheduleSet,
     WeatherSeries,
-    ZoneState,
     generate_mprs_setpoints,
     generate_prbs_windows,
     generate_schedules,
@@ -25,11 +24,11 @@ from hvforecast.building_sim import (
     make_timestamps,
     save_dataset_csv,
     simulate,
-    step_zone,
     synth_weather,
     ventilation_flow,
 )
 from hvforecast.errors import ConfigurationError, ParseError, SimulationError
+from sim_inputs import constant_inputs
 
 
 def build_inputs(seed, days, start=None):
@@ -98,7 +97,7 @@ class NumpyReference:
         audit_max = 0.0
         for k in range(n):
             rows[k] = t
-            gains, _ = self.gains(
+            gains = self.gains(
                 weather.t_out_c[k], weather.dni_wm2[k], weather.dhi_wm2[k],
                 schedules.occupancy[k], schedules.equipment_w[k],
                 schedules.lighting_on[k])
@@ -252,53 +251,31 @@ class TestSchedules:
         assert sched.occupancy.sum() == 0
 
 
-def quiet_weather(t_out):
-    return {"t_out_c": t_out, "wind_mps": 0.0, "dni_wm2": 0.0, "dhi_wm2": 0.0}
-
-
-class TestStepZone:
+class TestZonePhysics:
     def test_zero_net_flux_leaves_temperature_unchanged(self):
-        state = ZoneState(t_in_c=20.0)
-        nxt = step_zone(state, [20.0] * 5, quiet_weather(20.0), {},
-                        (0.0, 100.0), BuildingSpec(), 0, 60.0)
-        assert nxt.t_in_c == 20.0
+        dataset = simulate(BuildingSpec(), *constant_inputs(96, 20.0))
+        for z in range(1, 6):
+            assert np.all(dataset.columns[f"t_in_{z}"] == 20.0)
 
     def test_monotone_approach_to_equilibrium(self):
         spec = BuildingSpec()
-        ua_ext = spec.ua_ext_w_per_k[0]
-        ua_int = spec.ua_int_w_per_k[0].sum()
-        t_out, neighbors = 10.0, 18.0
-        t_eq = (ua_ext * t_out + ua_int * neighbors) / (ua_ext + ua_int)
-        state = ZoneState(t_in_c=30.0)
-        prev = state.t_in_c
-        for _ in range(1400):
-            state = step_zone(state, [neighbors] * 5, quiet_weather(t_out),
-                              {}, (0.0, 100.0), spec, 0, 60.0)
-            assert t_eq - 1e-9 <= state.t_in_c <= prev + 1e-12
-            prev = state.t_in_c
-        assert state.t_in_c == pytest.approx(t_eq, abs=0.05)
-
-    def test_open_window_accelerates_cooling_on_random_states(self):
-        rng = np.random.default_rng(17)
-        spec = BuildingSpec()
-        for _ in range(100):
-            t_in = rng.uniform(18.0, 35.0)
-            t_out = t_in - rng.uniform(0.5, 15.0)
-            wind = rng.uniform(0.0, 4.0)
-            weather = {"t_out_c": t_out, "wind_mps": wind,
-                       "dni_wm2": 0.0, "dhi_wm2": 0.0}
-            zone = int(rng.integers(0, 4))
-            neighbors = list(rng.uniform(15.0, 30.0, size=5))
-            closed = step_zone(ZoneState(t_in, window_open=False), neighbors,
-                               weather, {}, (0.0, 100.0), spec, zone, 60.0)
-            opened = step_zone(ZoneState(t_in, window_open=True), neighbors,
-                               weather, {}, (0.0, 100.0), spec, zone, 60.0)
-            assert opened.t_in_c < closed.t_in_c
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            step_zone(ZoneState(20.0), [20.0] * 5, quiet_weather(20.0), {},
-                      (0.0, 100.0), BuildingSpec(), 0, 0.0)
+        t_out = 10.0
+        # no gain in the core, which has no envelope: a zone's temperature
+        # falls monotonically only if its flux at the 30 C start is <= 0
+        gains = np.array([400.0, 300.0, 200.0, 100.0, 0.0])
+        ua_ext, ua_int = spec.ua_ext_w_per_k, spec.ua_int_w_per_k
+        # steady state: ua_ext (t_out - T) + ua_int @ T - rowsum * T + g = 0
+        balance = np.diag(ua_ext + ua_int.sum(axis=1)) - ua_int
+        t_eq = np.linalg.solve(balance, ua_ext * t_out + gains)
+        dataset = simulate(spec, *constant_inputs(3 * 96, t_out,
+                                                  equipment_w=gains),
+                           initial_t_in_c=30.0)
+        for z in range(5):
+            col = dataset.columns[f"t_in_{z + 1}"]
+            assert col[0] == 30.0
+            assert np.all(np.diff(col) <= 0.0)
+            assert col.min() >= t_eq[z] - 1e-9
+            assert col[-1] == pytest.approx(t_eq[z], abs=0.05)
 
 
 class TestSimulate:
@@ -408,6 +385,33 @@ class TestSimulate:
             signals.window_open[:-5])
         with pytest.raises(ConfigurationError):
             simulate(BuildingSpec(), weather, schedules, short)
+
+    @pytest.mark.parametrize("inner_step_s", [0, -60])
+    def test_non_positive_inner_step_rejected(self, inner_step_s):
+        with pytest.raises(ConfigurationError, match="must be at least 1s"):
+            simulate(BuildingSpec(), *constant_inputs(96, 20.0),
+                     inner_step_s=inner_step_s)
+
+    @pytest.mark.parametrize("case, match", [
+        ("hot-t-out", r"outside \[-30\.0, 40\.0\]"),
+        ("cadence-break", "weather cadence break at index 5"),
+        ("short-series", "length 287 != 288"),
+        ("inner-step-7", "must divide 900s"),
+    ])
+    def test_input_contract_refused(self, case, match):
+        weather, schedules, signals = constant_inputs(288, 20.0)
+        inner_step_s = 60
+        if case == "hot-t-out":
+            weather.t_out_c[3] = 45.0
+        elif case == "cadence-break":
+            weather.timestamps[5] += timedelta(minutes=5)
+        elif case == "short-series":
+            weather.rh_pct = weather.rh_pct[:-1]
+        else:
+            inner_step_s = 7
+        with pytest.raises(ConfigurationError, match=match):
+            simulate(BuildingSpec(), weather, schedules, signals,
+                     inner_step_s=inner_step_s)
 
 
 class TestSynthWeather:

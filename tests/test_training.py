@@ -413,8 +413,32 @@ class TestCheckpoint:
          r"unexpected \['width'\]"),
         (lambda h: {**h, "config": 5}, "config must be a JSON object"),
         (lambda h: [h], "header must be a JSON object"),
+        (lambda h: {**h, "tensors": [
+            h["tensors"][0],
+            {**h["tensors"][1], "offset": h["tensors"][0]["offset"]},
+            *h["tensors"][2:]]},
+         r"tensor \S+ has offset 0, expected [1-9]\d*"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "offset": -8},
+                                     *h["tensors"][1:]]},
+         r"tensor \S+ has offset -8, expected 0"),
+        (lambda h: {**h, "tensors": [
+            {k: v for k, v in h["tensors"][0].items() if k != "shape"},
+            *h["tensors"][1:]]},
+         r"tensor \S+ has invalid shape None"),
+        (lambda h: {**h, "config": {**h["config"], "rnn_units": "2"}},
+         "config rnn_units has invalid value '2'"),
+        (lambda h: {**h, "config": {**h["config"], "rnn_units": 2.5}},
+         "config rnn_units has invalid value 2.5"),
+        (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
+                                              "t_out": 3}},
+         "scaler_intervals t_out must be a"),
+        (lambda h: {**h, "config": {**h["config"], "quantile_levels": None}},
+         "config quantile_levels has invalid value None"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
-            "numeric-config", "list-header"])
+            "numeric-config", "list-header", "aliased-offset",
+            "negative-offset", "tensor-without-shape", "string-rnn-units",
+            "fractional-rnn-units", "scalar-scaler-interval",
+            "null-quantile-levels"])
     def test_malformed_header_names_field(self, tmp_path, edit, match):
         _, _, path = self.roundtrip(tmp_path)
         blob = open(path, "rb").read()
