@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -29,9 +29,11 @@ GRAVITY = 9.81               # m/s2
 SAMPLE_STEP_S = 900          # dataset cadence: 15 minutes
 
 # Fixed-date public holidays (month, day); weekends are handled separately.
-DEFAULT_HOLIDAYS = (
+HOLIDAYS = (
     (1, 1), (5, 1), (7, 4), (9, 6), (11, 25), (12, 24), (12, 25), (12, 31),
 )
+OCCUPIED_START_HOUR = 7
+OCCUPIED_END_HOUR = 19
 
 # Dataset schema: timestamp plus every model variable, one row per 15 min.
 DATASET_COLUMNS = (
@@ -53,134 +55,72 @@ WEATHER_INTERVALS = {
     "dhi_wm2": (0.0, 1300.0),
 }
 
+# The one building the simulator models. Editing these constants is how to
+# change it; every per-zone tuple lists south, east, north, west, core.
+FLOOR_AREAS_M2 = (105.0, 105.0, 105.0, 105.0, 30.0)
+CEILING_HEIGHT_M = 2.4
+WALL_AREAS_M2 = (54.0, 54.0, 54.0, 54.0, 0.0)
+WINDOW_AREAS_M2 = (12.0, 12.0, 12.0, 12.0, 0.0)
+U_EXT_W_M2K = 2.8
+U_INT_W_M2K = 1.6
+U_WINDOW_W_M2K = 0.7
+SOLAR_G_VALUE = 0.12
+SHADE_THRESHOLD_C = 23.0
+SHADE_FACTOR = 0.3
+# Fraction of direct-normal / diffuse-horizontal irradiance reaching
+# each zone's glazing (orientation surrogate).
+SOLAR_DNI_FRACTION = (0.5, 0.3, 0.1, 0.3, 0.0)
+SOLAR_DHI_FRACTION = (0.5, 0.5, 0.5, 0.5, 0.0)
+CAPACITANCE_AIR_MULTIPLE = 5.0
+# Plant sized per zone (100 / 80 W per m2 of floor) so every zone warms
+# and cools at the same rate; thermostat gain scales the same way.
+HEAT_CAPACITY_W = (10500.0, 10500.0, 10500.0, 10500.0, 3000.0)
+COOL_CAPACITY_W = (8400.0, 8400.0, 8400.0, 8400.0, 2400.0)
+THERMOSTAT_GAIN_W_PER_K = (4200.0, 4200.0, 4200.0, 4200.0, 1600.0)
+OCCUPANT_GAIN_W = 75.0
+LIGHTING_W_PER_M2 = 3.5
+VENT_C_WIND = 0.3
+VENT_C_DISCHARGE = 0.6
+VENT_HEIGHT_M = 0.8
+WINDOW_OPEN_AREA_M2 = 1.0
 
-def _default_adjacency() -> tuple[tuple[float, ...], ...]:
-    """Shared internal wall areas (m2) between zones.
+# Shared internal wall areas (m2) between zones.
+# Layout: a 30 m x 15 m floor, 2.4 m ceilings, split pinwheel-style into
+# four 105 m2 perimeter zones (each owning a quarter of the 90 m facade)
+# around a 30 m2 service core. The pinwheel gives every perimeter zone
+# the same envelope area and thermal mass, so no zone is much stiffer
+# than the rest under the 1-minute integration step.
+ADJACENCY_M2 = (
+    (0.0, 24.0, 0.0, 24.0, 13.2),
+    (24.0, 0.0, 24.0, 0.0, 13.2),
+    (0.0, 24.0, 0.0, 24.0, 13.2),
+    (24.0, 0.0, 24.0, 0.0, 13.2),
+    (13.2, 13.2, 13.2, 13.2, 0.0),
+)
 
-    Layout: a 30 m x 15 m floor, 2.4 m ceilings, split pinwheel-style into
-    four 105 m2 perimeter zones (each owning a quarter of the 90 m facade)
-    around a 30 m2 service core. The pinwheel gives every perimeter zone
-    the same envelope area and thermal mass, so no zone is much stiffer
-    than the rest under the 1-minute integration step.
-    """
-    a = np.zeros((5, 5))
-    pairs = {
-        (0, 1): 24.0, (1, 2): 24.0,          # perimeter ring neighbours
-        (2, 3): 24.0, (3, 0): 24.0,
-        (0, 4): 13.2, (1, 4): 13.2,          # perimeter to core
-        (2, 4): 13.2, (3, 4): 13.2,
-    }
-    for (i, j), area in pairs.items():
-        a[i, j] = area
-        a[j, i] = area
-    return tuple(tuple(row) for row in a)
-
-
-@dataclass(frozen=True)
-class BuildingSpec:
-    """Geometry, envelope, plant, and ventilation constants for the model."""
-
-    floor_areas_m2: tuple[float, ...] = (105.0, 105.0, 105.0, 105.0, 30.0)
-    ceiling_height_m: float = 2.4
-    wall_areas_m2: tuple[float, ...] = (54.0, 54.0, 54.0, 54.0, 0.0)
-    window_areas_m2: tuple[float, ...] = (12.0, 12.0, 12.0, 12.0, 0.0)
-    adjacency_m2: tuple[tuple[float, ...], ...] = field(
-        default_factory=_default_adjacency)
-    u_ext_w_m2k: float = 2.8
-    u_int_w_m2k: float = 1.6
-    u_window_w_m2k: float = 0.7
-    solar_g_value: float = 0.12
-    shade_threshold_c: float = 23.0
-    shade_factor: float = 0.3
-    # Fraction of direct-normal / diffuse-horizontal irradiance reaching
-    # each zone's glazing (orientation surrogate).
-    solar_dni_fraction: tuple[float, ...] = (0.5, 0.3, 0.1, 0.3, 0.0)
-    solar_dhi_fraction: tuple[float, ...] = (0.5, 0.5, 0.5, 0.5, 0.0)
-    capacitance_air_multiple: float = 5.0
-    # Plant sized per zone (100 / 80 W per m2 of floor) so every zone warms
-    # and cools at the same rate; thermostat gain scales the same way.
-    heat_capacity_w: tuple[float, ...] = (
-        10500.0, 10500.0, 10500.0, 10500.0, 3000.0)
-    cool_capacity_w: tuple[float, ...] = (
-        8400.0, 8400.0, 8400.0, 8400.0, 2400.0)
-    thermostat_gain_w_per_k: tuple[float, ...] = (
-        4200.0, 4200.0, 4200.0, 4200.0, 1600.0)
-    occupant_gain_w: float = 75.0
-    lighting_w_per_m2: float = 3.5
-    vent_c_wind: float = 0.3
-    vent_c_discharge: float = 0.6
-    vent_height_m: float = 0.8
-    window_open_area_m2: float = 1.0
-
-    def validate(self) -> None:
-        per_zone = ("floor_areas_m2", "wall_areas_m2", "window_areas_m2",
-                    "solar_dni_fraction", "solar_dhi_fraction",
-                    "heat_capacity_w", "cool_capacity_w",
-                    "thermostat_gain_w_per_k")
-        for name in per_zone:
-            if len(getattr(self, name)) != ZONE_COUNT:
-                raise ConfigurationError(f"{name} must have {ZONE_COUNT} entries")
-        if min(self.floor_areas_m2) <= 0:
-            raise ConfigurationError("floor_areas_m2 entries must be positive")
-        if min(self.wall_areas_m2) < 0 or min(self.window_areas_m2) < 0:
-            raise ConfigurationError("envelope areas must be non-negative")
-        if self.window_areas_m2[4] != 0.0:
-            raise ConfigurationError("interior zone cannot have a window")
-        for wall, win in zip(self.wall_areas_m2, self.window_areas_m2):
-            if win > wall:
-                raise ConfigurationError("window area exceeds its wall area")
-        for name in ("ceiling_height_m", "u_ext_w_m2k", "u_int_w_m2k",
-                     "u_window_w_m2k", "capacitance_air_multiple"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("heat_capacity_w", "cool_capacity_w",
-                     "thermostat_gain_w_per_k"):
-            if min(getattr(self, name)) <= 0:
-                raise ConfigurationError(f"{name} entries must be positive")
-        adj = np.asarray(self.adjacency_m2, dtype=float)
-        if adj.shape != (ZONE_COUNT, ZONE_COUNT):
-            raise ConfigurationError("adjacency_m2 must be 5x5")
-        if np.any(adj < 0) or np.any(np.diag(adj) != 0):
-            raise ConfigurationError("adjacency areas must be >= 0 with zero diagonal")
-        if not np.array_equal(adj, adj.T):
-            raise ConfigurationError("adjacency_m2 must be symmetric")
-
-    @property
-    def volumes_m3(self) -> np.ndarray:
-        return np.asarray(self.floor_areas_m2) * self.ceiling_height_m
-
-    @property
-    def capacitances_j_per_k(self) -> np.ndarray:
-        return self.capacitance_air_multiple * RHO_CP_AIR * self.volumes_m3
-
-    @property
-    def ua_ext_w_per_k(self) -> np.ndarray:
-        wall = np.asarray(self.wall_areas_m2)
-        win = np.asarray(self.window_areas_m2)
-        return self.u_ext_w_m2k * (wall - win) + self.u_window_w_m2k * win
-
-    @property
-    def ua_int_w_per_k(self) -> np.ndarray:
-        return self.u_int_w_m2k * np.asarray(self.adjacency_m2, dtype=float)
+# Derived per-zone arrays, computed once; read-only like the tuples above.
+CAPACITANCES_J_PER_K = CAPACITANCE_AIR_MULTIPLE * RHO_CP_AIR * (
+    np.asarray(FLOOR_AREAS_M2) * CEILING_HEIGHT_M)
+UA_EXT_W_PER_K = (
+    U_EXT_W_M2K * (np.asarray(WALL_AREAS_M2) - np.asarray(WINDOW_AREAS_M2))
+    + U_WINDOW_W_M2K * np.asarray(WINDOW_AREAS_M2))
+UA_INT_W_PER_K = U_INT_W_M2K * np.asarray(ADJACENCY_M2, dtype=float)
+for _derived in (CAPACITANCES_J_PER_K, UA_EXT_W_PER_K, UA_INT_W_PER_K):
+    _derived.setflags(write=False)
+del _derived
 
 
-@dataclass(frozen=True)
-class Calendar:
-    """Working-day and occupied-hour definitions driving every schedule."""
+def is_holiday(day: date) -> bool:
+    return (day.month, day.day) in HOLIDAYS
 
-    holidays: tuple[tuple[int, int], ...] = DEFAULT_HOLIDAYS
-    occupied_start_hour: int = 7
-    occupied_end_hour: int = 19
 
-    def is_holiday(self, day: date) -> bool:
-        return (day.month, day.day) in self.holidays
+def is_working_day(day: date) -> bool:
+    return day.weekday() < 5 and not is_holiday(day)
 
-    def is_working_day(self, day: date) -> bool:
-        return day.weekday() < 5 and not self.is_holiday(day)
 
-    def is_occupied(self, ts: datetime) -> bool:
-        return (self.is_working_day(ts.date())
-                and self.occupied_start_hour <= ts.hour < self.occupied_end_hour)
+def is_occupied(ts: datetime) -> bool:
+    return (is_working_day(ts.date())
+            and OCCUPIED_START_HOUR <= ts.hour < OCCUPIED_END_HOUR)
 
 
 @dataclass
@@ -204,8 +144,11 @@ class WeatherSeries:
             if len(series) != n:
                 raise ConfigurationError(f"weather series {name} length {len(series)} != {n}")
             lo, hi = WEATHER_INTERVALS[name]
-            if np.any(series < lo) or np.any(series > hi):
-                raise ConfigurationError(f"weather series {name} outside [{lo}, {hi}]")
+            bad = np.flatnonzero(~((series >= lo) & (series <= hi)))  # or NaN
+            if bad.size:
+                raise ConfigurationError(
+                    f"weather series {name} value {series[bad[0]]} at index "
+                    f"{bad[0]} outside [{lo}, {hi}]")
         for k in range(1, n):
             if (self.timestamps[k] - self.timestamps[k - 1]).total_seconds() != SAMPLE_STEP_S:
                 raise ConfigurationError(f"weather cadence break at index {k}")
@@ -273,8 +216,6 @@ COOL_OFFSET_C = 5.0
 def generate_mprs_setpoints(
     rng: np.random.Generator,
     timestamps: list[datetime],
-    calendar: Calendar,
-    zones: int = ZONE_COUNT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Randomized multi-level heating setpoints with a fixed cooling offset.
 
@@ -283,10 +224,10 @@ def generate_mprs_setpoints(
     outside them the setback pair (15, 30) applies and holds are frozen.
     """
     n = len(timestamps)
-    occupied = np.array([calendar.is_occupied(ts) for ts in timestamps])
-    sp_heat = np.full((n, zones), SETBACK_HEAT_C)
-    sp_cool = np.full((n, zones), SETBACK_COOL_C)
-    for z in range(zones):
+    occupied = np.array([is_occupied(ts) for ts in timestamps])
+    sp_heat = np.full((n, ZONE_COUNT), SETBACK_HEAT_C)
+    sp_cool = np.full((n, ZONE_COUNT), SETBACK_COOL_C)
+    for z in range(ZONE_COUNT):
         remaining = 0
         level = MPRS_LEVELS[0]
         for k in range(n):
@@ -338,7 +279,6 @@ EQUIPMENT_PER_PERSON_W = 20.0
 def generate_schedules(
     rng: np.random.Generator,
     timestamps: list[datetime],
-    calendar: Calendar,
 ) -> ScheduleSet:
     """Stochastic occupancy (arrive 07:00-09:00, leave 16:00-19:00, lunch
     dip), equipment tied to presence, and a fixed working-hours lighting
@@ -353,9 +293,9 @@ def generate_schedules(
     for start_idx in day_starts:
         day = timestamps[start_idx].date()
         day_slice = slice(start_idx, min(start_idx + steps_per_day, n))
-        if calendar.is_holiday(day):
+        if is_holiday(day):
             holiday[day_slice] = 1.0
-        if not calendar.is_working_day(day):
+        if not is_working_day(day):
             continue
         arrivals = rng.integers(28, 37, size=ZONE_COUNT)    # 07:00-09:00
         departures = rng.integers(64, 77, size=ZONE_COUNT)  # 16:00-19:00
@@ -365,8 +305,7 @@ def generate_schedules(
         for k in range(day_slice.start, day_slice.stop):
             step_of_day = k - start_idx
             hour = timestamps[k].hour
-            if (calendar.occupied_start_hour <= hour
-                    < calendar.occupied_end_hour):
+            if OCCUPIED_START_HOUR <= hour < OCCUPIED_END_HOUR:
                 lighting[k] = 1.0
             for z in range(ZONE_COUNT):
                 if arrivals[z] <= step_of_day < departures[z]:
@@ -391,9 +330,6 @@ def ventilation_flow(
     wind_mps: float,
     t_in_c: float,
     t_out_c: float,
-    c_wind: float = 0.3,
-    c_discharge: float = 0.6,
-    delta_h_m: float = 0.8,
 ) -> float:
     """Wind-and-stack airflow through an opening, combined in quadrature.
 
@@ -401,103 +337,85 @@ def ventilation_flow(
     """
     if a_open_m2 < 0:
         raise ConfigurationError("opening area must be >= 0")
-    q_wind = c_wind * a_open_m2 * wind_mps
-    q_stack = c_discharge * a_open_m2 * math.sqrt(
-        2.0 * GRAVITY * delta_h_m * abs(t_in_c - t_out_c) / (t_in_c + 273.15))
+    q_wind = VENT_C_WIND * a_open_m2 * wind_mps
+    q_stack = VENT_C_DISCHARGE * a_open_m2 * math.sqrt(
+        2.0 * GRAVITY * VENT_HEIGHT_M * abs(t_in_c - t_out_c) / (t_in_c + 273.15))
     return math.hypot(q_wind, q_stack)
 
 
-class _Engine:
-    """Per-zone constants as Python floats and the flux routine of the
-    simulation loop."""
+# (envelope UA, [(neighbour, UA)], summed interzone UA, thermostat gain,
+# heating capacity, cooling capacity) per zone as Python floats; zero-area
+# neighbours are left out, which adds nothing to the sum.
+_ZONES = tuple(
+    (ua_ext, [(j, ua) for j, ua in enumerate(row) if ua != 0.0],
+     ua_sum, gain, heat_cap, cool_cap)
+    for ua_ext, row, ua_sum, gain, heat_cap, cool_cap in zip(
+        UA_EXT_W_PER_K.tolist(), UA_INT_W_PER_K.tolist(),
+        UA_INT_W_PER_K.sum(axis=1).tolist(), THERMOSTAT_GAIN_W_PER_K,
+        HEAT_CAPACITY_W, COOL_CAPACITY_W))
 
-    def __init__(self, spec: BuildingSpec):
-        spec.validate()
-        self.spec = spec
-        self.cap = spec.capacitances_j_per_k.tolist()
-        ua_int = spec.ua_int_w_per_k
-        # (envelope UA, [(neighbour, UA)], summed interzone UA, thermostat
-        # gain, heating capacity, cooling capacity) per zone; zero-area
-        # neighbours are left out, which adds nothing to the sum.
-        self.zones = tuple(
-            (ua_ext, [(j, ua) for j, ua in enumerate(row) if ua != 0.0],
-             ua_sum, gain, heat_cap, cool_cap)
-            for ua_ext, row, ua_sum, gain, heat_cap, cool_cap in zip(
-                spec.ua_ext_w_per_k.tolist(), ua_int.tolist(),
-                ua_int.sum(axis=1).tolist(), spec.thermostat_gain_w_per_k,
-                spec.heat_capacity_w, spec.cool_capacity_w))
-        self.win_area = np.asarray(spec.window_areas_m2)
-        self.dni_frac = np.asarray(spec.solar_dni_fraction)
-        self.dhi_frac = np.asarray(spec.solar_dhi_fraction)
-        self.floor = np.asarray(spec.floor_areas_m2)
 
-    def boundary_gains(
-        self,
-        t_out: float,
-        dni: float,
-        dhi: float,
-        occupants: np.ndarray,
-        equipment_w: np.ndarray,
-        lights_on: float,
-    ) -> np.ndarray:
-        """Per-zone gains that stay constant within one 15-min block.
+def _boundary_gains(
+    t_out: float,
+    dni: float,
+    dhi: float,
+    occupants: np.ndarray,
+    equipment_w: np.ndarray,
+    lights_on: float,
+) -> np.ndarray:
+    """Per-zone gains that stay constant within one 15-min block.
 
-        Takes one block (scalar weather, (5,) schedules) or many at once
-        ((n, 1) weather and lights, (n, 5) schedules); each block's gains
-        come out the same either way.
-        """
-        spec = self.spec
-        attenuation = np.where(t_out > spec.shade_threshold_c,
-                               spec.shade_factor, 1.0)
-        solar = (spec.solar_g_value * self.win_area
-                 * (self.dni_frac * dni + self.dhi_frac * dhi) * attenuation)
-        internal = (spec.occupant_gain_w * occupants + equipment_w
-                    + spec.lighting_w_per_m2 * self.floor * lights_on)
-        return solar + internal
+    Takes one block (scalar weather, (5,) schedules) or many at once
+    ((n, 1) weather and lights, (n, 5) schedules); each block's gains
+    come out the same either way.
+    """
+    attenuation = np.where(t_out > SHADE_THRESHOLD_C, SHADE_FACTOR, 1.0)
+    solar = (SOLAR_G_VALUE * np.asarray(WINDOW_AREAS_M2)
+             * (np.asarray(SOLAR_DNI_FRACTION) * dni
+                + np.asarray(SOLAR_DHI_FRACTION) * dhi) * attenuation)
+    internal = (OCCUPANT_GAIN_W * occupants + equipment_w
+                + LIGHTING_W_PER_M2 * np.asarray(FLOOR_AREAS_M2) * lights_on)
+    return solar + internal
 
-    def zone_flux(
-        self,
-        z: int,
-        t: list[float],
-        t_out: float,
-        wind: float,
-        gain_w: float,
-        sp_heat: float,
-        sp_cool: float,
-        window_open: bool,
-    ) -> float:
-        """Return the total flux (W) into zone `z` at zone temperatures `t`.
-        The terms are summed in a fixed order: envelope conduction,
-        interzone conduction, gains, HVAC, and ventilation when the zone's
-        window is open."""
-        ua_ext, neighbours, ua_sum, stat_gain, heat_cap, cool_cap = self.zones[z]
-        t_z = t[z]
-        coupled = 0.0
-        for j, ua in neighbours:
-            coupled += ua * t[j]
-        heat = stat_gain * (sp_heat - t_z)
-        if heat < 0.0:
-            heat = 0.0
-        elif heat > heat_cap:
-            heat = heat_cap
-        cool = stat_gain * (t_z - sp_cool)
-        if cool < 0.0:
-            cool = 0.0
-        elif cool > cool_cap:
-            cool = cool_cap
-        total = (ua_ext * (t_out - t_z) + (coupled - ua_sum * t_z)
-                 + gain_w + (heat - cool))
-        if window_open:
-            spec = self.spec
-            flow = ventilation_flow(
-                spec.window_open_area_m2, wind, t_z, t_out,
-                spec.vent_c_wind, spec.vent_c_discharge, spec.vent_height_m)
-            total += RHO_CP_AIR * flow * (t_out - t_z)
-        return total
+
+def _zone_flux(
+    z: int,
+    t: list[float],
+    t_out: float,
+    wind: float,
+    gain_w: float,
+    sp_heat: float,
+    sp_cool: float,
+    window_open: bool,
+) -> float:
+    """Return the total flux (W) into zone `z` at zone temperatures `t`.
+    The terms are summed in a fixed order: envelope conduction,
+    interzone conduction, gains, HVAC, and ventilation when the zone's
+    window is open."""
+    ua_ext, neighbours, ua_sum, stat_gain, heat_cap, cool_cap = _ZONES[z]
+    t_z = t[z]
+    coupled = 0.0
+    for j, ua in neighbours:
+        coupled += ua * t[j]
+    heat = stat_gain * (sp_heat - t_z)
+    if heat < 0.0:
+        heat = 0.0
+    elif heat > heat_cap:
+        heat = heat_cap
+    cool = stat_gain * (t_z - sp_cool)
+    if cool < 0.0:
+        cool = 0.0
+    elif cool > cool_cap:
+        cool = cool_cap
+    total = (ua_ext * (t_out - t_z) + (coupled - ua_sum * t_z)
+             + gain_w + (heat - cool))
+    if window_open:
+        flow = ventilation_flow(WINDOW_OPEN_AREA_M2, wind, t_z, t_out)
+        total += RHO_CP_AIR * flow * (t_out - t_z)
+    return total
 
 
 def simulate(
-    spec: BuildingSpec,
     weather: WeatherSeries,
     schedules: ScheduleSet,
     signals: ExcitationSignals,
@@ -528,8 +446,7 @@ def simulate(
             f"inner step {inner_step_s}s must divide {SAMPLE_STEP_S}s")
     weather.validate()
 
-    engine = _Engine(spec)
-    flux = engine.zone_flux
+    capacitances = CAPACITANCES_J_PER_K.tolist()
     inner_per_block = SAMPLE_STEP_S // inner_step_s
     dt = float(inner_step_s)
     t = [float(initial_t_in_c)] * ZONE_COUNT
@@ -537,7 +454,7 @@ def simulate(
     audit_max = 0.0
 
     # Each block's constant inputs, converted to Python floats up front.
-    gains = engine.boundary_gains(
+    gains = _boundary_gains(
         weather.t_out_c[:, None], weather.dni_wm2[:, None],
         weather.dhi_wm2[:, None], schedules.occupancy[:n],
         schedules.equipment_w[:n], schedules.lighting_on[:n, None])
@@ -549,12 +466,12 @@ def simulate(
 
     for k, (t_out, wind, *per_zone) in enumerate(blocks):
         rows.append(t)
-        block = tuple(zip(range(ZONE_COUNT), engine.cap, *per_zone))
+        block = tuple(zip(range(ZONE_COUNT), capacitances, *per_zone))
         for j in range(inner_per_block):
             t_next = []
             for z, cap, gain, sp_heat, sp_cool, is_open in block:
-                total = flux(z, t, t_out, wind, gain, sp_heat, sp_cool,
-                             is_open)
+                total = _zone_flux(z, t, t_out, wind, gain, sp_heat,
+                                   sp_cool, is_open)
                 t_z = t[z]
                 t_new = t_z + dt * total / cap
                 scale = abs(total * dt)
@@ -653,15 +570,33 @@ def synth_weather(
     return series
 
 
+def simulator_inputs(seed: int, days: int, start: datetime | None = None
+                     ) -> tuple[WeatherSeries, ScheduleSet, ExcitationSignals]:
+    """Return `simulate`'s (weather, schedules, signals) for `days` days,
+    drawn from one generator seeded with `SeedSequence(seed)` in a fixed
+    order: weather, schedules, setpoints, windows."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    weather = synth_weather(rng, days, start=start)
+    schedules = generate_schedules(rng, weather.timestamps)
+    sp_heat, sp_cool = generate_mprs_setpoints(rng, weather.timestamps)
+    windows = generate_prbs_windows(rng, len(weather))
+    return weather, schedules, ExcitationSignals(sp_heat, sp_cool, windows)
+
+
 # ---------------------------------------------------------------------------
 # CSV serialization (repr floats: lossless round trips)
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
     try:
-        return datetime.fromisoformat(text)
+        ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}", row=row) from None
+    # save_dataset_csv writes naive timestamps; the gap check cannot
+    # subtract an offset-aware one from them
+    if ts.tzinfo is not None:
+        raise ParseError(f"timestamp {text!r} has a UTC offset", row=row)
+    return ts
 
 
 def _parse_float(text: str, column: str, row: int) -> float:

@@ -12,19 +12,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .building_sim import (
-    BuildingSpec,
-    Calendar,
-    ExcitationSignals,
-    generate_mprs_setpoints,
-    generate_prbs_windows,
-    generate_schedules,
     load_dataset_csv,
     save_dataset_csv,
     simulate,
-    synth_weather,
+    simulator_inputs,
 )
 from .config import RunConfig, apply_profile, load_config
 from .errors import ConfigurationError, ParseError
@@ -54,23 +46,10 @@ from .training import (
 )
 
 
-def simulate_dataset(cfg: RunConfig):
-    """Run the excitation generators and the thermal model under the
-    configured seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    cal = Calendar()
-    weather = synth_weather(rng, cfg.simulator.days,
-                            start=cfg.simulator.start_datetime())
-    schedules = generate_schedules(rng, weather.timestamps, cal)
-    sp_heat, sp_cool = generate_mprs_setpoints(rng, weather.timestamps, cal)
-    window_signal = generate_prbs_windows(rng, len(weather))
-    signals = ExcitationSignals(sp_heat, sp_cool, window_signal)
-    return simulate(BuildingSpec(), weather, schedules, signals)
-
-
 def cmd_generate(cfg: RunConfig, out_path: str | None) -> int:
     out = out_path or cfg.paths.dataset
-    dataset = simulate_dataset(cfg)
+    dataset = simulate(*simulator_inputs(
+        cfg.seed, cfg.simulator.days, start=cfg.simulator.start_datetime()))
     save_dataset_csv(dataset, out)
     manifest = {
         "seed": cfg.seed,

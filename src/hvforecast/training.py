@@ -28,8 +28,7 @@ from .pipeline import TABLE1_INTERVALS
 
 CHECKPOINT_MAGIC = b"HVF1"
 CHECKPOINT_VERSION = 1
-_HEADER_KEYS = ("config", "metadata", "rng_seed", "scaler_intervals",
-                "tensors")
+_HEADER_KEYS = ("config", "metadata", "scaler_intervals", "tensors")
 
 
 def _is_int(value) -> bool:
@@ -291,7 +290,6 @@ class Checkpoint:
     config: ModelConfig
     parameters: dict[str, np.ndarray]
     scaler_intervals: dict[str, tuple[float, float]]
-    rng_seed: int
     metadata: dict
     version: int = CHECKPOINT_VERSION
 
@@ -304,7 +302,6 @@ def make_checkpoint(params: ModelParams, metadata: dict | None = None,
                     for n, p in params.named_parameters().items()},
         scaler_intervals=dict(scaler_intervals if scaler_intervals is not None
                               else TABLE1_INTERVALS),
-        rng_seed=params.cfg.rng_seed,
         metadata=dict(metadata or {}),
     )
 
@@ -331,7 +328,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "config": dataclasses.asdict(ckpt.config),
         "scaler_intervals": {k: list(v)
                              for k, v in sorted(ckpt.scaler_intervals.items())},
-        "rng_seed": ckpt.rng_seed,
         "metadata": ckpt.metadata,
         "tensors": tensors,
     }
@@ -410,6 +406,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"checkpoint scaler_intervals {name} must be a [low, high] "
                 f"pair, got {interval!r}")
+    if not isinstance(header["metadata"], dict):
+        raise CheckpointError("checkpoint metadata must be a JSON object")
     if not isinstance(header["tensors"], list):
         raise CheckpointError("checkpoint tensors must be a JSON list")
 
@@ -448,7 +446,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         config=config,
         parameters=parameters,
         scaler_intervals={k: tuple(v) for k, v in intervals.items()},
-        rng_seed=header["rng_seed"],
         metadata=header["metadata"],
         version=version,
     )

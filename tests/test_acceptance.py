@@ -33,16 +33,13 @@ import hvforecast.numerics as nm
 from hvforecast.building_sim import (
     DATASET_COLUMNS,
     MPRS_LEVELS,
-    BuildingSpec,
-    Calendar,
-    ExcitationSignals,
     SimulatedDataset,
     generate_mprs_setpoints,
     generate_prbs_windows,
-    generate_schedules,
+    is_occupied,
     make_timestamps,
     simulate,
-    synth_weather,
+    simulator_inputs,
     ventilation_flow,
 )
 from hvforecast.cli import main
@@ -104,19 +101,8 @@ DESK_DROPOUT = 0.1
 HORIZON_SEED = 31
 
 
-def build_inputs(seed, days, start=None):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cal = Calendar()
-    weather = synth_weather(rng, days, start=start)
-    schedules = generate_schedules(rng, weather.timestamps, cal)
-    sp_heat, sp_cool = generate_mprs_setpoints(rng, weather.timestamps, cal)
-    windows = generate_prbs_windows(rng, len(weather))
-    return weather, schedules, ExcitationSignals(sp_heat, sp_cool, windows)
-
-
 def make_dataset(seed, days, start=None):
-    weather, schedules, signals = build_inputs(seed, days, start)
-    return simulate(BuildingSpec(), weather, schedules, signals)
+    return simulate(*simulator_inputs(seed, days, start))
 
 
 def tiny_model_config(n_past, n_future, rng_seed, dropout=None):
@@ -367,16 +353,15 @@ def test_criterion_06_horizon_curve(tmp_path):
 
 def test_criterion_07_simulator_physics():
     rng = np.random.default_rng(29)
-    spec = BuildingSpec()
     for _ in range(100):
         t_in = rng.uniform(18.0, 35.0)
         t_out = t_in - rng.uniform(0.5, 15.0)
         wind = rng.uniform(0.0, 4.0)
         zone = int(rng.integers(0, 4))
-        closed = simulate(spec, *constant_inputs(2, t_out, wind),
+        closed = simulate(*constant_inputs(2, t_out, wind),
                           initial_t_in_c=t_in)
-        opened = simulate(spec, *constant_inputs(2, t_out, wind,
-                                                 open_windows=(zone,)),
+        opened = simulate(*constant_inputs(2, t_out, wind,
+                                           open_windows=(zone,)),
                           initial_t_in_c=t_in)
         column = f"t_in_{zone + 1}"
         assert opened.columns[column][1] < closed.columns[column][1]
@@ -384,10 +369,10 @@ def test_criterion_07_simulator_physics():
     flow = ventilation_flow(1.0, 2.0, 22.0, 10.0)
     assert abs(flow - 0.768) < 1e-3
 
-    weather, schedules, signals = build_inputs(99, 7,
-                                               start=datetime(2021, 1, 18))
-    coarse = simulate(spec, weather, schedules, signals, inner_step_s=60)
-    fine = simulate(spec, weather, schedules, signals, inner_step_s=30)
+    weather, schedules, signals = simulator_inputs(
+        99, 7, start=datetime(2021, 1, 18))
+    coarse = simulate(weather, schedules, signals, inner_step_s=60)
+    fine = simulate(weather, schedules, signals, inner_step_s=30)
     worst = max(
         float(np.abs(coarse.columns[f"t_in_{z}"]
                      - fine.columns[f"t_in_{z}"]).max())
@@ -401,10 +386,9 @@ def test_criterion_07_simulator_physics():
 
 def test_criterion_08_excitation_contracts():
     rng = np.random.default_rng(3)
-    cal = Calendar()
     ts = make_timestamps(datetime(2021, 3, 1), 28 * 96)
-    sp_heat, sp_cool = generate_mprs_setpoints(rng, ts, cal)
-    occupied = np.array([cal.is_occupied(t) for t in ts])
+    sp_heat, sp_cool = generate_mprs_setpoints(rng, ts)
+    occupied = np.array([is_occupied(t) for t in ts])
     assert set(np.unique(sp_heat[occupied])) <= set(MPRS_LEVELS)
     assert np.all(sp_cool[occupied] - sp_heat[occupied] == 5.0)
     assert np.all(sp_heat[~occupied] == 15.0)

@@ -12,18 +12,16 @@ from hvforecast import building_sim as bs
 from hvforecast.building_sim import (
     DATASET_COLUMNS,
     MPRS_LEVELS,
-    BuildingSpec,
-    Calendar,
     ExcitationSignals,
-    ScheduleSet,
-    WeatherSeries,
     generate_mprs_setpoints,
     generate_prbs_windows,
     generate_schedules,
+    is_occupied,
     load_dataset_csv,
     make_timestamps,
     save_dataset_csv,
     simulate,
+    simulator_inputs,
     synth_weather,
     ventilation_flow,
 )
@@ -31,20 +29,10 @@ from hvforecast.errors import ConfigurationError, ParseError, SimulationError
 from sim_inputs import constant_inputs
 
 
-def build_inputs(seed, days, start=None):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cal = Calendar()
-    weather = synth_weather(rng, days, start=start)
-    schedules = generate_schedules(rng, weather.timestamps, cal)
-    sp_heat, sp_cool = generate_mprs_setpoints(rng, weather.timestamps, cal)
-    windows = generate_prbs_windows(rng, len(weather))
-    return weather, schedules, ExcitationSignals(sp_heat, sp_cool, windows)
-
-
 @pytest.fixture(scope="module")
 def year_run():
-    weather, schedules, signals = build_inputs(7, 365)
-    dataset = simulate(BuildingSpec(), weather, schedules, signals)
+    weather, schedules, signals = simulator_inputs(7, 365)
+    dataset = simulate(weather, schedules, signals)
     return weather, schedules, signals, dataset
 
 
@@ -53,21 +41,19 @@ class NumpyReference:
     5-element numpy arrays before its inner step moved to Python floats.
     Tests check the scalar loop against it."""
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.gains = bs._Engine(spec).boundary_gains
-        self.cap = spec.capacitances_j_per_k
-        self.ua_ext = spec.ua_ext_w_per_k
-        self.ua_int = spec.ua_int_w_per_k
+    def __init__(self):
+        self.gains = bs._boundary_gains
+        self.cap = bs.CAPACITANCES_J_PER_K
+        self.ua_ext = bs.UA_EXT_W_PER_K
+        self.ua_int = bs.UA_INT_W_PER_K
         self.ua_int_rowsum = self.ua_int.sum(axis=1)
-        self.heat_cap_w = np.asarray(spec.heat_capacity_w)
-        self.cool_cap_w = np.asarray(spec.cool_capacity_w)
-        self.stat_gain = np.asarray(spec.thermostat_gain_w_per_k)
+        self.heat_cap_w = np.asarray(bs.HEAT_CAPACITY_W)
+        self.cool_cap_w = np.asarray(bs.COOL_CAPACITY_W)
+        self.stat_gain = np.asarray(bs.THERMOSTAT_GAIN_W_PER_K)
         self.saturated = {"heat": 0, "cool": 0, "vent": 0}
 
     def fluxes(self, t_zones, t_out, wind, gains_w, sp_heat, sp_cool,
                window_open):
-        spec = self.spec
         cond_ext = self.ua_ext * (t_out - t_zones)
         cond_int = self.ua_int @ t_zones - self.ua_int_rowsum * t_zones
         heat = np.clip(self.stat_gain * (sp_heat - t_zones),
@@ -79,9 +65,7 @@ class NumpyReference:
         for slot, z in enumerate(bs.WINDOW_ZONES):
             if window_open[slot]:
                 vent_flow[z] = ventilation_flow(
-                    spec.window_open_area_m2, wind, t_zones[z], t_out,
-                    spec.vent_c_wind, spec.vent_c_discharge,
-                    spec.vent_height_m)
+                    bs.WINDOW_OPEN_AREA_M2, wind, t_zones[z], t_out)
         vent = bs.RHO_CP_AIR * vent_flow * (t_out - t_zones)
         self.saturated["heat"] += int(np.sum(heat == self.heat_cap_w))
         self.saturated["cool"] += int(np.sum(cool == self.cool_cap_w))
@@ -124,8 +108,8 @@ def saturating_inputs(days=3):
     """Seeded inputs with windows open a third of the time and setpoints
     that alternate every two hours between far above and far below the
     zone temperatures, so heating and cooling both run at capacity."""
-    weather, schedules, signals = build_inputs(41, days,
-                                               start=datetime(2021, 1, 18))
+    weather, schedules, signals = simulator_inputs(
+        41, days, start=datetime(2021, 1, 18))
     n = len(weather)
     hot = (np.arange(n) // 8) % 2 == 0
     sp_heat = np.where(hot, 40.0, 0.0)[:, None].repeat(5, axis=1)
@@ -176,10 +160,9 @@ class TestVentilationFlow:
 class TestExcitationSignals:
     def test_mprs_occupied_levels_and_offset(self):
         rng = np.random.default_rng(3)
-        cal = Calendar()
         ts = make_timestamps(datetime(2021, 3, 1), 14 * 96)
-        sp_heat, sp_cool = generate_mprs_setpoints(rng, ts, cal)
-        occupied = np.array([cal.is_occupied(t) for t in ts])
+        sp_heat, sp_cool = generate_mprs_setpoints(rng, ts)
+        occupied = np.array([is_occupied(t) for t in ts])
         assert set(np.unique(sp_heat[occupied])) <= set(MPRS_LEVELS)
         assert np.all(sp_cool[occupied] - sp_heat[occupied] == 5.0)
         assert np.all(sp_heat[~occupied] == 15.0)
@@ -187,9 +170,8 @@ class TestExcitationSignals:
 
     def test_mprs_setback_on_weekends(self):
         rng = np.random.default_rng(3)
-        cal = Calendar()
         ts = make_timestamps(datetime(2021, 3, 6), 96)  # a Saturday
-        sp_heat, sp_cool = generate_mprs_setpoints(rng, ts, cal)
+        sp_heat, sp_cool = generate_mprs_setpoints(rng, ts)
         assert np.all(sp_heat == 15.0)
         assert np.all(sp_cool == 30.0)
 
@@ -226,17 +208,15 @@ class TestExcitationSignals:
 class TestSchedules:
     def test_empty_outside_working_days(self):
         rng = np.random.default_rng(2)
-        cal = Calendar()
         ts = make_timestamps(datetime(2021, 3, 6), 2 * 96)  # weekend
-        sched = generate_schedules(rng, ts, cal)
+        sched = generate_schedules(rng, ts)
         assert sched.occupancy.sum() == 0
         assert sched.lighting_on.sum() == 0
 
     def test_bounded_counts_and_equipment(self):
         rng = np.random.default_rng(2)
-        cal = Calendar()
         ts = make_timestamps(datetime(2021, 3, 1), 7 * 96)
-        sched = generate_schedules(rng, ts, cal)
+        sched = generate_schedules(rng, ts)
         assert sched.occupancy.min() >= 0
         assert sched.occupancy.max() <= 30
         assert sched.equipment_w.min() >= 0
@@ -244,31 +224,29 @@ class TestSchedules:
 
     def test_holiday_column_flags_new_year(self):
         rng = np.random.default_rng(2)
-        cal = Calendar()
         ts = make_timestamps(datetime(2021, 1, 1), 96)
-        sched = generate_schedules(rng, ts, cal)
+        sched = generate_schedules(rng, ts)
         assert np.all(sched.holiday == 1.0)
         assert sched.occupancy.sum() == 0
 
 
 class TestZonePhysics:
     def test_zero_net_flux_leaves_temperature_unchanged(self):
-        dataset = simulate(BuildingSpec(), *constant_inputs(96, 20.0))
+        dataset = simulate(*constant_inputs(96, 20.0))
         for z in range(1, 6):
             assert np.all(dataset.columns[f"t_in_{z}"] == 20.0)
 
     def test_monotone_approach_to_equilibrium(self):
-        spec = BuildingSpec()
         t_out = 10.0
         # no gain in the core, which has no envelope: a zone's temperature
         # falls monotonically only if its flux at the 30 C start is <= 0
         gains = np.array([400.0, 300.0, 200.0, 100.0, 0.0])
-        ua_ext, ua_int = spec.ua_ext_w_per_k, spec.ua_int_w_per_k
+        ua_ext, ua_int = bs.UA_EXT_W_PER_K, bs.UA_INT_W_PER_K
         # steady state: ua_ext (t_out - T) + ua_int @ T - rowsum * T + g = 0
         balance = np.diag(ua_ext + ua_int.sum(axis=1)) - ua_int
         t_eq = np.linalg.solve(balance, ua_ext * t_out + gains)
-        dataset = simulate(spec, *constant_inputs(3 * 96, t_out,
-                                                  equipment_w=gains),
+        dataset = simulate(*constant_inputs(3 * 96, t_out,
+                                            equipment_w=gains),
                            initial_t_in_c=30.0)
         for z in range(5):
             col = dataset.columns[f"t_in_{z + 1}"]
@@ -309,12 +287,12 @@ class TestSimulate:
 
     def test_occupied_thermostat_band_tracking(self):
         # windows shut, mild season: settled occupied steps stay in band
-        weather, schedules, signals = build_inputs(
+        weather, schedules, signals = simulator_inputs(
             1, 5, start=datetime(2021, 6, 7))
         closed = ExcitationSignals(
             signals.sp_heat_c, signals.sp_cool_c,
             np.zeros_like(signals.window_open))
-        dataset = simulate(BuildingSpec(), weather, schedules, closed)
+        dataset = simulate(weather, schedules, closed)
         settle = 8  # two hours
         for z in range(5):
             t = dataset.columns[f"t_in_{z+1}"]
@@ -329,11 +307,10 @@ class TestSimulate:
 
     def test_halving_inner_step_changes_little(self):
         # winter week with window pulses, the stiffest regime
-        weather, schedules, signals = build_inputs(
+        weather, schedules, signals = simulator_inputs(
             99, 7, start=datetime(2021, 1, 18))
-        spec = BuildingSpec()
-        coarse = simulate(spec, weather, schedules, signals, inner_step_s=60)
-        fine = simulate(spec, weather, schedules, signals, inner_step_s=30)
+        coarse = simulate(weather, schedules, signals, inner_step_s=60)
+        fine = simulate(weather, schedules, signals, inner_step_s=30)
         worst = max(
             np.abs(coarse.columns[f"t_in_{z}"]
                    - fine.columns[f"t_in_{z}"]).max()
@@ -341,23 +318,20 @@ class TestSimulate:
         assert worst < 0.05
 
     def test_bit_deterministic_given_seed(self):
-        w1, s1, g1 = build_inputs(5, 3)
-        w2, s2, g2 = build_inputs(5, 3)
-        d1 = simulate(BuildingSpec(), w1, s1, g1)
-        d2 = simulate(BuildingSpec(), w2, s2, g2)
+        d1 = simulate(*simulator_inputs(5, 3))
+        d2 = simulate(*simulator_inputs(5, 3))
         for name in d1.columns:
             assert np.array_equal(d1.columns[name], d2.columns[name])
 
     @pytest.mark.parametrize("inner_step_s", [60, 30])
     def test_scalar_loop_matches_numpy_reference(self, inner_step_s):
         weather, schedules, signals = saturating_inputs()
-        spec = BuildingSpec()
-        reference = NumpyReference(spec)
+        reference = NumpyReference()
         rows, ref_audit = reference.run(weather, schedules, signals,
                                         inner_step_s)
         # the run exercises every branch of the flux routine
         assert min(reference.saturated.values()) > 1000
-        dataset = simulate(spec, weather, schedules, signals,
+        dataset = simulate(weather, schedules, signals,
                            inner_step_s=inner_step_s)
         for z in range(5):
             col = dataset.columns[f"t_in_{z + 1}"]
@@ -367,36 +341,37 @@ class TestSimulate:
         assert 0.0 < dataset.audit_max_rel_err < 1e-6
 
     def test_divergence_guard_names_the_step(self):
-        weather, schedules, signals = build_inputs(5, 2)
-        fragile = BuildingSpec(capacitance_air_multiple=0.005)
+        # a megawatt in the core overheats it within one inner step
+        inputs = constant_inputs(96, 20.0, equipment_w=(0, 0, 0, 0, 1e6))
         with pytest.raises(SimulationError) as expected:
-            NumpyReference(fragile).run(weather, schedules, signals)
+            NumpyReference().run(*inputs)
         with pytest.raises(SimulationError) as got:
-            simulate(fragile, weather, schedules, signals)
+            simulate(*inputs)
         assert str(got.value) == str(expected.value)
         assert re.fullmatch(
             r"zone (south|east|north|west|core) diverged to -?\d+\.\d\d C "
             r"at sample \d+, inner step \d+", str(got.value))
 
     def test_series_length_mismatch_rejected(self):
-        weather, schedules, signals = build_inputs(5, 2)
+        weather, schedules, signals = simulator_inputs(5, 2)
         short = ExcitationSignals(
             signals.sp_heat_c[:-5], signals.sp_cool_c[:-5],
             signals.window_open[:-5])
         with pytest.raises(ConfigurationError):
-            simulate(BuildingSpec(), weather, schedules, short)
+            simulate(weather, schedules, short)
 
     @pytest.mark.parametrize("inner_step_s", [0, -60])
     def test_non_positive_inner_step_rejected(self, inner_step_s):
         with pytest.raises(ConfigurationError, match="must be at least 1s"):
-            simulate(BuildingSpec(), *constant_inputs(96, 20.0),
-                     inner_step_s=inner_step_s)
+            simulate(*constant_inputs(96, 20.0), inner_step_s=inner_step_s)
 
     @pytest.mark.parametrize("case, match", [
         ("hot-t-out", r"outside \[-30\.0, 40\.0\]"),
         ("cadence-break", "weather cadence break at index 5"),
         ("short-series", "length 287 != 288"),
         ("inner-step-7", "must divide 900s"),
+        ("nan-rh", r"rh_pct value nan at index 10 outside"),
+        ("nan-t-out", r"t_out_c value nan at index 10 outside"),
     ])
     def test_input_contract_refused(self, case, match):
         weather, schedules, signals = constant_inputs(288, 20.0)
@@ -407,11 +382,14 @@ class TestSimulate:
             weather.timestamps[5] += timedelta(minutes=5)
         elif case == "short-series":
             weather.rh_pct = weather.rh_pct[:-1]
+        elif case == "nan-rh":
+            weather.rh_pct[10] = np.nan
+        elif case == "nan-t-out":
+            weather.t_out_c[10] = np.nan
         else:
             inner_step_s = 7
         with pytest.raises(ConfigurationError, match=match):
-            simulate(BuildingSpec(), weather, schedules, signals,
-                     inner_step_s=inner_step_s)
+            simulate(weather, schedules, signals, inner_step_s=inner_step_s)
 
 
 class TestSynthWeather:
@@ -449,8 +427,7 @@ class TestSynthWeather:
 class TestDatasetCsv:
     @pytest.fixture()
     def small_dataset(self):
-        weather, schedules, signals = build_inputs(6, 2)
-        return simulate(BuildingSpec(), weather, schedules, signals)
+        return simulate(*simulator_inputs(6, 2))
 
     def test_round_trip_is_lossless(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.csv"
@@ -525,34 +502,43 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="row 7: column occu_2: not finite"):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("row", [2, 12])
+    def test_timestamp_with_utc_offset_names_row(self, tmp_path,
+                                                 small_dataset, row):
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        lines = path.read_text().splitlines()
+        stamp, rest = lines[row - 1].split(",", 1)
+        lines[row - 1] = f"{stamp}+00:00,{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError,
+                           match=f"row {row}: timestamp .* has a UTC offset"):
+            load_dataset_csv(str(path))
 
-class TestBuildingSpecValidation:
-    def test_default_spec_is_valid(self):
-        BuildingSpec().validate()
 
-    def test_interior_window_rejected(self):
-        spec = BuildingSpec(window_areas_m2=(12.0, 12.0, 12.0, 12.0, 1.0))
-        with pytest.raises(ConfigurationError, match="interior"):
-            spec.validate()
+class TestBuildingConstants:
+    def test_building_is_physically_consistent(self):
+        per_zone = (bs.FLOOR_AREAS_M2, bs.WALL_AREAS_M2, bs.WINDOW_AREAS_M2,
+                    bs.SOLAR_DNI_FRACTION, bs.SOLAR_DHI_FRACTION,
+                    bs.HEAT_CAPACITY_W, bs.COOL_CAPACITY_W,
+                    bs.THERMOSTAT_GAIN_W_PER_K)
+        assert all(len(values) == bs.ZONE_COUNT for values in per_zone)
+        assert bs.WINDOW_AREAS_M2[4] == 0.0  # the core has no facade
+        assert all(win <= wall for wall, win
+                   in zip(bs.WALL_AREAS_M2, bs.WINDOW_AREAS_M2))
+        assert min(bs.WALL_AREAS_M2) >= 0.0 and min(bs.WINDOW_AREAS_M2) >= 0.0
+        adj = np.asarray(bs.ADJACENCY_M2)
+        assert adj.shape == (bs.ZONE_COUNT, bs.ZONE_COUNT)
+        assert np.array_equal(adj, adj.T)
+        assert adj.min() >= 0.0 and np.all(np.diag(adj) == 0.0)
+        assert min(bs.FLOOR_AREAS_M2) > 0.0
+        assert min(bs.CEILING_HEIGHT_M, bs.U_EXT_W_M2K, bs.U_INT_W_M2K,
+                   bs.U_WINDOW_W_M2K, bs.CAPACITANCE_AIR_MULTIPLE) > 0.0
+        assert min(bs.HEAT_CAPACITY_W + bs.COOL_CAPACITY_W
+                   + bs.THERMOSTAT_GAIN_W_PER_K) > 0.0
 
-    def test_window_larger_than_wall_rejected(self):
-        spec = BuildingSpec(window_areas_m2=(60.0, 12.0, 12.0, 12.0, 0.0))
-        with pytest.raises(ConfigurationError, match="window"):
-            spec.validate()
-
-    def test_asymmetric_adjacency_rejected(self):
-        adj = [[0.0] * 5 for _ in range(5)]
-        adj[0][1] = 10.0
-        spec = BuildingSpec(adjacency_m2=tuple(tuple(r) for r in adj))
-        with pytest.raises(ConfigurationError, match="symmetric"):
-            spec.validate()
-
-    def test_nonpositive_capacity_rejected(self):
-        spec = BuildingSpec(heat_capacity_w=(0.0,) * 5)
-        with pytest.raises(ConfigurationError, match="heat_capacity_w"):
-            spec.validate()
-
-    def test_wrong_tuple_length_rejected(self):
-        spec = BuildingSpec(floor_areas_m2=(100.0, 100.0))
-        with pytest.raises(ConfigurationError, match="floor_areas_m2"):
-            spec.validate()
+    @pytest.mark.parametrize("name", ["CAPACITANCES_J_PER_K",
+                                      "UA_EXT_W_PER_K", "UA_INT_W_PER_K"])
+    def test_derived_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bs, name)[0] = 1.0

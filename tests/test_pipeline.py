@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from hvforecast.building_sim import (
     DATASET_COLUMNS,
-    BuildingSpec,
-    Calendar,
-    ExcitationSignals,
     SimulatedDataset,
-    generate_mprs_setpoints,
-    generate_prbs_windows,
-    generate_schedules,
     make_timestamps,
     simulate,
-    synth_weather,
+    simulator_inputs,
 )
 from hvforecast.errors import ConfigurationError
 from hvforecast.pipeline import (
@@ -57,14 +51,7 @@ def synth_dataset(n: int, seed: int = 0,
 
 
 def simulated_dataset(days: int, seed: int = 11) -> SimulatedDataset:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cal = Calendar()
-    weather = synth_weather(rng, days, start=datetime(2021, 4, 5))
-    schedules = generate_schedules(rng, weather.timestamps, cal)
-    sp_heat, sp_cool = generate_mprs_setpoints(rng, weather.timestamps, cal)
-    windows = generate_prbs_windows(rng, len(weather))
-    signals = ExcitationSignals(sp_heat, sp_cool, windows)
-    return simulate(BuildingSpec(), weather, schedules, signals)
+    return simulate(*simulator_inputs(seed, days, start=datetime(2021, 4, 5)))
 
 
 @pytest.fixture(scope="module")

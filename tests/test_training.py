@@ -343,6 +343,18 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         return params, ckpt, path
 
+    def with_header(self, tmp_path, edit):
+        """Write a fresh checkpoint whose header is replaced by
+        `edit(header)` and return its path."""
+        _, _, path = self.roundtrip(tmp_path)
+        blob = open(path, "rb").read()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.dumps(edit(json.loads(blob[12:end]))).encode()
+        edited = tmp_path / "edited.ckpt"
+        edited.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header))
+                           + header + blob[end:])
+        return str(edited)
+
     def test_parameters_bitwise_round_trip(self, tmp_path):
         params, ckpt, path = self.roundtrip(tmp_path)
         loaded = load_checkpoint(path)
@@ -434,21 +446,21 @@ class TestCheckpoint:
          "scaler_intervals t_out must be a"),
         (lambda h: {**h, "config": {**h["config"], "quantile_levels": None}},
          "config quantile_levels has invalid value None"),
+        (lambda h: {**h, "metadata": [1]},
+         "metadata must be a JSON object"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
             "numeric-config", "list-header", "aliased-offset",
             "negative-offset", "tensor-without-shape", "string-rnn-units",
             "fractional-rnn-units", "scalar-scaler-interval",
-            "null-quantile-levels"])
+            "null-quantile-levels", "list-metadata"])
     def test_malformed_header_names_field(self, tmp_path, edit, match):
-        _, _, path = self.roundtrip(tmp_path)
-        blob = open(path, "rb").read()
-        end = 12 + struct.unpack("<Q", blob[4:12])[0]
-        header = json.dumps(edit(json.loads(blob[12:end]))).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header))
-                        + header + blob[end:])
         with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(str(bad))
+            load_checkpoint(self.with_header(tmp_path, edit))
+
+    def test_unknown_top_level_key_ignored(self, tmp_path):
+        # a header key this version does not read, such as rng_seed, is ignored
+        path = self.with_header(tmp_path, lambda h: {**h, "rng_seed": 13})
+        assert load_checkpoint(path).metadata == {"best_epoch": 3}
 
     def test_truncated_header_rejected(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
