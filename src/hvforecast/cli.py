@@ -19,7 +19,7 @@ from .building_sim import (
     simulator_inputs,
 )
 from .config import RunConfig, apply_profile, load_config
-from .errors import ConfigurationError, ParseError
+from .errors import CheckpointError, ConfigurationError, ParseError
 from .evaluation import (
     export_metrics,
     interval_coverage,
@@ -31,6 +31,8 @@ from .evaluation import (
 )
 from .model import build_model, forecast_windows
 from .pipeline import (
+    FUTURE_FEATURES,
+    PAST_FEATURES,
     TARGET_FEATURES,
     Scaler,
     ScalerSpec,
@@ -138,9 +140,16 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str | None,
                 dataset_path: str | None, selector: str,
                 out_path: str | None) -> int:
     ckpt = load_checkpoint(checkpoint_path or cfg.paths.checkpoint)
+    mc = ckpt.config
+    for name, features in (("past_feature_count", PAST_FEATURES),
+                           ("future_feature_count", FUTURE_FEATURES),
+                           ("zone_count", TARGET_FEATURES)):
+        value = getattr(mc, name)
+        if value != len(features):
+            raise CheckpointError(f"checkpoint {name} is {value}, but the "
+                                  f"pipeline has {len(features)}")
     params = restore_model(ckpt)
     dataset = load_dataset_csv(dataset_path or cfg.paths.dataset)
-    mc = ckpt.config
     scaler = Scaler(ScalerSpec(ckpt.scaler_intervals))
     test = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future,
                                scaler).test

@@ -48,8 +48,6 @@ def _coerce_forecasts(forecasts, quantile_levels):
     """Check a raw (N, H, Z, Q) forecast array against its quantile levels
     and return (values, levels)."""
     values = np.asarray(forecasts, dtype=float)
-    if quantile_levels is None:
-        raise ConfigurationError("quantile levels are required")
     levels = tuple(float(q) for q in quantile_levels)
     if values.ndim != 4 or values.shape[-1] != len(levels):
         raise DimensionError(
@@ -86,8 +84,7 @@ class HorizonMetrics:
         return self.zone_curves.shape[0]
 
 
-def per_horizon_cvrmse(forecasts, actuals,
-                       quantile_levels=None) -> HorizonMetrics:
+def per_horizon_cvrmse(forecasts, actuals, quantile_levels) -> HorizonMetrics:
     """CVRMSE of the median forecast against actuals, per zone, for every
     step ahead, over all instances."""
     values, levels = _coerce_forecasts(forecasts, quantile_levels)
@@ -136,7 +133,7 @@ class CoverageReport:
     crossing_freq: float
 
 
-def interval_coverage(forecasts, actuals, quantile_levels=None,
+def interval_coverage(forecasts, actuals, quantile_levels,
                       nominal_levels=NOMINAL_INTERVALS) -> CoverageReport:
     """Empirical coverage of central intervals. Quantile vectors are sorted
     ascending per point before bounds are read, and the fraction of points
@@ -173,7 +170,7 @@ def interval_coverage(forecasts, actuals, quantile_levels=None,
                           coverage=coverage, crossing_freq=crossing_freq)
 
 
-def pinball_scores(forecasts, actuals, quantile_levels=None) -> dict[float, float]:
+def pinball_scores(forecasts, actuals, quantile_levels) -> dict[float, float]:
     """Mean pinball score per quantile level, in physical units."""
     values, levels = _coerce_forecasts(forecasts, quantile_levels)
     actuals = _check_actuals(values, actuals)
@@ -223,8 +220,8 @@ _DUMP_DTYPE = np.dtype([("instance", "i8"), ("step", "i8"), ("zone", "i8"),
 _INT64_LIMIT = 2 ** 63
 
 
-def write_forecast_dump(path: str, forecasts, actuals,
-                        quantile_levels=None, instance_ids=None) -> str:
+def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
+                        instance_ids=None) -> str:
     """Write every forecast value as one CSV row:
     instance,step,zone,q_level,value_c,actual_c, with `\\r\\n` line ends
     and no quoting. Floats use repr so the dump is lossless. Rows are

@@ -1,4 +1,4 @@
-"""Neural building blocks: LSTM cell, bidirectional LSTM, multi-head
+"""Neural building blocks: LSTM weights, bidirectional LSTM, multi-head
 attention, gated linear unit, gated residual network, layer norm, dense,
 dropout.
 
@@ -51,29 +51,13 @@ class Dense(Layer):
         return nm.affine(x, self.w, self.b)
 
 
-class LstmState:
-    """Hidden and cell activations, each (batch, units)."""
-
-    __slots__ = ("h", "c")
-
-    def __init__(self, h: Tensor, c: Tensor):
-        if h.shape != c.shape:
-            raise DimensionError(f"LstmState: h {h.shape} and c {c.shape} differ")
-        self.h = h
-        self.c = c
-
-    @classmethod
-    def zeros(cls, batch: int, units: int) -> "LstmState":
-        return cls(Tensor(np.zeros((batch, units))), Tensor(np.zeros((batch, units))))
-
-
 class LstmCell(Layer):
-    """Single LSTM step with packed gate kernels (order: input, forget,
-    candidate, output). Forget-gate bias starts at 1.0; other weights are
-    uniform in +/- 1/sqrt(units)."""
+    """Weights of one LSTM direction, gate kernels packed in the order
+    input, forget, candidate, output; `numerics.lstm_sequence` runs them.
+    Forget-gate bias starts at 1.0; other weights are uniform in
+    +/- 1/sqrt(units)."""
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
-        self.units = units
         bound = 1.0 / math.sqrt(units)
         self.w_x = Parameter(f"{name}/w_x", _uniform(rng, bound, (d_in, 4 * units)))
         self.w_h = Parameter(f"{name}/w_h", _uniform(rng, bound, (units, 4 * units)))
@@ -81,26 +65,13 @@ class LstmCell(Layer):
         bias[units:2 * units] = 1.0
         self.b = Parameter(f"{name}/b", bias)
 
-    def step(self, x: Tensor, state: LstmState) -> LstmState:
-        if x.shape[-1] != self.w_x.shape[0]:
-            raise DimensionError(
-                f"lstm step: input extent {x.shape[-1]} does not match kernel {self.w_x.shape}")
-        u = self.units
-        z = nm.add_bias(nm.add(nm.matmul(x, self.w_x), nm.matmul(state.h, self.w_h)), self.b)
-        i = nm.sigmoid(nm.narrow(z, -1, 0, u))
-        f = nm.sigmoid(nm.narrow(z, -1, u, u))
-        g = nm.tanh(nm.narrow(z, -1, 2 * u, u))
-        o = nm.sigmoid(nm.narrow(z, -1, 3 * u, u))
-        c_next = nm.add(nm.mul(f, state.c), nm.mul(i, g))
-        h_next = nm.mul(o, nm.tanh(c_next))
-        return LstmState(h_next, c_next)
-
 
 class BiLstm(Layer):
     """Forward-in-time and backward-in-time LSTM passes, outputs concatenated
     per step to (batch, time, 2*units). Each pass is a single
     `numerics.lstm_sequence` graph node with hand-written backpropagation
-    through time, computing the same recurrence as `LstmCell.step`."""
+    through time, computing the recurrence of the one-step reference
+    `lstm_step` in `tests/unfused.py`."""
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
         self.units = units
@@ -155,23 +126,23 @@ class Glu(Layer):
         return nm.glu(self.proj(x))
 
 
+# Added to the variance before its inverse square root.
+LAYER_NORM_EPS = 1e-5
+
+
 class LayerNorm(Layer):
     """Normalize each last-axis slice to zero mean / unit variance
     (population convention), then apply gain and bias."""
 
-    def __init__(self, d: int, rng: np.random.Generator | None = None,
-                 name: str = "ln", eps: float = 1e-5):
+    def __init__(self, d: int, name: str = "ln"):
         if d < 1:
             raise DimensionError("layer norm: extent must be >= 1")
-        if eps <= 0:
-            raise ConfigurationError("layer norm: eps must be positive")
         self.d = d
-        self.eps = eps
         self.gain = Parameter(f"{name}/gain", np.ones(d))
         self.bias = Parameter(f"{name}/bias", np.zeros(d))
 
-    def __call__(self, x: Tensor, eps: float | None = None) -> Tensor:
-        return nm.layer_norm(x, self.gain, self.bias, self.eps if eps is None else eps)
+    def __call__(self, x: Tensor) -> Tensor:
+        return nm.layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
 
 
 class Grn(Layer):

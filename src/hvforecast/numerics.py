@@ -6,13 +6,16 @@ a closure computing parent gradients from its own. `backward` walks that
 graph once in reverse topological order and accumulates gradients into the
 `grad` field of the participating leaves.
 
-Broadcasting is deliberately restricted: binary elementwise ops require
-equal shapes or a Python scalar, so a shape mismatch is always a loud error
-instead of a silent broadcast. The layers' dense blocks are fused nodes with
-hand-written backwards: `affine`, `layer_norm`, `glu`, `attention`,
-`quantile_loss` and `lstm_sequence`. Each applies its trailing-axis vectors
-internally after checking their extents, and keeps only what its backward
-needs, so one layer stores one output instead of a chain of intermediates.
+The small ops are the ones the model builds, `add`, `mul`, `elu`, `reshape`
+and `concat`, plus the sum reduction `tsum`. Broadcasting is deliberately
+restricted: `add` and `mul` require equal shapes or a Python scalar, so a
+shape mismatch is always a loud error instead of a silent broadcast. The
+layers' dense blocks are fused nodes with hand-written backwards: `affine`,
+`layer_norm`, `glu`, `attention`, `quantile_loss` and `lstm_sequence`. Each
+applies its trailing-axis vectors internally after checking their extents,
+and keeps only what its backward needs, so one layer stores one output
+instead of a chain of intermediates. The unfused compositions they replace,
+and the small ops only those need, are test-side references.
 """
 
 from __future__ import annotations
@@ -140,19 +143,9 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _result(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 0.5*(tanh(x/2)+1) is overflow-free for any finite x
     return 0.5 * (np.tanh(0.5 * z) + 1.0)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-    return _result(y, "sigmoid", (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def elu(a: Tensor) -> Tensor:
@@ -162,61 +155,13 @@ def elu(a: Tensor) -> Tensor:
     return _result(y, "elu", (a,), lambda g: (g * np.where(pos, 1.0, y + 1.0),))
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _result(y, "exp", (a,), lambda g: (g * y,))
-
-
 # ---------------------------------------------------------------------------
-# linear algebra and structure
+# structure
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. `a` may carry leading batch axes; `b` is either a plain
-    matrix (shared weights) or stacked with leading axes equal to `a`'s."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"matmul: leading extents differ, {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
-
-    if b.ndim == 2:
-        def bw(g):
-            ga = g @ bd.T
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-    else:
-        def bw(g):
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.swapaxes(-1, -2) @ g
-            return ga, gb
-
-    return _result(out, "matmul", (a, b), bw)
-
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
     return _result(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(orig),))
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise DimensionError(
-            f"narrow: [{start}, {start + length}) exceeds extent {a.shape[axis]} of axis {axis}")
-    idx = tuple(slice(None) if d != axis else slice(start, start + length) for d in range(a.ndim))
-    shape = a.shape
-
-    def bw(g):
-        full = np.zeros(shape)
-        full[idx] = g
-        return (full,)
-
-    return _result(a.data[idx], "narrow", (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -235,27 +180,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             for i in range(len(datas)))
 
     return _result(np.concatenate(datas, axis=axis), "concat", tuple(tensors), bw)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ContractViolation("stack: empty input list")
-
-    def bw(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _result(np.stack([t.data for t in tensors], axis=axis), "stack", tuple(tensors), bw)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a rank-1 bias along the last axis of x (explicit trailing-axis lift)."""
-    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise DimensionError(f"add_bias: bias {b.shape} does not match last extent of {x.shape}")
-
-    def bw(g):
-        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
-
-    return _result(x.data + b.data, "add_bias", (x, b), bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -458,8 +382,9 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
 
     Gates are packed (input, forget, candidate, output) along the last axis
     of `w_x` (features, 4*units), `w_h` (units, 4*units) and `b` (4*units),
-    as in `LstmCell.step`. `reverse` runs the recurrence from the last step
-    to the first; output step t always holds the state after reading x[:, t].
+    as in the one-step reference `lstm_step` in `tests/unfused.py`.
+    `reverse` runs the recurrence from the last step to the first; output
+    step t always holds the state after reading x[:, t].
 
     The input projection of every step is one time-major GEMM; only
     `h @ w_h` stays in the loop. Backward is hand-written BPTT: the gate

@@ -111,11 +111,6 @@ class Scaler:
         clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
         return 2.0 * (clipped - lo) / (hi - lo) - 1.0
 
-    def inverse_scale(self, scaled, feature: str) -> np.ndarray:
-        lo, hi = self.spec.interval(feature)
-        arr = np.asarray(scaled, dtype=float)
-        return (arr + 1.0) * (hi - lo) / 2.0 + lo
-
     def inverse_scale_targets(self, scaled, axis: int) -> np.ndarray:
         """Map scaled indoor temperatures back to degrees C; `axis` runs
         over the zones in TARGET_FEATURES order."""

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    DimensionError,
-    GradientError,
-)
+from .errors import CheckpointError, ConfigurationError, GradientError
 from .model import ModelConfig, ModelParams, forward_batch, set_parameter_values
 from .numerics import Tensor
 from .pipeline import TABLE1_INTERVALS
@@ -43,42 +38,32 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=float))
 
 
-def pinball_loss(actual, predicted, q: float) -> Tensor:
-    """Mean over elements of max(q*(y - yhat), (q - 1)*(y - yhat)): the
-    one-level case of `numerics.quantile_loss`."""
-    y = _as_tensor(actual)
-    yhat = _as_tensor(predicted)
-    if y.shape != yhat.shape:
-        raise DimensionError(
-            f"pinball loss: actual {y.shape} vs predicted {yhat.shape}")
-    return nm.quantile_loss(y, nm.reshape(yhat, yhat.shape + (1,)), (q,))
-
-
 def total_quantile_loss(actual, predicted, levels) -> Tensor:
     """Unweighted mean of pinball losses across all levels; `predicted`
     carries one slice per level on its last axis."""
     return nm.quantile_loss(_as_tensor(actual), _as_tensor(predicted), levels)
 
 
+# Adam's moment decay rates and the denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moments keyed by parameter name, plus the shared step counter
-    and hyperparameters."""
+    and the learning rate."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, named: dict[str, "nm.Parameter"],
-                   learning_rate: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "OptimizerState":
-        state = cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                    eps=eps)
+                   learning_rate: float = 1e-3) -> "OptimizerState":
+        state = cls(learning_rate=learning_rate)
         for name, p in named.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -90,7 +75,7 @@ def adam_step(named: dict[str, "nm.Parameter"],
               state: OptimizerState) -> None:
     """One bias-corrected Adam update, in place on the parameter values."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, p in named.items():
@@ -106,7 +91,7 @@ def adam_step(named: dict[str, "nm.Parameter"],
         m_hat = m / bias1
         v_hat = v / bias2
         p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                         + state.eps)
+                                                         + ADAM_EPS)
 
 
 def clip_gradient_norm(grads: dict[str, np.ndarray],

@@ -21,8 +21,8 @@ from hvforecast.evaluation import (
 )
 
 
-def write_forecast_dump(path: str, forecasts, actuals,
-                        quantile_levels=None, instance_ids=None) -> str:
+def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
+                        instance_ids=None) -> str:
     """Write every forecast value as one CSV row:
     instance,step,zone,q_level,value_c,actual_c. Floats use repr so the
     dump is lossless."""

@@ -21,7 +21,7 @@ from hvforecast.config import (
 )
 from hvforecast.errors import ConfigurationError, ParseError
 from hvforecast.evaluation import write_forecast_dump
-from hvforecast.model import forecast_windows
+from hvforecast.model import build_model, forecast_windows
 from hvforecast.pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
@@ -31,7 +31,12 @@ from hvforecast.pipeline import (
     build_windows,
     split_chronological,
 )
-from hvforecast.training import load_checkpoint, restore_model, save_checkpoint
+from hvforecast.training import (
+    load_checkpoint,
+    make_checkpoint,
+    restore_model,
+    save_checkpoint,
+)
 
 
 class TestRunConfig:
@@ -386,6 +391,26 @@ class TestPredict:
         assert main(["predict", *CHAIN_ARGS, "--instances", "head:4",
                      "--checkpoint", str(nan_ckpt), "--out", str(out)]) == 1
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("past_feature_count", 10),
+                                              ("future_feature_count", 20),
+                                              ("zone_count", 3)])
+    def test_checkpoint_geometry_mismatch_refused(self, chain_dir, tmp_path,
+                                                  monkeypatch, capsys, field,
+                                                  value):
+        config = load_checkpoint(str(chain_dir / "model.ckpt")).config
+        odd = tmp_path / "odd.ckpt"
+        save_checkpoint(make_checkpoint(build_model(
+            dataclasses.replace(config, **{field: value}))), str(odd))
+        out = tmp_path / "forecasts.csv"
+        monkeypatch.chdir(chain_dir)
+        # the dataset does not exist: the refusal must come before loading it
+        assert main(["predict", *CHAIN_ARGS, "--checkpoint", str(odd),
+                     "--dataset", str(tmp_path / "absent.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {field} is {value}")
         assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from hvforecast.layers import (
     Grn,
     LayerNorm,
     LstmCell,
-    LstmState,
     MultiHeadAttention,
     dropout_apply,
 )
@@ -45,23 +44,28 @@ class TestDense:
             rng = np.random.default_rng(seed)
             d = Dense(3, 2, rng, "d")
             x = Tensor(rng.normal(size=(4, 3)))
-            report = gradient_check(lambda: uf.tmean(nm.tanh(d(x))),
+            report = gradient_check(lambda: uf.tmean(uf.tanh(d(x))),
                                     list(d.parameters()))
             assert report.passed, f"seed {seed}: {report}"
 
 
+def zero_state(batch, units):
+    return t(np.zeros((batch, units))), t(np.zeros((batch, units)))
+
+
 class TestLstmCell:
+    """`LstmCell` weights run through the one-step reference `uf.lstm_step`."""
+
     def test_hand_values_zero_weights(self):
         cell = LstmCell(1, 1, np.random.default_rng(0), "c")
         cell.w_x.data[:] = 0.0
         cell.w_h.data[:] = 0.0
         cell.b.data[:] = 0.0
-        state = LstmState(t([[0.0]]), t([[1.0]]))
-        nxt = cell.step(t([[0.0]]), state)
+        h, c = uf.lstm_step(cell, t([[0.0]]), t([[0.0]]), t([[1.0]]))
         # gates all sigmoid(0)=0.5, candidate tanh(0)=0:
         # c' = 0.5*1 + 0.5*0 = 0.5, h' = 0.5*tanh(0.5)
-        assert nxt.c.data[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert nxt.h.data[0, 0] == pytest.approx(0.23105857863000487, abs=1e-15)
+        assert c.data[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert h.data[0, 0] == pytest.approx(0.23105857863000487, abs=1e-15)
 
     def test_forget_bias_starts_at_one(self):
         cell = LstmCell(3, 4, np.random.default_rng(0), "c")
@@ -74,19 +78,20 @@ class TestLstmCell:
         cell.w_x.data[:] = 0.0
         cell.w_h.data[:] = 0.0
         cell.b.data[:] = [-50.0, 50.0, 0.0, -50.0]  # i~0, f~1, o~0
-        state = LstmState(t([[0.3]]), t([[0.7]]))
-        nxt = cell.step(t([[5.0]]), state)
-        assert nxt.c.data[0, 0] == pytest.approx(0.7, abs=1e-12)
-        assert abs(nxt.h.data[0, 0]) < 1e-12
+        h, c = uf.lstm_step(cell, t([[5.0]]), t([[0.3]]), t([[0.7]]))
+        assert c.data[0, 0] == pytest.approx(0.7, abs=1e-12)
+        assert abs(h.data[0, 0]) < 1e-12
 
     def test_input_extent_checked(self):
         cell = LstmCell(3, 2, np.random.default_rng(0), "c")
         with pytest.raises(DimensionError):
-            cell.step(t(np.ones((2, 4))), LstmState.zeros(2, 2))
+            uf.lstm_step(cell, t(np.ones((2, 4))), *zero_state(2, 2))
 
     def test_state_shape_mismatch(self):
+        cell = LstmCell(3, 3, np.random.default_rng(0), "c")
         with pytest.raises(DimensionError):
-            LstmState(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
+            uf.lstm_step(cell, t(np.ones((2, 3))), t(np.zeros((2, 3))),
+                         t(np.zeros((2, 2))))
 
     def test_gradients_through_two_steps(self):
         for seed in SEEDS:
@@ -96,9 +101,9 @@ class TestLstmCell:
             x1 = Tensor(rng.normal(size=(2, 2)))
 
             def f():
-                s = cell.step(x0, LstmState.zeros(2, 3))
-                s = cell.step(x1, s)
-                return uf.tmean(s.h)
+                state = uf.lstm_step(cell, x0, *zero_state(2, 3))
+                h, _ = uf.lstm_step(cell, x1, *state)
+                return uf.tmean(h)
 
             report = gradient_check(f, list(cell.parameters()))
             assert report.passed, f"seed {seed}: {report}"
@@ -134,10 +139,10 @@ class TestBiLstm:
         net = BiLstm(2, 3, rng, "b")
         seq = rng.normal(size=(2, 4, 2))
         out = net(t(seq)).data
-        state = LstmState.zeros(2, 3)
+        h, c = zero_state(2, 3)
         for i in range(4):
-            state = net.fwd.step(t(seq[:, i]), state)
-            assert np.allclose(out[:, i, :3], state.h.data, atol=1e-12)
+            h, c = uf.lstm_step(net.fwd, t(seq[:, i]), h, c)
+            assert np.allclose(out[:, i, :3], h.data, atol=1e-12)
 
     def test_wrong_feature_extent_rejected(self):
         net = BiLstm(3, 4, np.random.default_rng(0), "b")
@@ -169,16 +174,16 @@ class TestBiLstm:
 
 
 def unrolled_cell(cell, seq, reverse):
-    """Reference for `lstm_sequence`: `LstmCell.step` applied step by step,
+    """Reference for `lstm_sequence`: `uf.lstm_step` applied step by step,
     states stacked back into time order."""
     batch, steps, d = seq.shape
-    state = LstmState.zeros(batch, cell.units)
+    h, c = zero_state(batch, cell.w_h.shape[0])
     outs = [None] * steps
     order = reversed(range(steps)) if reverse else range(steps)
     for i in order:
-        state = cell.step(nm.reshape(nm.narrow(seq, 1, i, 1), (batch, d)), state)
-        outs[i] = state.h
-    return nm.stack(outs, axis=1)
+        h, c = uf.lstm_step(cell, nm.reshape(uf.narrow(seq, 1, i, 1), (batch, d)), h, c)
+        outs[i] = h
+    return uf.stack(outs, axis=1)
 
 
 class TestLstmSequence:
@@ -331,14 +336,15 @@ class TestGluAndGrn:
 class TestLayerNorm:
     def test_hand_values(self):
         ln = LayerNorm(3)
-        out = ln(t([[1.0, 2.0, 3.0]]), eps=1e-30).data
+        out = nm.layer_norm(t([[1.0, 2.0, 3.0]]), ln.gain, ln.bias, 1e-30).data
         root = 1.224744871391589  # sqrt(3/2); population variance of 1,2,3 is 2/3
         assert out[0] == pytest.approx([-root, 0.0, root], abs=1e-9)
 
     def test_population_variance_convention(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 5)) * 3 + 2
-        out = LayerNorm(5)(t(x), eps=1e-30).data
+        ln = LayerNorm(5)
+        out = nm.layer_norm(t(x), ln.gain, ln.bias, 1e-30).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-9)
 
@@ -346,19 +352,17 @@ class TestLayerNorm:
         ln = LayerNorm(2)
         ln.gain.data[:] = [2.0, 2.0]
         ln.bias.data[:] = [1.0, 1.0]
-        out = ln(t([[0.0, 2.0]]), eps=1e-30).data
+        out = nm.layer_norm(t([[0.0, 2.0]]), ln.gain, ln.bias, 1e-30).data
         assert out[0] == pytest.approx([-1.0, 3.0], abs=1e-9)
 
     def test_constant_row_survives_via_eps(self):
-        out = LayerNorm(3, eps=1e-5)(t([[4.0, 4.0, 4.0]])).data
+        out = LayerNorm(3)(t([[4.0, 4.0, 4.0]])).data
         assert np.allclose(out, 0.0, atol=1e-12)
         assert np.isfinite(out).all()
 
     def test_invalid_construction(self):
         with pytest.raises(DimensionError):
             LayerNorm(0)
-        with pytest.raises(ConfigurationError):
-            LayerNorm(3, eps=0.0)
 
     def test_gradients(self):
         for seed in SEEDS:

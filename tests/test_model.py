@@ -279,7 +279,7 @@ def micro_pinball(out: Tensor, target: np.ndarray, levels) -> Tensor:
     terms = []
     y = Tensor(target)
     for k, q in enumerate(levels):
-        pred = nm.reshape(nm.narrow(out, 3, k, 1), out.shape[:3])
+        pred = nm.reshape(uf.narrow(out, 3, k, 1), out.shape[:3])
         err = uf.sub(y, pred)
         terms.append(uf.tmean(uf.maximum(nm.mul(err, q),
                                          nm.mul(err, q - 1.0))))
@@ -369,9 +369,10 @@ class TestForecastWindows:
         expect_v = np.empty_like(scaled_v)
         expect_a = np.empty_like(scaled_a)
         for z, name in enumerate(TARGET_FEATURES):
-            expect_v[:, :, z, :] = scaler.inverse_scale(scaled_v[:, :, z, :],
-                                                        name)
-            expect_a[:, :, z] = scaler.inverse_scale(scaled_a[:, :, z], name)
+            expect_v[:, :, z, :] = uf.inverse_scale(
+                scaler, scaled_v[:, :, z, :], name)
+            expect_a[:, :, z] = uf.inverse_scale(scaler, scaled_a[:, :, z],
+                                                 name)
         assert values.shape == (7, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
         assert actuals.shape == (7, 4, 5)
         assert np.array_equal(values, expect_v)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hvforecast import numerics as nm
+from hvforecast import training
 from hvforecast.errors import (
     CheckpointError,
     ConfigurationError,
@@ -28,11 +29,12 @@ from hvforecast.training import (
     fit,
     load_checkpoint,
     make_checkpoint,
-    pinball_loss,
     restore_model,
     save_checkpoint,
     total_quantile_loss,
 )
+
+import unfused as uf
 
 MICRO = ModelConfig(n_past=5, n_future=3, past_feature_count=2,
                     future_feature_count=2, zone_count=2, rnn_units=2,
@@ -66,7 +68,15 @@ def micro_data(cfg, n, seed=0):
     return FakeWindows(past, future, target)
 
 
+def pinball_loss(actual, predicted, q):
+    """The one-level reference `uf.pinball_loss` on plain arrays."""
+    return uf.pinball_loss(Tensor(actual), Tensor(predicted), q)
+
+
 class TestPinballLoss:
+    """The one-level pinball loss: values through the reference, refusals
+    through `total_quantile_loss` with one level."""
+
     def test_zero_at_perfect_prediction(self):
         y = np.array([1.0, -2.0, 3.0])
         assert pinball_loss(y, y, 0.3).item() == 0.0
@@ -82,11 +92,11 @@ class TestPinballLoss:
     def test_level_outside_open_interval_rejected(self):
         for q in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ConfigurationError, match="outside"):
-                pinball_loss(np.zeros(2), np.zeros(2), q)
+                total_quantile_loss(np.zeros(2), np.zeros((2, 1)), (q,))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError, match="pinball"):
-            pinball_loss(np.zeros(3), np.zeros(4), 0.5)
+        with pytest.raises(DimensionError, match="quantile loss"):
+            total_quantile_loss(np.zeros(3), np.zeros((4, 1)), (0.5,))
 
     def test_convex_in_prediction(self):
         rng = np.random.default_rng(1)
@@ -155,20 +165,21 @@ class TestAdam:
         named = {"w": p}
         state = OptimizerState.for_params(named, learning_rate=lr)
         adam_step(named, {"w": np.array([g])}, state)
-        expect = 2.0 - lr * g / (abs(g) + state.eps)
+        expect = 2.0 - lr * g / (abs(g) + training.ADAM_EPS)
         assert p.data[0] == pytest.approx(expect, rel=1e-12)
         assert p.data[0] == pytest.approx(2.0 - lr, rel=1e-6)
 
-    def test_zero_betas_degenerate_to_normalized_descent(self):
+    def test_zero_betas_degenerate_to_normalized_descent(self, monkeypatch):
+        monkeypatch.setattr(training, "ADAM_BETA1", 0.0)
+        monkeypatch.setattr(training, "ADAM_BETA2", 0.0)
         rng = np.random.default_rng(6)
         values = rng.normal(size=5)
         grads = rng.normal(size=5)
         p = Parameter("w", values.copy())
         named = {"w": p}
-        state = OptimizerState.for_params(named, learning_rate=0.01,
-                                          beta1=0.0, beta2=0.0)
+        state = OptimizerState.for_params(named, learning_rate=0.01)
         adam_step(named, {"w": grads.copy()}, state)
-        expect = values - 0.01 * grads / (np.abs(grads) + state.eps)
+        expect = values - 0.01 * grads / (np.abs(grads) + training.ADAM_EPS)
         assert np.allclose(p.data, expect, rtol=0, atol=1e-15)
 
     def test_nan_gradient_names_parameter(self):
