@@ -7,7 +7,6 @@ generate/train/predict/evaluate chain is reproducible end to end.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,7 +17,13 @@ from .building_sim import (
     simulate,
     simulator_inputs,
 )
-from .config import RunConfig, apply_profile, load_config
+from .config import (
+    PROFILES,
+    RunConfig,
+    apply_profile,
+    load_config,
+    with_changes,
+)
 from .errors import CheckpointError, ConfigurationError, ParseError
 from .evaluation import (
     export_metrics,
@@ -213,24 +218,29 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--profile", choices=("tiny", "full"),
-                       default="full",
+        p.add_argument("--profile", choices=PROFILES, default="full",
                        help="model/pipeline size profile (default: full)")
 
     g = sub.add_parser("generate", help="simulate a building dataset")
     common(g)
-    g.add_argument("--days", type=int, help="override simulated day count")
-    g.add_argument("--start", help="override start date (YYYY-MM-DD)")
+    # An override flag's dest names the config key it sets.
+    g.add_argument("--days", type=int, dest="simulator.days",
+                   help="override simulated day count")
+    g.add_argument("--start", dest="simulator.start",
+                   help="override start date (YYYY-MM-DD)")
     g.add_argument("--out", help="dataset CSV path")
 
     t = sub.add_parser("train", help="train the forecaster on a dataset")
     common(t)
     t.add_argument("--dataset", help="dataset CSV path")
-    t.add_argument("--epochs", type=int, help="override max epochs")
-    t.add_argument("--batch-size", type=int, help="override batch size")
+    t.add_argument("--epochs", type=int, dest="training.max_epochs",
+                   help="override max epochs")
+    t.add_argument("--batch-size", type=int, dest="training.batch_size",
+                   help="override batch size")
     t.add_argument("--learning-rate", type=float,
+                   dest="training.learning_rate",
                    help="override learning rate")
-    t.add_argument("--patience", type=int,
+    t.add_argument("--patience", type=int, dest="training.patience",
                    help="override early-stopping patience")
     t.add_argument("--out", help="checkpoint output path")
 
@@ -253,33 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def assemble_config(args) -> RunConfig:
+    """The config file, then the profile, then the override flags, each
+    later layer winning; flag values are decoded like file values."""
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg = apply_profile(cfg, args.profile)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "days", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, simulator=dataclasses.replace(cfg.simulator,
-                                               days=args.days))
-    if getattr(args, "start", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, simulator=dataclasses.replace(cfg.simulator,
-                                               start=args.start))
-    training = cfg.training
-    if getattr(args, "epochs", None) is not None:
-        training = dataclasses.replace(training, max_epochs=args.epochs)
-    if getattr(args, "batch_size", None) is not None:
-        training = dataclasses.replace(training,
-                                       batch_size=args.batch_size)
-    if getattr(args, "learning_rate", None) is not None:
-        training = dataclasses.replace(training,
-                                       learning_rate=args.learning_rate)
-    if getattr(args, "patience", None) is not None:
-        training = dataclasses.replace(training, patience=args.patience)
-    if training is not cfg.training:
-        cfg = dataclasses.replace(cfg, training=training)
-    cfg.validate()
-    return cfg
+    changes: dict = {} if args.seed is None else {"seed": args.seed}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            changes.setdefault(section, {})[key] = value
+    return with_changes(cfg, changes)
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,6 @@
 """Run configuration: one JSON document with per-stage sections, strict
-unknown-key rejection, full validation before any work starts, and a
-reduced "tiny" profile for fast end-to-end runs."""
+unknown-key rejection and full validation before any work starts. Profiles
+and command-line overrides are decoded like the file and get its checks."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from .errors import ConfigurationError, ParseError
-from .model import DEFAULT_QUANTILE_LEVELS, ModelConfig
+from .evaluation import NOMINAL_INTERVALS
+from .model import ModelConfig
 from .pipeline import FUTURE_FEATURES, PAST_FEATURES, TARGET_FEATURES
 from .training import Hyperparameters
 
@@ -38,8 +39,8 @@ class SimulatorSection:
 
 @dataclass(frozen=True)
 class PipelineSection:
-    n_past: int = 672
-    n_future: int = 96
+    n_past: int = ModelConfig.n_past
+    n_future: int = ModelConfig.n_future
     stride: int = 1
     noise_sd: float = 0.01
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -61,27 +62,27 @@ class PipelineSection:
 class ModelSection:
     """`ModelConfig` knobs; `RunConfig.model_config` maps them."""
 
-    rnn_units: int = 200
-    mha_heads: int = 4
-    d_model: int | None = None
-    dropout_rate: float = 0.3
-    quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
+    rnn_units: int = ModelConfig.rnn_units
+    mha_heads: int = ModelConfig.mha_heads
+    d_model: int | None = ModelConfig.d_model
+    dropout_rate: float = ModelConfig.dropout_rate
+    quantile_levels: tuple[float, ...] = ModelConfig.quantile_levels
 
 
 @dataclass(frozen=True)
 class TrainingSection:
     """`Hyperparameters` knobs; `RunConfig.hyperparameters` maps them."""
 
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    max_epochs: int = 100
-    patience: int = 10
-    grad_clip_norm: float = 1.0
+    batch_size: int = Hyperparameters.batch_size
+    learning_rate: float = Hyperparameters.learning_rate
+    max_epochs: int = Hyperparameters.max_epochs
+    patience: int = Hyperparameters.patience
+    grad_clip_norm: float = Hyperparameters.grad_clip_norm
 
 
 @dataclass(frozen=True)
 class EvaluationSection:
-    nominal_intervals: tuple[float, ...] = (0.90, 0.95, 0.99)
+    nominal_intervals: tuple[float, ...] = NOMINAL_INTERVALS
 
     def validate(self) -> None:
         for level in self.nominal_intervals:
@@ -150,25 +151,14 @@ class RunConfig:
             past_feature_count=len(PAST_FEATURES),
             future_feature_count=len(FUTURE_FEATURES),
             zone_count=len(TARGET_FEATURES),
-            rnn_units=self.model.rnn_units,
-            mha_heads=self.model.mha_heads,
-            d_model=self.model.d_model,
-            dropout_rate=self.model.dropout_rate,
-            quantile_levels=tuple(self.model.quantile_levels),
+            **dataclasses.asdict(self.model),
             rng_seed=self.seed,
         )
 
     def hyperparameters(self) -> Hyperparameters:
         """Training hyperparameters, shuffled by the run seed."""
-        t = self.training
-        return Hyperparameters(
-            batch_size=t.batch_size,
-            learning_rate=t.learning_rate,
-            max_epochs=t.max_epochs,
-            patience=t.patience,
-            grad_clip_norm=t.grad_clip_norm,
-            shuffle_seed=self.seed,
-        )
+        return Hyperparameters(**dataclasses.asdict(self.training),
+                               shuffle_seed=self.seed)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -264,23 +254,36 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(data)
 
 
-def tiny_profile(cfg: RunConfig) -> RunConfig:
-    """Reduced geometry for desk-scale runs: short windows, a small model,
-    small batches, and lighter dropout (the full-scale rate starves a
-    model this small); everything else inherited."""
-    return dataclasses.replace(
-        cfg,
-        pipeline=dataclasses.replace(cfg.pipeline, n_past=48, n_future=12),
-        model=dataclasses.replace(cfg.model, rnn_units=16, mha_heads=2,
-                                  d_model=32, dropout_rate=0.1),
-        training=dataclasses.replace(cfg.training, batch_size=32),
-    )
+# Change sets, {section: {key: value}}, applied over the file's values.
+# "tiny" is the reduced geometry for desk-scale runs: short windows, a small
+# model, small batches, and lighter dropout (the full-scale rate starves a
+# model this small); everything else inherited.
+PROFILES = {
+    "full": {},
+    "tiny": {
+        "pipeline": {"n_past": 48, "n_future": 12},
+        "model": {"rnn_units": 16, "mha_heads": 2, "d_model": 32,
+                  "dropout_rate": 0.1},
+        "training": {"batch_size": 32},
+    },
+}
+
+
+def with_changes(cfg: RunConfig, changes: dict) -> RunConfig:
+    """`cfg` with a change set, {section: {key: value}} plus an optional
+    top-level "seed", merged in and decoded by `config_from_dict`: each value
+    meets the key, type and range checks of a config file."""
+    data = cfg.to_dict()
+    for name, value in changes.items():
+        if isinstance(value, dict) and isinstance(data.get(name), dict):
+            value = {**data[name], **value}
+        data[name] = value
+    return config_from_dict(data)
 
 
 def apply_profile(cfg: RunConfig, profile: str) -> RunConfig:
-    if profile == "full":
-        return cfg
-    if profile == "tiny":
-        return tiny_profile(cfg)
-    raise ConfigurationError(
-        f"unknown profile {profile!r}, expected 'tiny' or 'full'")
+    if profile not in PROFILES:
+        raise ConfigurationError(
+            f"unknown profile {profile!r}, expected 'tiny' or 'full'")
+    changes = PROFILES[profile]
+    return with_changes(cfg, changes) if changes else cfg

@@ -74,7 +74,6 @@ class BiLstm(Layer):
     `lstm_step` in `tests/unfused.py`."""
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
-        self.units = units
         self.fwd = LstmCell(d_in, units, rng, f"{name}/fwd")
         self.bwd = LstmCell(d_in, units, rng, f"{name}/bwd")
 
@@ -137,7 +136,6 @@ class LayerNorm(Layer):
     def __init__(self, d: int, name: str = "ln"):
         if d < 1:
             raise DimensionError("layer norm: extent must be >= 1")
-        self.d = d
         self.gain = Parameter(f"{name}/gain", np.ones(d))
         self.bias = Parameter(f"{name}/bias", np.zeros(d))
 

@@ -193,6 +193,17 @@ def forward_batch(
     return out
 
 
+def no_grad_batches(params: ModelParams, windows: WindowSet, indices,
+                    batch_size: int):
+    """The one inference loop: forward the windows at `indices` (a sliceable
+    sequence) without recording gradients, `batch_size` at a time, yielding
+    each chunk's output Tensor and its scaled targets."""
+    with nm.no_grad():
+        for lo in range(0, len(indices), batch_size):
+            past, future, target = windows.batch(indices[lo:lo + batch_size])
+            yield forward_batch(params, past, future), target
+
+
 def forecast_windows(
     params: ModelParams,
     windows: WindowSet,
@@ -205,14 +216,11 @@ def forecast_windows(
     and actuals (N, n_future, zone_count). Non-finite forecasts are refused,
     naming the origin of the first window that has one."""
     indices = list(indices)
-    values, actuals = [], []
-    with nm.no_grad():
-        for lo in range(0, len(indices), batch_size):
-            past, future, target = windows.batch(indices[lo:lo + batch_size])
-            values.append(forward_batch(params, past, future).data)
-            actuals.append(target)
+    outs, actuals = zip(*no_grad_batches(params, windows, indices,
+                                         batch_size))
     scaler = windows.scaler
-    values = scaler.inverse_scale_targets(np.concatenate(values), axis=2)
+    values = scaler.inverse_scale_targets(
+        np.concatenate([out.data for out in outs]), axis=2)
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
     if not finite.all():
         origin = windows.origins[indices[int(np.argmin(finite))]]

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigurationError, GradientError
-from .model import ModelConfig, ModelParams, forward_batch, set_parameter_values
+from .model import (ModelConfig, ModelParams, forward_batch, no_grad_batches,
+                    set_parameter_values)
 from .numerics import Tensor
 from .pipeline import TABLE1_INTERVALS
 
@@ -156,16 +157,11 @@ def evaluate_loss(params: ModelParams, windows, batch_size: int = 256) -> float:
         raise ConfigurationError("cannot evaluate an empty window set")
     levels = params.cfg.quantile_levels
     total = 0.0
-    count = 0
-    with nm.no_grad():
-        for lo in range(0, len(windows), batch_size):
-            idx = range(lo, min(lo + batch_size, len(windows)))
-            past, future, target = windows.batch(idx)
-            out = forward_batch(params, past, future, training=False)
-            loss = total_quantile_loss(target, out, levels)
-            total += float(loss.data) * len(idx)
-            count += len(idx)
-    return total / count
+    for out, target in no_grad_batches(params, windows, range(len(windows)),
+                                       batch_size):
+        loss = total_quantile_loss(target, out, levels)
+        total += float(loss.data) * len(target)
+    return total / len(windows)
 
 
 def fit(
@@ -279,14 +275,13 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
 
-def make_checkpoint(params: ModelParams, metadata: dict | None = None,
-                    scaler_intervals: dict | None = None) -> Checkpoint:
+def make_checkpoint(params: ModelParams,
+                    metadata: dict | None = None) -> Checkpoint:
     return Checkpoint(
         config=params.cfg,
         parameters={n: p.data.copy()
                     for n, p in params.named_parameters().items()},
-        scaler_intervals=dict(scaler_intervals if scaler_intervals is not None
-                              else TABLE1_INTERVALS),
+        scaler_intervals=dict(TABLE1_INTERVALS),
         metadata=dict(metadata or {}),
     )
 

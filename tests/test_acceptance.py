@@ -43,7 +43,7 @@ from hvforecast.building_sim import (
     ventilation_flow,
 )
 from hvforecast.cli import main
-from hvforecast.config import RunConfig, tiny_profile
+from hvforecast.config import RunConfig, apply_profile
 from hvforecast.evaluation import (
     export_metrics,
     interval_coverage,
@@ -104,7 +104,7 @@ def make_dataset(seed, days, start=None):
 
 
 def tiny_model_config(n_past, n_future, rng_seed, dropout=None):
-    base = tiny_profile(RunConfig()).model
+    base = apply_profile(RunConfig(), "tiny").model
     if dropout is None:
         dropout = base.dropout_rate
     return ModelConfig(n_past=n_past, n_future=n_future,
@@ -121,7 +121,7 @@ def desk_run():
     """Tiny profile trained on the seeded 60-day dataset; shared by
     criteria 4 and 5."""
     dataset = make_dataset(DESK_SEED, DESK_DAYS, DESK_START)
-    profile = tiny_profile(RunConfig())
+    profile = apply_profile(RunConfig(), "tiny")
     mc = tiny_model_config(profile.pipeline.n_past, profile.pipeline.n_future,
                            DESK_SEED, dropout=DESK_DROPOUT)
     windows = build_windows(dataset, n_past=mc.n_past, n_future=mc.n_future,
@@ -249,7 +249,7 @@ def test_criterion_02_reference_geometry():
         out = forward_batch(params, past, future)
     assert out.shape == (1, 96, 5, len(full.quantile_levels))
 
-    profile = tiny_profile(RunConfig())
+    profile = apply_profile(RunConfig(), "tiny")
     tiny = tiny_model_config(profile.pipeline.n_past,
                              profile.pipeline.n_future, rng_seed=0)
     tiny_params = build_model(tiny)

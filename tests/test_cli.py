@@ -11,17 +11,18 @@ import struct
 import pytest
 
 from hvforecast.building_sim import load_dataset_csv
-from hvforecast.cli import main, select_instances
+from hvforecast import cli
+from hvforecast.cli import assemble_config, build_parser, main, select_instances
 from hvforecast.config import (
+    PROFILES,
     RunConfig,
     apply_profile,
     config_from_dict,
     load_config,
-    tiny_profile,
 )
 from hvforecast.errors import ConfigurationError, ParseError
 from hvforecast.evaluation import write_forecast_dump
-from hvforecast.model import build_model, forecast_windows
+from hvforecast.model import ModelConfig, build_model, forecast_windows
 from hvforecast.pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
@@ -32,6 +33,7 @@ from hvforecast.pipeline import (
     split_chronological,
 )
 from hvforecast.training import (
+    Hyperparameters,
     load_checkpoint,
     make_checkpoint,
     restore_model,
@@ -145,7 +147,7 @@ class TestRunConfig:
             load_config("/no-such/run.json")
 
     def test_tiny_profile_values(self):
-        cfg = tiny_profile(RunConfig())
+        cfg = apply_profile(RunConfig(), "tiny")
         cfg.validate()
         assert cfg.pipeline.n_past == 48
         assert cfg.pipeline.n_future == 12
@@ -162,11 +164,55 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="profile"):
             apply_profile(cfg, "huge")
 
+    def test_profile_values_are_checked_like_file_values(self, monkeypatch):
+        monkeypatch.setitem(PROFILES, "odd",
+                            {"model": {"dropout_rate": float("nan")}})
+        with pytest.raises(ConfigurationError, match="model.dropout_rate"):
+            apply_profile(RunConfig(), "odd")
+        monkeypatch.setitem(PROFILES, "odd", {"model": {"width": 3}})
+        with pytest.raises(ConfigurationError, match="width.*model"):
+            apply_profile(RunConfig(), "odd")
+
+    def test_defaults_match_runtime_objects(self):
+        assert RunConfig().model_config() == ModelConfig()
+        assert RunConfig().hyperparameters() == Hyperparameters()
+
     def test_config_hash_tracks_content(self):
         a = RunConfig()
         b = config_from_dict({"seed": 1})
         assert a.config_hash() == RunConfig().config_hash()
         assert a.config_hash() != b.config_hash()
+
+
+class TestOverrideFlags:
+    def test_precedence_file_then_profile_then_flags(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "pipeline": {"n_past": 96},
+            "training": {"max_epochs": 7, "batch_size": 64, "patience": 4},
+        }))
+        cfg = assemble_config(build_parser().parse_args([
+            "train", "--config", str(path), "--profile", "tiny",
+            "--epochs", "3", "--batch-size", "8"]))
+        assert cfg.pipeline.n_past == 48  # profile beats file
+        assert cfg.training.max_epochs == 3  # flag beats file
+        assert cfg.training.batch_size == 8  # flag beats profile and file
+        assert cfg.training.patience == 4  # file beats default
+        assert cfg.model.rnn_units == 16
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, value, tmp_path,
+                                              monkeypatch, capsys):
+        def never_read(path):
+            raise AssertionError(f"dataset {path} read")
+
+        monkeypatch.setattr(cli, "load_dataset_csv", never_read)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--profile", "tiny",
+                     "--learning-rate", value]) == 2
+        err = capsys.readouterr().err
+        assert "training.learning_rate must be a finite number" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSelectInstances:
@@ -336,7 +382,7 @@ class TestPredict:
         assert main(["predict", *CHAIN_ARGS, "--instances", "head:4",
                      "--checkpoint", str(moved), "--out", str(out)]) == 0
 
-        p = tiny_profile(RunConfig()).pipeline
+        p = apply_profile(RunConfig(), "tiny").pipeline
         windows = build_windows(
             load_dataset_csv(str(chain_dir / "dataset.csv")),
             n_past=p.n_past, n_future=p.n_future, stride=p.stride,

@@ -311,10 +311,10 @@ class TestGraphSize:
         # Each LSTM pass, dense map, layer norm, GLU, attention core and the
         # quantile loss is one graph node, so the count does not grow with
         # the sequence length.
-        from hvforecast.config import RunConfig, tiny_profile
+        from hvforecast.config import RunConfig, apply_profile
         from hvforecast.training import total_quantile_loss
 
-        profile = tiny_profile(RunConfig())
+        profile = apply_profile(RunConfig(), "tiny")
         cfg = ModelConfig(n_past=profile.pipeline.n_past,
                           n_future=profile.pipeline.n_future,
                           rnn_units=profile.model.rnn_units,
