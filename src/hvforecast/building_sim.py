@@ -46,13 +46,14 @@ DATASET_COLUMNS = (
     + [f"t_in_{i}" for i in range(1, 6)]
 )
 
-# Intervals the emitted dataset must respect (scaling contract downstream).
+# Table 1's weather intervals, keyed by dataset column; the simulator
+# refuses weather outside them and the pipeline scales with them.
 WEATHER_INTERVALS = {
-    "t_out_c": (-30.0, 40.0),
-    "rh_pct": (0.0, 100.0),
-    "wind_mps": (0.0, 25.0),
-    "dni_wm2": (0.0, 1300.0),
-    "dhi_wm2": (0.0, 1300.0),
+    "t_out": (-30.0, 40.0),    # outdoor temperature, C
+    "h_out": (0.0, 100.0),     # outdoor relative humidity, %
+    "w_out": (0.0, 25.0),      # wind speed, m/s
+    "l_norm": (0.0, 1300.0),   # direct normal irradiance, W/m2
+    "l_hor": (0.0, 1300.0),    # diffuse horizontal irradiance, W/m2
 }
 
 # The one building the simulator models. Editing these constants is how to
@@ -125,25 +126,25 @@ def is_occupied(ts: datetime) -> bool:
 
 @dataclass
 class WeatherSeries:
-    """Outdoor boundary conditions at 15-minute cadence."""
+    """Outdoor boundary conditions at 15-minute cadence, one field per
+    WEATHER_INTERVALS entry."""
 
     timestamps: list[datetime]
-    t_out_c: np.ndarray
-    rh_pct: np.ndarray
-    wind_mps: np.ndarray
-    dni_wm2: np.ndarray
-    dhi_wm2: np.ndarray
+    t_out: np.ndarray
+    h_out: np.ndarray
+    w_out: np.ndarray
+    l_norm: np.ndarray
+    l_hor: np.ndarray
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def validate(self) -> None:
         n = len(self.timestamps)
-        for name in ("t_out_c", "rh_pct", "wind_mps", "dni_wm2", "dhi_wm2"):
+        for name, (lo, hi) in WEATHER_INTERVALS.items():
             series = getattr(self, name)
             if len(series) != n:
                 raise ConfigurationError(f"weather series {name} length {len(series)} != {n}")
-            lo, hi = WEATHER_INTERVALS[name]
             bad = np.flatnonzero(~((series >= lo) & (series <= hi)))  # or NaN
             if bad.size:
                 raise ConfigurationError(
@@ -327,19 +328,20 @@ def generate_schedules(
 
 def ventilation_flow(
     a_open_m2: float,
-    wind_mps: float,
-    t_in_c: float,
-    t_out_c: float,
+    wind: float,
+    t_in: float,
+    t_out: float,
 ) -> float:
-    """Wind-and-stack airflow through an opening, combined in quadrature.
+    """Wind-and-stack airflow (m3/s) through an opening, combined in
+    quadrature; wind in m/s, temperatures in C.
 
     Q_wind = C_w * A * wind; Q_stack = C_d * A * sqrt(2 g dH |dT| / T_in_K).
     """
     if a_open_m2 < 0:
         raise ConfigurationError("opening area must be >= 0")
-    q_wind = VENT_C_WIND * a_open_m2 * wind_mps
+    q_wind = VENT_C_WIND * a_open_m2 * wind
     q_stack = VENT_C_DISCHARGE * a_open_m2 * math.sqrt(
-        2.0 * GRAVITY * VENT_HEIGHT_M * abs(t_in_c - t_out_c) / (t_in_c + 273.15))
+        2.0 * GRAVITY * VENT_HEIGHT_M * abs(t_in - t_out) / (t_in + 273.15))
     return math.hypot(q_wind, q_stack)
 
 
@@ -455,12 +457,12 @@ def simulate(
 
     # Each block's constant inputs, converted to Python floats up front.
     gains = _boundary_gains(
-        weather.t_out_c[:, None], weather.dni_wm2[:, None],
-        weather.dhi_wm2[:, None], schedules.occupancy[:n],
+        weather.t_out[:, None], weather.l_norm[:, None],
+        weather.l_hor[:, None], schedules.occupancy[:n],
         schedules.equipment_w[:n], schedules.lighting_on[:n, None])
     window_open = np.zeros((n, ZONE_COUNT), dtype=bool)
     window_open[:, WINDOW_ZONES] = signals.window_open[:n] != 0
-    blocks = zip(weather.t_out_c.tolist(), weather.wind_mps.tolist(),
+    blocks = zip(weather.t_out.tolist(), weather.w_out.tolist(),
                  gains.tolist(), signals.sp_heat_c[:n].tolist(),
                  signals.sp_cool_c[:n].tolist(), window_open.tolist())
 
@@ -488,13 +490,9 @@ def simulate(
     t_in_rows = np.array(rows)
 
     columns: dict[str, np.ndarray] = {
-        "t_out": weather.t_out_c.astype(float),
-        "h_out": weather.rh_pct.astype(float),
-        "w_out": weather.wind_mps.astype(float),
-        "l_norm": weather.dni_wm2.astype(float),
-        "l_hor": weather.dhi_wm2.astype(float),
-        "hol": schedules.holiday[:n].astype(float),
-    }
+        name: getattr(weather, name).astype(float)
+        for name in WEATHER_INTERVALS}
+    columns["hol"] = schedules.holiday[:n].astype(float)
     for i in range(ZONE_COUNT):
         columns[f"occu_{i + 1}"] = schedules.occupancy[:n, i].astype(float)
         columns[f"e_{i + 1}"] = schedules.equipment_w[:n, i].astype(float)

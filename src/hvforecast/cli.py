@@ -39,8 +39,6 @@ from .pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
     TARGET_FEATURES,
-    Scaler,
-    ScalerSpec,
     build_windows,
     split_chronological,
 )
@@ -79,12 +77,11 @@ def cmd_generate(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _windows_and_splits(cfg: RunConfig, dataset, n_past: int, n_future: int,
-                        scaler: Scaler | None = None):
+def _windows_and_splits(cfg: RunConfig, dataset, n_past: int, n_future: int):
     windows = build_windows(dataset, n_past=n_past, n_future=n_future,
                             stride=cfg.pipeline.stride,
                             noise_sd=cfg.pipeline.noise_sd,
-                            noise_seed=cfg.seed, scaler=scaler)
+                            noise_seed=cfg.seed)
     return split_chronological(windows, fractions=cfg.pipeline.fractions)
 
 
@@ -153,11 +150,13 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str | None,
         if value != len(features):
             raise CheckpointError(f"checkpoint {name} is {value}, but the "
                                   f"pipeline has {len(features)}")
+    if mc.quantile_levels != tuple(cfg.model.quantile_levels):
+        raise CheckpointError(
+            f"checkpoint quantile_levels are {list(mc.quantile_levels)}, but "
+            f"the run config has {list(cfg.model.quantile_levels)}")
     params = restore_model(ckpt)
     dataset = load_dataset_csv(dataset_path or cfg.paths.dataset)
-    scaler = Scaler(ScalerSpec(ckpt.scaler_intervals))
-    test = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future,
-                               scaler).test
+    test = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future).test
     chosen = select_instances(selector, len(test))
     values, actuals = forecast_windows(params, test, chosen,
                                        cfg.training.batch_size)

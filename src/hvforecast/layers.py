@@ -21,7 +21,8 @@ from .numerics import Parameter, Tensor
 
 
 class Layer:
-    """Base: tracks child layers/parameters in declaration order."""
+    """Base: yields the parameters held as attributes and those of child
+    layers, in declaration order."""
 
     def parameters(self) -> Iterator[Parameter]:
         for name, value in self.__dict__.items():
@@ -29,10 +30,6 @@ class Layer:
                 yield value
             elif isinstance(value, Layer):
                 yield from value.parameters()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Layer):
-                        yield from item.parameters()
 
 
 def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:

@@ -9,15 +9,15 @@ reordering dataset columns never changes an assembled sample.
 from __future__ import annotations
 
 import calendar as _calendar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
 
-from .building_sim import SimulatedDataset
+from .building_sim import WEATHER_INTERVALS, SimulatedDataset
 from .errors import ConfigurationError
 
-WEATHER_FEATURES = ("t_out", "h_out", "w_out", "l_norm", "l_hor")
+WEATHER_FEATURES = tuple(WEATHER_INTERVALS)
 
 TIME_FEATURES = ("hour_sin", "hour_cos", "dow_sin", "dow_cos",
                  "month_sin", "month_cos")
@@ -40,12 +40,10 @@ FUTURE_FEATURES = (
 TARGET_FEATURES = tuple(f"t_in_{z}" for z in range(1, 6))
 
 _UNIT = (-1.0, 1.0)
+# The paper's Table 1: each model variable's scaling interval, fixed like
+# the building the simulator models.
 TABLE1_INTERVALS: dict[str, tuple[float, float]] = {
-    "t_out": (-30.0, 40.0),
-    "h_out": (0.0, 100.0),
-    "w_out": (0.0, 25.0),
-    "l_norm": (0.0, 1300.0),
-    "l_hor": (0.0, 1300.0),
+    **WEATHER_INTERVALS,
     "hour_sin": _UNIT, "hour_cos": _UNIT,
     "dow_sin": _UNIT, "dow_cos": _UNIT,
     "month_sin": _UNIT, "month_cos": _UNIT,
@@ -57,43 +55,26 @@ TABLE1_INTERVALS: dict[str, tuple[float, float]] = {
     **{f"t_in_{z}": (10.0, 40.0) for z in range(1, 6)},
 }
 
-
-@dataclass(frozen=True)
-class ScalerSpec:
-    """Per-feature (min, max) scaling intervals."""
-
-    intervals: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(TABLE1_INTERVALS))
-
-    def validate(self) -> None:
-        for name, (lo, hi) in self.intervals.items():
-            if not hi > lo:
-                raise ConfigurationError(
-                    f"scaling interval for {name} must have max > min, "
-                    f"got ({lo}, {hi})")
-
-    def interval(self, feature: str) -> tuple[float, float]:
-        try:
-            return self.intervals[feature]
-        except KeyError:
-            raise ConfigurationError(
-                f"no scaling interval defined for feature {feature!r}"
-            ) from None
+def _interval(feature: str) -> tuple[float, float]:
+    try:
+        return TABLE1_INTERVALS[feature]
+    except KeyError:
+        raise ConfigurationError(
+            f"no scaling interval defined for feature {feature!r}"
+        ) from None
 
 
 class Scaler:
-    """Min-max map onto [-1, 1] with clamping and per-feature clamp counts;
-    non-finite inputs are refused."""
+    """Min-max map from the Table 1 intervals onto [-1, 1] with clamping
+    and per-feature clamp counts; non-finite inputs are refused."""
 
-    def __init__(self, spec: ScalerSpec | None = None):
-        self.spec = spec if spec is not None else ScalerSpec()
-        self.spec.validate()
+    def __init__(self):
         self.clamp_counts: dict[str, int] = {}
 
     def scale(self, values, feature: str) -> np.ndarray:
         """`rescale`, after refusing non-finite values and adding the cells
         outside the feature's interval to `clamp_counts`."""
-        lo, hi = self.spec.interval(feature)
+        lo, hi = _interval(feature)
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError(
@@ -107,7 +88,7 @@ class Scaler:
     def rescale(self, values, feature: str) -> np.ndarray:
         """Clamp to the feature's interval and map onto [-1, 1] without
         counting, for values derived from cells `scale` has counted."""
-        lo, hi = self.spec.interval(feature)
+        lo, hi = _interval(feature)
         clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
         return 2.0 * (clipped - lo) / (hi - lo) - 1.0
 
@@ -117,7 +98,7 @@ class Scaler:
         arr = np.asarray(scaled, dtype=float)
         shape = [1] * arr.ndim
         shape[axis] = len(TARGET_FEATURES)
-        bounds = np.array([self.spec.interval(name)
+        bounds = np.array([TABLE1_INTERVALS[name]
                            for name in TARGET_FEATURES])
         lo = bounds[:, 0].reshape(shape)
         hi = bounds[:, 1].reshape(shape)
@@ -148,24 +129,21 @@ def encode_time_features(timestamp: datetime) -> dict[str, float]:
 def add_forecast_noise(
     weather_future: np.ndarray,
     rng: np.random.Generator,
-    sd: float | np.ndarray = 0.01,
+    sd: float = 0.01,
 ) -> np.ndarray:
-    """Gaussian perturbation of future weather in physical units, then
-    clamped back to the documented intervals. `sd` may be a scalar or one
-    value per weather feature."""
-    sd_arr = np.broadcast_to(np.asarray(sd, dtype=float),
-                             (len(WEATHER_FEATURES),))
-    if np.any(sd_arr < 0):
-        raise ConfigurationError("noise sd must be non-negative")
+    """Gaussian perturbation of future weather in physical units, with one
+    sd for every feature, then clamped back to the Table 1 intervals."""
+    if not sd >= 0:
+        raise ConfigurationError(f"noise sd must be non-negative, got {sd}")
     arr = np.asarray(weather_future, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != len(WEATHER_FEATURES):
         raise ConfigurationError(
             f"weather_future must be (n, {len(WEATHER_FEATURES)}), "
             f"got {arr.shape}")
-    if np.all(sd_arr == 0.0):
+    if sd == 0.0:
         noised = arr.copy()
     else:
-        noised = arr + rng.normal(0.0, 1.0, size=arr.shape) * sd_arr
+        noised = arr + rng.normal(0.0, 1.0, size=arr.shape) * sd
     for j, name in enumerate(WEATHER_FEATURES):
         lo, hi = TABLE1_INTERVALS[name]
         np.clip(noised[:, j], lo, hi, out=noised[:, j])
@@ -184,8 +162,8 @@ class WindowSet:
     `table` holds every PAST_FEATURES column of the dataset, scaled once;
     the future covariates and targets are fixed column subsets of it.
     Forecast noise for a window depends only on (noise_seed, origin), so
-    any access order and any subset give identical values. `scaler` is the
-    one the windows were scaled with.
+    any access order and any subset give identical values. `scaler` holds
+    the clamp counts of the scaled table.
     """
 
     def __init__(
@@ -195,7 +173,7 @@ class WindowSet:
         origins: np.ndarray,
         n_past: int,
         n_future: int,
-        noise_sd: float | np.ndarray,
+        noise_sd: float,
         noise_seed: int,
         scaler: Scaler,
     ):
@@ -244,9 +222,8 @@ def build_windows(
     n_past: int = 672,
     n_future: int = 96,
     stride: int = 1,
-    noise_sd: float | np.ndarray = 0.01,
+    noise_sd: float = 0.01,
     noise_seed: int = 0,
-    scaler: Scaler | None = None,
 ) -> WindowSet:
     """Assemble every length-(n_past+n_future) window at the given stride.
 
@@ -259,8 +236,6 @@ def build_windows(
     if n < need:
         raise ConfigurationError(
             f"dataset has {n} rows but windowing needs at least {need}")
-    if scaler is None:
-        scaler = Scaler()
 
     time_table: dict[str, np.ndarray] = {
         name: np.empty(n) for name in TIME_FEATURES}
@@ -275,6 +250,7 @@ def build_windows(
     except KeyError as exc:
         raise ConfigurationError(
             f"dataset is missing required column {exc.args[0]!r}") from None
+    scaler = Scaler()
     table = np.column_stack([scaler.scale(physical[:, j], name)
                              for j, name in enumerate(PAST_FEATURES)])
 

@@ -99,8 +99,9 @@ def clip_gradient_norm(grads: dict[str, np.ndarray],
                        max_norm: float) -> float:
     """Scale all gradients so their joint Euclidean norm is at most
     `max_norm`; returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise ConfigurationError("max_norm must be positive")
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ConfigurationError(
+            f"max_norm must be positive and finite, got {max_norm}")
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
@@ -124,14 +125,19 @@ class Hyperparameters:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got "
+                f"{self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigurationError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ConfigurationError("patience must be >= 0")
-        if self.grad_clip_norm <= 0:
-            raise ConfigurationError("grad_clip_norm must be positive")
+        if not (math.isfinite(self.grad_clip_norm)
+                and self.grad_clip_norm > 0):
+            raise ConfigurationError(
+                f"grad_clip_norm must be positive and finite, got "
+                f"{self.grad_clip_norm}")
 
 
 @dataclass
@@ -266,11 +272,11 @@ def fit(
 @dataclass
 class Checkpoint:
     """Everything needed to reproduce inference: architecture config, all
-    parameter tensors, the scaling intervals, and training metadata."""
+    parameter tensors, and training metadata. The file also records the
+    Table 1 scaling intervals, and loading refuses any others."""
 
     config: ModelConfig
     parameters: dict[str, np.ndarray]
-    scaler_intervals: dict[str, tuple[float, float]]
     metadata: dict
     version: int = CHECKPOINT_VERSION
 
@@ -281,7 +287,6 @@ def make_checkpoint(params: ModelParams,
         config=params.cfg,
         parameters={n: p.data.copy()
                     for n, p in params.named_parameters().items()},
-        scaler_intervals=dict(TABLE1_INTERVALS),
         metadata=dict(metadata or {}),
     )
 
@@ -307,7 +312,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
         "scaler_intervals": {k: list(v)
-                             for k, v in sorted(ckpt.scaler_intervals.items())},
+                             for k, v in sorted(TABLE1_INTERVALS.items())},
         "metadata": ckpt.metadata,
         "tensors": tensors,
     }
@@ -386,6 +391,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"checkpoint scaler_intervals {name} must be a [low, high] "
                 f"pair, got {interval!r}")
+    for name in sorted(intervals.keys() | TABLE1_INTERVALS.keys()):
+        got, want = intervals.get(name), TABLE1_INTERVALS.get(name)
+        if got is None or want is None or tuple(got) != want:
+            raise CheckpointError(
+                f"checkpoint scaling interval for {name} is "
+                f"{'missing' if got is None else got}, but Table 1 has "
+                f"{'none' if want is None else list(want)}")
     if not isinstance(header["metadata"], dict):
         raise CheckpointError("checkpoint metadata must be a JSON object")
     if not isinstance(header["tensors"], list):
@@ -425,7 +437,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config=config,
         parameters=parameters,
-        scaler_intervals={k: tuple(v) for k, v in intervals.items()},
         metadata=header["metadata"],
         version=version,
     )

@@ -22,7 +22,7 @@ from hvforecast.building_sim import (
 )
 
 
-def constant_inputs(n, t_out_c, wind_mps=0.0, equipment_w=0.0,
+def constant_inputs(n, t_out, w_out=0.0, equipment_w=0.0,
                     open_windows=()):
     """Return (weather, schedules, signals) for `n` samples.
 
@@ -31,8 +31,8 @@ def constant_inputs(n, t_out_c, wind_mps=0.0, equipment_w=0.0,
     """
     zeros = np.zeros(n)
     weather = WeatherSeries(
-        make_timestamps(datetime(2021, 1, 4), n), np.full(n, t_out_c),
-        np.full(n, 50.0), np.full(n, wind_mps), zeros.copy(), zeros.copy())
+        make_timestamps(datetime(2021, 1, 4), n), np.full(n, t_out),
+        np.full(n, 50.0), np.full(n, w_out), zeros.copy(), zeros.copy())
     schedules = ScheduleSet(
         occupancy=np.zeros((n, ZONE_COUNT)),
         equipment_w=np.broadcast_to(

@@ -437,7 +437,7 @@ def test_criterion_09_pipeline_exactness():
         ends = scaler.scale(np.array([lo, hi]), name)
         assert ends[0] == -1.0 and ends[1] == 1.0
         inside = rng.uniform(lo, hi, size=200)
-        back = uf.inverse_scale(scaler, scaler.scale(inside, name), name)
+        back = uf.inverse_scale(scaler.scale(inside, name), name)
         assert np.max(np.abs(back - inside)) <= 1e-12
 
     base = datetime(2019, 1, 1)

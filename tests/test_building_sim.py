@@ -82,12 +82,12 @@ class NumpyReference:
         for k in range(n):
             rows[k] = t
             gains = self.gains(
-                weather.t_out_c[k], weather.dni_wm2[k], weather.dhi_wm2[k],
+                weather.t_out[k], weather.l_norm[k], weather.l_hor[k],
                 schedules.occupancy[k], schedules.equipment_w[k],
                 schedules.lighting_on[k])
             for j in range(bs.SAMPLE_STEP_S // inner_step_s):
                 total = self.fluxes(
-                    t, float(weather.t_out_c[k]), float(weather.wind_mps[k]),
+                    t, float(weather.t_out[k]), float(weather.w_out[k]),
                     gains, signals.sp_heat_c[k], signals.sp_cool_c[k],
                     signals.window_open[k])
                 t_next = t + dt * total / self.cap
@@ -370,22 +370,22 @@ class TestSimulate:
         ("cadence-break", "weather cadence break at index 5"),
         ("short-series", "length 287 != 288"),
         ("inner-step-7", "must divide 900s"),
-        ("nan-rh", r"rh_pct value nan at index 10 outside"),
-        ("nan-t-out", r"t_out_c value nan at index 10 outside"),
+        ("nan-rh", r"h_out value nan at index 10 outside"),
+        ("nan-t-out", r"t_out value nan at index 10 outside"),
     ])
     def test_input_contract_refused(self, case, match):
         weather, schedules, signals = constant_inputs(288, 20.0)
         inner_step_s = 60
         if case == "hot-t-out":
-            weather.t_out_c[3] = 45.0
+            weather.t_out[3] = 45.0
         elif case == "cadence-break":
             weather.timestamps[5] += timedelta(minutes=5)
         elif case == "short-series":
-            weather.rh_pct = weather.rh_pct[:-1]
+            weather.h_out = weather.h_out[:-1]
         elif case == "nan-rh":
-            weather.rh_pct[10] = np.nan
+            weather.h_out[10] = np.nan
         elif case == "nan-t-out":
-            weather.t_out_c[10] = np.nan
+            weather.t_out[10] = np.nan
         else:
             inner_step_s = 7
         with pytest.raises(ConfigurationError, match=match):
@@ -396,10 +396,8 @@ class TestSynthWeather:
     def test_within_documented_intervals(self):
         rng = np.random.default_rng(21)
         w = synth_weather(rng, 30)
-        for name, series in (("t_out_c", w.t_out_c), ("rh_pct", w.rh_pct),
-                             ("wind_mps", w.wind_mps), ("dni_wm2", w.dni_wm2),
-                             ("dhi_wm2", w.dhi_wm2)):
-            lo, hi = bs.WEATHER_INTERVALS[name]
+        for name, (lo, hi) in bs.WEATHER_INTERVALS.items():
+            series = getattr(w, name)
             assert series.min() >= lo
             assert series.max() <= hi
 
@@ -408,15 +406,15 @@ class TestSynthWeather:
         w = synth_weather(rng, 3)
         midnight = [k for k, ts in enumerate(w.timestamps)
                     if ts.hour == 0 and ts.minute == 0]
-        assert all(w.dni_wm2[k] == 0.0 for k in midnight)
-        assert all(w.dhi_wm2[k] == 0.0 for k in midnight)
+        assert all(w.l_norm[k] == 0.0 for k in midnight)
+        assert all(w.l_hor[k] == 0.0 for k in midnight)
 
     def test_seeded_reproducibility(self):
         a = synth_weather(np.random.default_rng(np.random.SeedSequence(4)), 5)
         b = synth_weather(np.random.default_rng(np.random.SeedSequence(4)), 5)
-        assert np.array_equal(a.t_out_c, b.t_out_c)
-        assert np.array_equal(a.dni_wm2, b.dni_wm2)
-        assert np.array_equal(a.wind_mps, b.wind_mps)
+        assert np.array_equal(a.t_out, b.t_out)
+        assert np.array_equal(a.l_norm, b.l_norm)
+        assert np.array_equal(a.w_out, b.w_out)
 
     def test_timestamps_on_quarter_hours(self):
         ts = make_timestamps(datetime(2021, 1, 1), 200)

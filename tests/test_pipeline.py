@@ -24,7 +24,6 @@ from hvforecast.pipeline import (
     TIME_FEATURES,
     WEATHER_FEATURES,
     Scaler,
-    ScalerSpec,
     add_forecast_noise,
     build_windows,
     encode_time_features,
@@ -92,7 +91,7 @@ class TestScaler:
         for name in ("t_out", "l_norm", "t_in_3", "sp_heat_1"):
             lo, hi = TABLE1_INTERVALS[name]
             values = rng.uniform(lo, hi, size=10_000)
-            back = uf.inverse_scale(scaler, scaler.scale(values, name), name)
+            back = uf.inverse_scale(scaler.scale(values, name), name)
             assert np.max(np.abs(back - values)) <= 1e-12
 
     def test_clamping_counted(self):
@@ -117,10 +116,6 @@ class TestScaler:
     def test_unknown_feature_rejected(self):
         with pytest.raises(ConfigurationError, match="t_roof"):
             Scaler().scale(1.0, "t_roof")
-
-    def test_degenerate_interval_rejected(self):
-        with pytest.raises(ConfigurationError, match="max > min"):
-            Scaler(ScalerSpec({"x": (2.0, 2.0)}))
 
 
 class TestTimeEncodings:
@@ -189,18 +184,11 @@ class TestForecastNoise:
         assert float(noised[:, 1].min()) >= 0.0
         assert float(noised[:, 2].max()) <= 25.0
 
-    def test_per_feature_sd(self):
-        rng = np.random.default_rng(7)
-        base = np.full((100_000, 5), 20.0)
-        sd = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
-        noised = add_forecast_noise(base, rng, sd=sd)
-        assert float(np.abs(noised[:, 0] - 20.0).max()) > 0.0
-        assert np.array_equal(noised[:, 1:], base[:, 1:])
-
     def test_negative_sd_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            add_forecast_noise(np.zeros((4, 5)), np.random.default_rng(0),
-                               sd=-0.01)
+        for sd in (-0.01, np.nan):
+            with pytest.raises(ConfigurationError, match="non-negative"):
+                add_forecast_noise(np.zeros((4, 5)),
+                                   np.random.default_rng(0), sd=sd)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ConfigurationError, match="must be"):
@@ -343,20 +331,6 @@ class TestWindowing:
                 windows.batch(range(lo, min(lo + 64, len(windows))))
         assert windows.scaler.clamp_counts == {"t_out": 1}
 
-    @pytest.mark.parametrize("noise_sd", [0.0, 0.01])
-    def test_narrow_weather_interval_not_recounted(self, noise_sd):
-        # Noised weather is clipped to Table 1 first; a scaler interval
-        # inside that must not clamp and count it again on every read.
-        intervals = dict(TABLE1_INTERVALS, t_out=(-10.0, 25.0))
-        windows = build_windows(synth_dataset(900), noise_sd=noise_sd,
-                                scaler=Scaler(ScalerSpec(intervals)))
-        built = windows.scaler.total_clamped()
-        assert built == 444
-        for _ in range(2):
-            for lo in range(0, len(windows), 32):
-                windows.batch(range(lo, min(lo + 32, len(windows))))
-        assert windows.scaler.total_clamped() == built
-
     def test_non_finite_cell_refused_naming_feature(self):
         ds = synth_dataset(900)
         ds.columns["occu_2"][300] = np.nan
@@ -370,7 +344,7 @@ def reference_batch(dataset, windows, indices):
     past, future and target blocks straight from the dataset, then draws
     and scales its own noised future weather. `WindowSet.batch` must match
     it exactly."""
-    scaler = Scaler(windows.scaler.spec)
+    scaler = Scaler()
     encoded = [encode_time_features(ts) for ts in dataset.timestamps]
     physical = dict(dataset.columns)
     for name in TIME_FEATURES:
@@ -399,10 +373,6 @@ def reference_batch(dataset, windows, indices):
     return np.stack(pasts), np.stack(futures), np.stack(targets)
 
 
-MOVED_INTERVALS = dict(TABLE1_INTERVALS, t_out=(-10.0, 25.0),
-                       w_out=(2.0, 20.0), t_in_2=(15.0, 30.0))
-
-
 class TestBatchMatchesReference:
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -415,8 +385,7 @@ class TestBatchMatchesReference:
             assert block_got.dtype == block_expect.dtype
             assert np.array_equal(block_got, block_expect)
 
-    @pytest.mark.parametrize("noise_sd", [
-        0.0, 0.01, 0.5, np.array([0.5, 0.0, 2.0, 40.0, 0.0])])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.01, 0.5])
     def test_shuffled_indices(self, dataset, noise_sd):
         windows = build_windows(dataset, n_past=96, n_future=24,
                                 noise_sd=noise_sd, noise_seed=3)
@@ -437,15 +406,6 @@ class TestBatchMatchesReference:
     def test_paper_geometry(self, dataset):
         windows = build_windows(dataset, noise_seed=6)
         self.assert_matches(dataset, windows, [len(windows) - 1, 0, 7])
-
-    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
-    def test_moved_scaling_interval(self, dataset, noise_sd):
-        windows = build_windows(dataset, n_past=96, n_future=24,
-                                noise_sd=noise_sd, noise_seed=4,
-                                scaler=Scaler(ScalerSpec(MOVED_INTERVALS)))
-        assert windows.scaler.clamp_counts["t_out"] > 0
-        order = np.random.default_rng(1).permutation(len(windows))[:25]
-        self.assert_matches(dataset, windows, order)
 
 
 class TestSplits:

@@ -18,6 +18,7 @@ from hvforecast.errors import (
 )
 from hvforecast.model import ModelConfig, build_model, forward_batch
 from hvforecast.numerics import Parameter, Tensor
+from hvforecast.pipeline import TABLE1_INTERVALS
 from hvforecast.training import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -218,6 +219,21 @@ class TestGradientClipping:
         with pytest.raises(ConfigurationError, match="positive"):
             clip_gradient_norm({"a": np.ones(1)}, 0.0)
 
+    @pytest.mark.parametrize("limit", [np.nan, np.inf])
+    def test_non_finite_limit_rejected(self, limit):
+        grads = {"a": np.array([3.0, 4.0])}
+        with pytest.raises(ConfigurationError, match="max_norm"):
+            clip_gradient_norm(grads, limit)
+        assert np.array_equal(grads["a"], [3.0, 4.0])
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("field", ["learning_rate", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            Hyperparameters(**{field: value}).validate()
+
 
 class TestFit:
     def test_default_batch_size(self):
@@ -374,7 +390,14 @@ class TestCheckpoint:
             assert np.array_equal(loaded.parameters[name], arr)
         assert loaded.config == params.cfg
         assert loaded.metadata == {"best_epoch": 3}
-        assert loaded.scaler_intervals["t_out"] == (-30.0, 40.0)
+
+    def test_header_records_table1_intervals(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = open(path, "rb").read()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        assert json.loads(blob[12:end])["scaler_intervals"] == {
+            name: list(interval)
+            for name, interval in TABLE1_INTERVALS.items()}
 
     def test_save_load_save_byte_identical(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
@@ -459,11 +482,22 @@ class TestCheckpoint:
          "config quantile_levels has invalid value None"),
         (lambda h: {**h, "metadata": [1]},
          "metadata must be a JSON object"),
+        (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
+                                              "t_in_1": [5.0, 45.0]}},
+         r"interval for t_in_1 is \[5\.0, 45\.0\], but Table 1 has "
+         r"\[10\.0, 40\.0\]"),
+        (lambda h: {**h, "scaler_intervals": {
+            k: v for k, v in h["scaler_intervals"].items() if k != "t_out"}},
+         "interval for t_out is missing"),
+        (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
+                                              "t_roof": [0.0, 1.0]}},
+         "interval for t_roof is .* Table 1 has none"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
             "numeric-config", "list-header", "aliased-offset",
             "negative-offset", "tensor-without-shape", "string-rnn-units",
             "fractional-rnn-units", "scalar-scaler-interval",
-            "null-quantile-levels", "list-metadata"])
+            "null-quantile-levels", "list-metadata", "moved-interval",
+            "missing-interval", "extra-interval"])
     def test_malformed_header_names_field(self, tmp_path, edit, match):
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(self.with_header(tmp_path, edit))

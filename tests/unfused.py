@@ -20,6 +20,7 @@ import numpy as np
 from hvforecast import numerics as nm
 from hvforecast.errors import ContractViolation, DimensionError
 from hvforecast.numerics import Tensor
+from hvforecast.pipeline import TABLE1_INTERVALS
 
 # ---------------------------------------------------------------------------
 # small graph ops
@@ -270,9 +271,9 @@ def lstm_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
 # ---------------------------------------------------------------------------
 
 
-def inverse_scale(scaler, scaled, feature: str) -> np.ndarray:
-    """Map one feature's scaled values back to its physical interval, as
+def inverse_scale(scaled, feature: str) -> np.ndarray:
+    """Map one feature's scaled values back to its Table 1 interval, as
     `Scaler.inverse_scale_targets` does for all zones at once."""
-    lo, hi = scaler.spec.interval(feature)
+    lo, hi = TABLE1_INTERVALS[feature]
     arr = np.asarray(scaled, dtype=float)
     return (arr + 1.0) * (hi - lo) / 2.0 + lo
