@@ -14,7 +14,13 @@ from datetime import datetime
 from .errors import ConfigurationError, ParseError
 from .evaluation import NOMINAL_INTERVALS
 from .model import ModelConfig
-from .pipeline import FUTURE_FEATURES, PAST_FEATURES, TARGET_FEATURES
+from .pipeline import (
+    FUTURE_FEATURES,
+    PAST_FEATURES,
+    TARGET_FEATURES,
+    check_fractions,
+    check_noise_sd,
+)
 from .training import Hyperparameters
 
 
@@ -49,13 +55,12 @@ class PipelineSection:
         for name in ("n_past", "n_future", "stride"):
             if int(getattr(self, name)) < 1:
                 raise ConfigurationError(f"pipeline.{name} must be >= 1")
-        if self.noise_sd < 0:
-            raise ConfigurationError("pipeline.noise_sd must be >= 0")
-        if len(self.fractions) != 3 or min(self.fractions) <= 0 \
-                or abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigurationError(
-                f"pipeline.fractions must be three positive values summing "
-                f"to 1, got {self.fractions}")
+        for rule, value in ((check_noise_sd, self.noise_sd),
+                            (check_fractions, self.fractions)):
+            try:
+                rule(value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"pipeline.{exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@ coverage of central prediction intervals with quantile-crossing
 bookkeeping, pinball scores, and deterministic CSV exports.
 
 The forecast dump (`hvforecast predict` writes it, `hvforecast evaluate`
-reads it) holds one CSV row per (instance, step, zone, quantile level).
-It is written one instance at a time and read column by column: one
-`np.loadtxt` call parses the body, numpy checks the grid, and one
-fancy-index assignment fills the dense arrays. Malformed files are
-rescanned row by row, so each error names the same row a row-at-a-time
-reader would.
+reads it) holds one CSV row per (instance, step, zone, quantile level),
+in the order the writer loops over them. It is written one instance at a
+time and read column by column: one `np.loadtxt` call parses the body,
+numpy checks every row against the writer's layout, and the columns are
+reshaped into the dense arrays. A file that does not parse is rescanned
+row by row to name its first bad row; a file out of layout is refused
+naming its first row out of place.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation, DimensionError, ParseError
 
 NOMINAL_INTERVALS = (0.90, 0.95, 0.99)
+PLATEAU_FRACTION = 0.95
 
 
 def cvrmse(actual, predicted) -> float:
@@ -45,10 +47,13 @@ def cvrmse(actual, predicted) -> float:
 
 
 def _coerce_forecasts(forecasts, quantile_levels):
-    """Check a raw (N, H, Z, Q) forecast array against its quantile levels
-    and return (values, levels)."""
+    """Check a raw (N, H, Z, Q) forecast array against its quantile levels,
+    which must strictly ascend, and return (values, levels)."""
     values = np.asarray(forecasts, dtype=float)
     levels = tuple(float(q) for q in quantile_levels)
+    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
+        raise ConfigurationError(
+            f"quantile levels must strictly ascend, got {levels}")
     if values.ndim != 4 or values.shape[-1] != len(levels):
         raise DimensionError(
             f"forecast values must be (instances, steps, zones, "
@@ -111,13 +116,13 @@ def per_horizon_cvrmse(forecasts, actuals, quantile_levels) -> HorizonMetrics:
                           mean_curve=curves.mean(axis=0), overall=overall)
 
 
-def plateau_step(curve, fraction: float = 0.95) -> int:
-    """First 1-based step whose CVRMSE reaches `fraction` of the final
-    step's value; descriptive only."""
+def plateau_step(curve) -> int:
+    """First 1-based step whose CVRMSE reaches `PLATEAU_FRACTION` of the
+    final step's value; descriptive only."""
     arr = np.asarray(curve, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError("plateau_step expects a non-empty 1-d curve")
-    threshold = fraction * arr[-1]
+    threshold = PLATEAU_FRACTION * arr[-1]
     hits = np.nonzero(arr >= threshold)[0]
     return int(hits[0]) + 1 if hits.size else arr.size
 
@@ -263,14 +268,10 @@ class ForecastDump:
 
 
 def read_forecast_dump(path: str) -> ForecastDump:
-    """Parse a forecast dump back into dense arrays. Rows may come in any
-    order; instances keep the order of their first row. The grid must be
-    complete, without duplicate cells, and each (instance, step, zone) must
-    carry one actual_c across its quantile rows.
-
-    The body is parsed by one `np.loadtxt` call. If it refuses the file, or
-    skips blank lines, the rows are rescanned one at a time to name the
-    first bad one."""
+    """Parse a forecast dump, its rows in the order `write_forecast_dump`
+    writes them, back into dense arrays. The body is parsed by one
+    `np.loadtxt` call. If it refuses the file, or skips blank lines, the
+    rows are rescanned one at a time to name the first bad one."""
     with open(path) as fh:
         if fh.readline().rstrip("\n") != ",".join(_DUMP_DTYPE.names):
             raise ParseError(f"forecast dump header must be "
@@ -284,9 +285,9 @@ def read_forecast_dump(path: str) -> ForecastDump:
                                   comments=None, ndmin=1)
         except (ValueError, Warning):
             rows = None
-    if rows is not None and len(rows) == _count_lines(path) - 1:
-        return _assemble_dump(rows, None)
-    return _assemble_dump(*_scan_rows(path))
+    if rows is None or len(rows) != _count_lines(path) - 1:
+        rows = _scan_rows(path)
+    return _assemble_dump(rows)
 
 
 def _count_lines(path: str) -> int:
@@ -298,127 +299,97 @@ def _count_lines(path: str) -> int:
     return count + (last != b"\n")
 
 
-def _scan_rows(path: str) -> tuple[np.ndarray, ParseError | None]:
-    """Parse the dump body one csv row at a time. Returns the rows before
-    the first malformed one, and that row's error (None if every row
-    parses)."""
-    parsed, error = [], None
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 6:
-                    raise ParseError(f"expected 6 columns, got {len(row)}",
-                                     row=lineno)
-                try:
-                    ints = [int(text) for text in row[:3]]
-                    floats = [float(text) for text in row[3:]]
-                except ValueError as exc:
-                    raise ParseError(f"bad value: {exc}", row=lineno) from exc
-                if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in ints):
-                    raise ParseError("bad value: integer out of range",
-                                     row=lineno)
-                parsed.append((*ints, *floats))
-    except ParseError as exc:
-        error = exc
-    return np.array(parsed, dtype=_DUMP_DTYPE), error
+def _scan_rows(path: str) -> np.ndarray:
+    """Parse the dump body one csv row at a time, refusing the first
+    malformed row."""
+    parsed = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 6:
+                raise ParseError(f"expected 6 columns, got {len(row)}",
+                                 row=lineno)
+            try:
+                ints = [int(text) for text in row[:3]]
+                floats = [float(text) for text in row[3:]]
+            except ValueError as exc:
+                raise ParseError(f"bad value: {exc}", row=lineno) from exc
+            if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in ints):
+                raise ParseError("bad value: integer out of range",
+                                 row=lineno)
+            parsed.append((*ints, *floats))
+    return np.array(parsed, dtype=_DUMP_DTYPE)
 
 
-def _refusal(rows: np.ndarray, error: ParseError) -> ParseError:
-    """The error a faulty dump is refused with. A row-by-row read meets a
-    duplicate cell before any grid fault or later bad row, so the first
-    duplicate among `rows` wins over `error`."""
-    if len(rows) < 2:
-        return error
-    keys = [rows[name] for name in ("q_level", "zone", "step", "instance")]
-    order = np.lexsort(keys)   # stable: rows of one cell stay in file order
-    repeat = np.ones(len(rows) - 1, dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        repeat &= ordered[1:] == ordered[:-1]
-    if not repeat.any():
-        return error
-    dup = int(order[1:][repeat].min())
-    inst, step, zone, q = rows[dup].tolist()[:4]
-    return ParseError(f"duplicate cell instance={inst} step={step} "
-                      f"zone={zone} q={q}", row=dup + 2)
+def _leading(mask: np.ndarray) -> int:
+    """Length of the run of True at the start of `mask`."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
-def _assemble_dump(rows: np.ndarray, error: ParseError | None) -> ForecastDump:
-    """Check the grid of parsed dump rows and scatter them into dense
-    arrays. `error` is the parse error of the row after the last one in
-    `rows`, if any. A complete grid has no duplicate cells, so they are
-    looked for only once some check fails."""
-    if error is not None:
-        raise _refusal(rows, error)
-    if not len(rows):
+def _cell(inst, step, zone, q) -> str:
+    return (f"instance={int(inst)} step={int(step)} zone={int(zone)} "
+            f"q={float(q)}")
+
+
+def _assemble_dump(rows: np.ndarray) -> ForecastDump:
+    """Check parsed dump rows against the writer's layout and reshape them
+    into dense arrays.
+
+    The first instance gives the grid: the quantile levels are the q_level
+    of its leading step-1, zone-1 rows and must strictly ascend, and its
+    last row gives the step and zone counts. Each row must then carry the
+    (instance, step, zone, q_level) of its place in blocks of one instance,
+    each block a new instance, with one actual_c per (instance, step,
+    zone). The first row that breaks a rule is named."""
+    n = len(rows)
+    if not n:
         raise ParseError("forecast dump has no data rows", row=2)
-
     inst, step, zone, q = (rows[name] for name in
                            ("instance", "step", "zone", "q_level"))
-    ids, first_row, inverse = np.unique(inst, return_index=True,
-                                        return_inverse=True)
-    by_appearance = np.argsort(first_row)
-    # position of each row's instance in order of first appearance
-    idx = np.argsort(by_appearance)[inverse.reshape(-1)]
-    order = ids[by_appearance].tolist()
-
-    lead = idx == 0
-    steps, zones, levels = (np.unique(col[lead]) for col in (step, zone, q))
-    if not np.array_equal(steps, np.arange(1, len(steps) + 1)):
-        raise _refusal(rows, ParseError(
-            f"steps must be 1..{len(steps)}, got {steps[:5].tolist()}..."))
-    if not np.array_equal(zones, np.arange(1, len(zones) + 1)):
-        raise _refusal(rows, ParseError(
-            f"zones must be 1..{len(zones)}, got {zones.tolist()}"))
-
-    n_s, n_z, n_q = len(steps), len(zones), len(levels)
+    first = inst == inst[0]
+    n_q = max(_leading(first & (step == 1) & (zone == 1)), 1)
+    last = _leading(first) - 1
+    # Clamped so that the arithmetic below cannot overflow. A count outside
+    # [1, n] cannot match the row it came from, so that row is refused.
+    n_s, n_z = (min(max(int(col[last]), 1), n) for col in (step, zone))
     per_instance = n_s * n_z * n_q
-    k = np.minimum(np.searchsorted(levels, q), n_q - 1)
-    in_grid = ((step >= 1) & (step <= n_s) & (zone >= 1) & (zone <= n_z)
-               & (levels[k] == q))
-    cell = ((step - 1) * n_z + (zone - 1)) * n_q + k
+    block = min(per_instance, n + 1)
+    levels = q[:n_q]
 
-    # Instances are checked in order, each for its cell count and then for
-    # a missing cell. Those before the first miscounted one have exactly
-    # `per_instance` rows, so their presence grid is no larger than the
-    # dump.
-    counts = np.bincount(idx, minlength=len(order))
-    miscounted = np.flatnonzero(counts != per_instance)
-    checked = int(miscounted[0]) if miscounted.size else len(order)
-    present = np.zeros((checked, per_instance), dtype=bool)
-    head = in_grid & (idx < checked)
-    present[idx[head], cell[head]] = True
-    gaps = np.flatnonzero(~present.all(axis=1))
-    if gaps.size:
-        i = int(gaps[0])
-        h, z, kk = np.unravel_index(int(np.argmin(present[i])),
-                                    (n_s, n_z, n_q))
-        raise _refusal(rows, ParseError(
-            f"instance {order[i]} is missing step={int(steps[h])} "
-            f"zone={int(zones[z])} q={float(levels[kk])}"))
-    if checked < len(order):
-        raise _refusal(rows, ParseError(
-            f"instance {order[checked]} has {int(counts[checked])} cells, "
-            f"expected {per_instance}"))
+    index = np.arange(n)
+    pos = index % block
+    expected = (inst[index - pos], pos // (n_z * n_q) + 1,
+                pos // n_q % n_z + 1, levels[pos % n_q])
+    misplaced = np.any([got != want for got, want in
+                        zip((inst, step, zone, q), expected)], axis=0)
+    descending = np.zeros(n, dtype=bool)
+    descending[1:n_q] = ~(levels[1:] > levels[:-1])
+    starts = index[::block]
+    repeated = np.zeros(n, dtype=bool)
+    repeated[starts] = True
+    repeated[starts[np.unique(inst[starts], return_index=True)[1]]] = False
+    bits = rows["actual_c"].view(np.int64)
+    differs = bits != bits[index - pos % n_q]
 
-    # Every row is now a distinct grid cell.
-    values = np.empty((len(order), n_s, n_z, n_q))
-    values.reshape(-1)[idx * per_instance + cell] = rows["value_c"]
-    actual = rows["actual_c"]
-    point = idx * (n_s * n_z) + cell // n_q
-    actuals = np.empty(values.shape[:3])
-    lowest = k == 0
-    actuals.reshape(-1)[point[lowest]] = actual[lowest]
-    differs = (actuals.reshape(-1)[point].view(np.int64)
-               != actual.view(np.int64))
-    if differs.any():
-        r = int(np.argmax(differs))
-        raise ParseError(
-            f"actual_c differs across the quantile rows of instance="
-            f"{order[idx[r]]} step={int(step[r])} zone={int(zone[r])}",
-            row=r + 2)
-    return ForecastDump(values=values, actuals=actuals,
-                        quantile_levels=tuple(levels.tolist()),
-                        instance_ids=order)
+    faults = np.array([descending, misplaced, repeated, differs])
+    if faults.any():
+        r = int(np.argmax(faults.any(axis=0)))
+        got = _cell(inst[r], step[r], zone[r], q[r])
+        raise ParseError((
+            "quantile levels must ascend",
+            f"expected {_cell(*(col[r] for col in expected))}, got {got}",
+            f"instance {inst[r]} appears twice",
+            f"actual_c differs from the first quantile row at {got}",
+        )[int(np.argmax(faults[:, r]))], row=r + 2)
+    if n % block:
+        raise ParseError(f"instance {inst[starts[-1]]} has {n % block} "
+                         f"rows, expected {per_instance}")
+
+    shape = (n // block, n_s, n_z, n_q)
+    return ForecastDump(
+        values=np.ascontiguousarray(rows["value_c"]).reshape(shape),
+        actuals=np.ascontiguousarray(rows["actual_c"][::n_q]).reshape(
+            shape[:3]),
+        quantile_levels=tuple(levels.tolist()),
+        instance_ids=inst[starts].tolist())

@@ -160,14 +160,11 @@ def forward_batch(
     future,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    collect_attention: bool = False,
 ):
     """Run the model over a batch of scaled windows, `past` of shape
     (batch, n_past, past_feature_count) and `future` of shape
     (batch, n_future, future_feature_count). Returns a Tensor of shape
-    (batch, n_future, zone_count, level_count); with `collect_attention`
-    also returns the cross-attention weights as a plain array of shape
-    (batch, heads, n_future, n_past)."""
+    (batch, n_future, zone_count, level_count)."""
     cfg = params.cfg
     past_t = _batched_input(past, cfg.n_past, cfg.past_feature_count,
                             "encoder input")
@@ -180,17 +177,14 @@ def forward_batch(
 
     enc = params.encoder(past_t, training, rng)
     dec = params.decoder(future_t, training, rng)
-    crossed, weights = params.cross(dec, enc)
+    crossed, _ = params.cross(dec, enc)
     x = params.grn_cross(nm.add(dec, crossed))
     x = params.out_lstm(x)
     x = params.grn_out(x)
     flat = params.head(x)
     batch = past_t.shape[0]
-    out = nm.reshape(flat, (batch, cfg.n_future, cfg.zone_count,
-                            len(cfg.quantile_levels)))
-    if collect_attention:
-        return out, weights.copy()
-    return out
+    return nm.reshape(flat, (batch, cfg.n_future, cfg.zone_count,
+                             len(cfg.quantile_levels)))
 
 
 def no_grad_batches(params: ModelParams, windows: WindowSet, indices,

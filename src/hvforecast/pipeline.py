@@ -9,6 +9,7 @@ reordering dataset columns never changes an assembled sample.
 from __future__ import annotations
 
 import calendar as _calendar
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -126,6 +127,22 @@ def encode_time_features(timestamp: datetime) -> dict[str, float]:
     return out
 
 
+def check_noise_sd(sd: float) -> None:
+    """The forecast-noise rule: one finite, non-negative sd."""
+    if not 0 <= sd < math.inf:
+        raise ConfigurationError(
+            f"noise_sd must be finite and non-negative, got {sd}")
+
+
+def check_fractions(fractions) -> None:
+    """The split rule: three positive fractions summing to 1."""
+    if (len(fractions) != 3 or not all(f > 0 for f in fractions)
+            or not abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ConfigurationError(
+            f"fractions must be three positive values that sum to 1, "
+            f"got {fractions}")
+
+
 def add_forecast_noise(
     weather_future: np.ndarray,
     rng: np.random.Generator,
@@ -133,8 +150,7 @@ def add_forecast_noise(
 ) -> np.ndarray:
     """Gaussian perturbation of future weather in physical units, with one
     sd for every feature, then clamped back to the Table 1 intervals."""
-    if not sd >= 0:
-        raise ConfigurationError(f"noise sd must be non-negative, got {sd}")
+    check_noise_sd(sd)
     arr = np.asarray(weather_future, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != len(WEATHER_FEATURES):
         raise ConfigurationError(
@@ -231,6 +247,7 @@ def build_windows(
     """
     if n_past <= 0 or n_future <= 0 or stride <= 0:
         raise ConfigurationError("n_past, n_future, and stride must be positive")
+    check_noise_sd(noise_sd)
     n = len(dataset)
     need = n_past + n_future
     if n < need:
@@ -279,12 +296,8 @@ def split_chronological(
     windows: WindowSet,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> DatasetSplits:
+    check_fractions(fractions)
     n_rows = len(windows.table)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(
-            f"split fractions must sum to 1, got {fractions}")
-    if min(fractions) <= 0:
-        raise ConfigurationError("all split fractions must be positive")
     b1 = int(np.floor(fractions[0] * n_rows))
     b2 = int(np.floor((fractions[0] + fractions[1]) * n_rows))
     span = windows.n_past + windows.n_future

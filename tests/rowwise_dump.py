@@ -1,15 +1,18 @@
-"""Row-at-a-time forecast-dump writer and reader that the columnar codec in
-`hvforecast.evaluation` replaces, kept as test-side references.
+"""Row-at-a-time forecast-dump writer and reader, kept as test-side
+references for the columnar codec in `hvforecast.evaluation`.
 
-The writer goes through `csv.writer` and the reader through `csv.reader`
-with one Python `int`/`float` per field and a dict of cells, so the
-columnar codec's bytes, arrays and error messages can be compared with
-them.
+The writer is the `csv.writer` one the columnar writer replaced. The
+reader parses every row through `csv.reader` into Python ints and floats,
+then walks the rows against the key the writer's loops put at each place,
+with a set of the instances seen. The columnar codec's bytes, arrays and
+error messages are compared with them.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import struct
 
 import numpy as np
 
@@ -49,13 +52,13 @@ def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
     return path
 
 
-def read_forecast_dump(path: str) -> ForecastDump:
-    """Parse a forecast dump back into dense arrays; the grid must be
-    complete and consistently ordered per instance."""
+def _parse_rows(path: str) -> list[tuple]:
+    """Every body row as (instance, step, zone, q_level, value_c,
+    actual_c) in Python ints and floats; the first malformed row is
+    refused."""
     expected_header = ["instance", "step", "zone", "q_level", "value_c",
                        "actual_c"]
-    cells: dict[int, dict[tuple[int, int, float], tuple[float, float]]] = {}
-    order: list[int] = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -75,47 +78,72 @@ def read_forecast_dump(path: str) -> ForecastDump:
                 actual = float(row[5])
             except ValueError as exc:
                 raise ParseError(f"bad value: {exc}", row=lineno) from exc
-            if inst not in cells:
-                cells[inst] = {}
-                order.append(inst)
-            key = (step, zone, q)
-            if key in cells[inst]:
-                raise ParseError(
-                    f"duplicate cell instance={inst} step={step} "
-                    f"zone={zone} q={q}", row=lineno)
-            cells[inst][key] = (value, actual)
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in (inst, step, zone)):
+                raise ParseError("bad value: integer out of range",
+                                 row=lineno)
+            rows.append((inst, step, zone, q, value, actual))
+    return rows
 
-    if not order:
+
+def _layout(rows, steps, zones, levels):
+    """The (instance, step, zone, q_level) each row must carry, one
+    instance after another, each taking the instance its first row
+    names."""
+    for start in itertools.count(0, steps * zones * len(levels)):
+        inst = rows[start][0]
+        for step in range(1, steps + 1):
+            for zone in range(1, zones + 1):
+                for q in levels:
+                    yield inst, step, zone, q
+
+
+def _cell(inst, step, zone, q) -> str:
+    return f"instance={inst} step={step} zone={zone} q={q}"
+
+
+def read_forecast_dump(path: str) -> ForecastDump:
+    """Parse a forecast dump back into dense arrays. The first instance's
+    leading step-1, zone-1 rows give the quantile levels, which must
+    strictly ascend, and its last row the step and zone counts; every row
+    is then walked against the key the writer's loops put at its place."""
+    rows = _parse_rows(path)
+    if not rows:
         raise ParseError("forecast dump has no data rows", row=2)
-    first = cells[order[0]]
-    steps = sorted({k[0] for k in first})
-    zones = sorted({k[1] for k in first})
-    levels = sorted({k[2] for k in first})
-    if steps != list(range(1, len(steps) + 1)):
-        raise ParseError(f"steps must be 1..{len(steps)}, got {steps[:5]}...")
-    if zones != list(range(1, len(zones) + 1)):
-        raise ParseError(f"zones must be 1..{len(zones)}, got {zones}")
+    first = rows[0][0]
+    run = list(itertools.takewhile(lambda row: row[0] == first, rows))
+    levels = [row[3] for row in itertools.takewhile(
+        lambda row: row[:3] == (first, 1, 1), run)] or [rows[0][3]]
+    steps, zones = (max(count, 1) for count in run[-1][1:3])
+    size = steps * zones * len(levels)
 
-    shape = (len(order), len(steps), len(zones), len(levels))
-    values = np.empty(shape)
-    actuals = np.empty(shape[:3])
-    for i, inst in enumerate(order):
-        grid = cells[inst]
-        if len(grid) != len(steps) * len(zones) * len(levels):
-            raise ParseError(
-                f"instance {inst} has {len(grid)} cells, expected "
-                f"{len(steps) * len(zones) * len(levels)}")
-        for h, step in enumerate(steps):
-            for z, zone in enumerate(zones):
-                for k, q in enumerate(levels):
-                    try:
-                        value, actual = grid[(step, zone, q)]
-                    except KeyError:
-                        raise ParseError(
-                            f"instance {inst} is missing step={step} "
-                            f"zone={zone} q={q}") from None
-                    values[i, h, z, k] = value
-                    actuals[i, h, z] = actual
-    return ForecastDump(values=values, actuals=actuals,
+    seen, ids, values, actuals = set(), [], [], []
+    for r, (row, key) in enumerate(zip(rows, _layout(rows, steps, zones,
+                                                     levels))):
+        lineno = r + 2
+        inst, step, zone, q, value, actual = row
+        if 0 < r < len(levels) and not q > levels[r - 1]:
+            raise ParseError("quantile levels must ascend", row=lineno)
+        if any(got != want for got, want in zip(row, key)):
+            raise ParseError(f"expected {_cell(*key)}, got {_cell(*row[:4])}",
+                             row=lineno)
+        if r % size == 0:
+            if inst in seen:
+                raise ParseError(f"instance {inst} appears twice",
+                                 row=lineno)
+            seen.add(inst)
+            ids.append(inst)
+        if r % len(levels) == 0:   # the first row of a cell
+            cell_actual = struct.pack("<d", actual)
+            actuals.append(actual)
+        elif struct.pack("<d", actual) != cell_actual:
+            raise ParseError(f"actual_c differs from the first quantile "
+                             f"row at {_cell(*row[:4])}", row=lineno)
+        values.append(value)
+    if len(rows) % size:
+        raise ParseError(f"instance {ids[-1]} has {len(rows) % size} rows, "
+                         f"expected {size}")
+    shape = (len(ids), steps, zones, len(levels))
+    return ForecastDump(values=np.array(values).reshape(shape),
+                        actuals=np.array(actuals).reshape(shape[:3]),
                         quantile_levels=tuple(levels),
-                        instance_ids=list(order))
+                        instance_ids=ids)

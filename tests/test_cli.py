@@ -72,8 +72,10 @@ class TestRunConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError, match="days"):
             config_from_dict({"simulator": {"days": 0}})
-        with pytest.raises(ConfigurationError, match="fractions"):
+        with pytest.raises(ConfigurationError, match="pipeline.fractions"):
             config_from_dict({"pipeline": {"fractions": [0.5, 0.5, 0.5]}})
+        with pytest.raises(ConfigurationError, match="pipeline.noise_sd"):
+            config_from_dict({"pipeline": {"noise_sd": -0.5}})
         with pytest.raises(ConfigurationError, match="divisible"):
             config_from_dict({"model": {"rnn_units": 5, "mha_heads": 4,
                                         "d_model": 10}})

@@ -17,6 +17,7 @@ from hvforecast.errors import (
 )
 from hvforecast.evaluation import (
     CoverageReport,
+    ForecastDump,
     HorizonMetrics,
     cvrmse,
     export_metrics,
@@ -226,6 +227,27 @@ class TestPinballScores:
         assert all(v == 0.0 for v in scores.values())
 
 
+@pytest.mark.parametrize("name", ["per_horizon_cvrmse", "interval_coverage",
+                                  "pinball_scores", "write_forecast_dump"])
+def test_levels_not_ascending_refused(tmp_path, name):
+    # +-5 C intervals around the actual, the levels listed high to low
+    levels = (0.95, 0.5, 0.05)
+    values = constant_forecast(2, 3, 2, levels, 20.0, half_width=5.0 / 0.9)
+    actuals = np.full((2, 3, 2), 20.0)
+    calls = {
+        "per_horizon_cvrmse": lambda: per_horizon_cvrmse(values, actuals,
+                                                         levels),
+        "interval_coverage": lambda: interval_coverage(
+            values, actuals, levels, nominal_levels=(0.90,)),
+        "pinball_scores": lambda: pinball_scores(values, actuals, levels),
+        "write_forecast_dump": lambda: write_forecast_dump(
+            str(tmp_path / "dump.csv"), values, actuals, levels),
+    }
+    with pytest.raises(ConfigurationError,
+                       match=r"ascend, got \(0\.95, 0\.5, 0\.05\)"):
+        calls[name]()
+
+
 class TestExports:
     def make_metrics(self, zones=5, steps=96, seed=10):
         rng = np.random.default_rng(seed)
@@ -297,6 +319,8 @@ class TestForecastDump:
         dump = read_forecast_dump(path)
         assert np.array_equal(dump.values, values)
         assert np.array_equal(dump.actuals, actuals)
+        for arr in (dump.values, dump.actuals):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
         assert dump.quantile_levels == (0.05, 0.5, 0.95)
         assert dump.instance_ids == [100, 250, 777]
 
@@ -328,7 +352,8 @@ class TestForecastDump:
         lines = open(path).read().splitlines()
         del lines[7]
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="missing|cells"):
+        with pytest.raises(ParseError, match="row 8: expected instance=0 "
+                           "step=2 zone=1 q=0.05, got instance=0 step=2"):
             read_forecast_dump(path)
 
     def test_duplicate_cell_rejected(self, tmp_path):
@@ -336,7 +361,8 @@ class TestForecastDump:
         lines = open(path).read().splitlines()
         lines.append(lines[1])
         open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match="row 74: instance 0 appears "
+                           "twice"):
             read_forecast_dump(path)
 
     def test_metrics_from_dump_match_direct(self, tmp_path):
@@ -367,6 +393,12 @@ def set_field(line, j, text):
 
 def edit_field(lines, i, j, text):
     return lines[:i] + [set_field(lines[i], j, text)] + lines[i + 1:]
+
+
+def swap_rows(lines, i, j):
+    lines = list(lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
 
 
 def read_outcome(reader, path):
@@ -410,7 +442,7 @@ class TestDumpCodec:
     @given(n=st.integers(1, 5), steps=st.integers(1, 6),
            zones=st.integers(1, 4),
            levels=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=5,
-                           unique=True),
+                           unique=True).map(sorted),
            ids=st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=5,
                         max_size=5, unique=True),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -430,16 +462,31 @@ class TestDumpCodec:
         assert_same_dump(read_forecast_dump(str(path)),
                          ref.read_forecast_dump(str(path)))
 
+        # Any other order is refused at a named row, unless it moves only
+        # whole instances, which the writer could have written.
         header, *lines = data.split(b"\r\n")[:-1]
-        rng.shuffle(lines)
-        path.write_bytes(b"".join(line + b"\r\n" for line in [header] + lines))
-        got = read_forecast_dump(str(path))
-        assert_same_dump(got, ref.read_forecast_dump(str(path)))
-        order = [ids.index(i) for i in got.instance_ids]
-        assert got.quantile_levels == tuple(sorted(levels))
-        assert np.array_equal(got.values,
-                              values[order][..., np.argsort(levels)])
-        assert np.array_equal(got.actuals, actuals[order])
+        shuffled = [lines[i] for i in rng.permutation(len(lines))]
+        path.write_bytes(b"".join(line + b"\r\n"
+                                  for line in [header] + shuffled))
+        assert_same_outcome(str(path))
+        size = len(lines) // n
+        instances = [sorted(tuple(body[i:i + size])
+                            for i in range(0, len(body), size))
+                     for body in (lines, shuffled)]
+        if instances[0] != instances[1]:
+            with pytest.raises(ParseError, match=r"^row \d+: "):
+                read_forecast_dump(str(path))
+
+    def test_reference_writer_dump_loads(self, tmp_path):
+        # the csv-module writer the columnar one replaced
+        levels = (0.05, 0.5, 0.95)
+        values, actuals = dump_arrays(np.random.default_rng(27), 3, 4, 2,
+                                      levels)
+        path = str(tmp_path / "dump.csv")
+        ref.write_forecast_dump(path, values, actuals, levels, [9, 4, 6])
+        dump = read_forecast_dump(path)
+        assert_same_dump(dump, ForecastDump(values, actuals, levels,
+                                            [9, 4, 6]))
 
     def test_byte_identical_at_desk_size(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -470,13 +517,13 @@ class TestDumpCodec:
                                 (0.5,), ids)
 
     def test_ids_outside_int64_unreadable(self, tmp_path):
-        # the row-at-a-time reader took any Python int
         path = tmp_path / "dump.csv"
         path.write_text("instance,step,zone,q_level,value_c,actual_c\n"
                         "0,1,1,0.5,20.0,20.0\n"
                         f"{2 ** 63},1,1,0.5,20.0,20.0\n")
         with pytest.raises(ParseError, match="row 3: .*out of range"):
             read_forecast_dump(str(path))
+        assert_same_outcome(str(path))
 
     # Each edit takes the body lines (without line ends) of a 3-instance,
     # 4-step, 2-zone, 3-level dump and returns them changed.
@@ -510,6 +557,18 @@ class TestDumpCodec:
         "infinite values": lambda b: [
             set_field(set_field(line, 4, "inf"), 5, "-inf") for line in b],
         "rows reversed": lambda b: b[::-1],
+        "first levels swapped": lambda b: swap_rows(b, 1, 2),
+        "two rows swapped": lambda b: swap_rows(b, 30, 34),
+        "instance changed mid-block": lambda b: edit_field(b, 30, 0, "7"),
+        "instance repeated": lambda b: b + b[:24],
+        "instance id reused": lambda b: b[:48] + [
+            set_field(line, 0, "0") for line in b[48:]],
+        "levels descending": lambda b: [
+            line for i in range(0, len(b), 3) for line in b[i:i + 3][::-1]],
+        "nan level": lambda b: edit_field(b, 1, 3, "nan"),
+        "first row at zone 2": lambda b: b[3:6] + b[:3] + b[6:],
+        "zone 2**62": lambda b: edit_field(b, 23, 2, str(2 ** 62)),
+        "step 2**62": lambda b: edit_field(b, 23, 1, str(2 ** 62)),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -567,9 +626,24 @@ class TestDumpCodec:
             read_forecast_dump(str(path))
         assert info.value.row == 15
         assert "instance=0 step=3 zone=1" in str(info.value)
-        # the row-at-a-time reader kept the last level's value
-        kept = ref.read_forecast_dump(str(path)).actuals
-        assert kept[0, 2, 0] == actuals[0, 2, 0]
+        assert_same_outcome(str(path))
+
+    def test_huge_zone_count_names_its_row(self, tmp_path):
+        # one step, so every row of the first instance before the last one
+        # fits the grid its last row gives
+        levels = (0.05, 0.5, 0.95)
+        values, actuals = dump_arrays(np.random.default_rng(28), 2, 1, 2,
+                                      levels)
+        path = tmp_path / "dump.csv"
+        write_forecast_dump(str(path), values, actuals, levels)
+        lines = path.read_bytes().decode().split("\r\n")
+        lines[6] = set_field(lines[6], 2, str(2 ** 62))
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ParseError, match=(
+                f"row 7: expected instance=0 step=1 zone=2 q=0.95, got "
+                f"instance=0 step=1 zone={2 ** 62} q=0.95")):
+            read_forecast_dump(str(path))
+        assert_same_outcome(str(path))
 
     def test_read_peaks_below_reference(self, tmp_path):
         # desk-train size: 256 instances x 12 steps x 5 zones x 7 levels

@@ -185,7 +185,7 @@ class TestForecastNoise:
         assert float(noised[:, 2].max()) <= 25.0
 
     def test_negative_sd_rejected(self):
-        for sd in (-0.01, np.nan):
+        for sd in (-0.01, np.nan, np.inf):
             with pytest.raises(ConfigurationError, match="non-negative"):
                 add_forecast_noise(np.zeros((4, 5)),
                                    np.random.default_rng(0), sd=sd)
@@ -260,6 +260,11 @@ class TestWindowing:
         ds = synth_dataset(800)
         with pytest.raises(ConfigurationError, match="positive"):
             build_windows(ds, stride=0)
+
+    @pytest.mark.parametrize("sd", [-1.0, np.nan, np.inf])
+    def test_bad_noise_sd_refused_at_build(self, sd):
+        with pytest.raises(ConfigurationError, match="noise_sd"):
+            build_windows(synth_dataset(800), noise_sd=sd)
 
     def test_noise_depends_on_origin_not_access_order(self):
         ds = synth_dataset(900)
@@ -462,3 +467,5 @@ class TestSplits:
             split_chronological(windows, fractions=(0.5, 0.2, 0.2))
         with pytest.raises(ConfigurationError, match="positive"):
             split_chronological(windows, fractions=(1.0, 0.0, 0.0))
+        with pytest.raises(ConfigurationError, match="three"):
+            split_chronological(windows, fractions=(0.3, 0.3, 0.2, 0.2))
