@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from itertools import zip_longest
 
 import numpy as np
 
@@ -150,9 +151,9 @@ class WeatherSeries:
                 raise ConfigurationError(
                     f"weather series {name} value {series[bad[0]]} at index "
                     f"{bad[0]} outside [{lo}, {hi}]")
-        for k in range(1, n):
-            if (self.timestamps[k] - self.timestamps[k - 1]).total_seconds() != SAMPLE_STEP_S:
-                raise ConfigurationError(f"weather cadence break at index {k}")
+        k = cadence_break(self.timestamps)
+        if k is not None:
+            raise ConfigurationError(f"weather cadence break at index {k}")
 
 
 @dataclass
@@ -201,6 +202,14 @@ class SimulatedDataset:
 def make_timestamps(start: datetime, steps: int) -> list[datetime]:
     tick = timedelta(seconds=SAMPLE_STEP_S)
     return [start + k * tick for k in range(steps)]
+
+
+def cadence_break(timestamps: list[datetime]) -> int | None:
+    """Index of the first timestamp off the 15-minute sequence that starts
+    at the first one, or None."""
+    expected = make_timestamps(timestamps[0], len(timestamps)) if timestamps else []
+    return next((k for k, (got, want) in enumerate(zip(timestamps, expected))
+                 if got != want), None)
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +599,14 @@ def _parse_timestamp(text: str, row: int) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}", row=row) from None
-    # save_dataset_csv writes naive timestamps; the gap check cannot
-    # subtract an offset-aware one from them
+    # save_dataset_csv writes naive timestamps; an offset-aware one never
+    # equals a naive one, so the cadence check would misreport it
     if ts.tzinfo is not None:
         raise ParseError(f"timestamp {text!r} has a UTC offset", row=row)
+    if ts.isoformat() != text:
+        raise ParseError(f"timestamp {text!r} is not in the writer's form "
+                         f"{ts.isoformat()!r}", row=row)
     return ts
-
-
-def _parse_float(text: str, column: str, row: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"column {column}: not a number: {text!r}", row=row) from None
-    if not math.isfinite(value):
-        raise ParseError(f"column {column}: not finite: {text!r}", row=row)
-    return value
 
 
 def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:
@@ -620,44 +622,41 @@ def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:
 
 
 def load_dataset_csv(path: str) -> SimulatedDataset:
+    """Read the layout `save_dataset_csv` writes, converting each row's
+    numbers with one numpy call. Each refusal names its row, and a bad cell
+    its column."""
+    header = ["timestamp"] + DATASET_COLUMNS
+    timestamps, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = next(reader, None)
+        if first is None:
             raise ParseError("empty dataset file", row=1)
-        if header[0] != "timestamp":
-            raise ParseError("first column must be 'timestamp'", row=1)
-        expected = set(DATASET_COLUMNS)
-        got = set(header[1:])
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unknown {extra}")
-            raise ParseError("dataset header mismatch: " + "; ".join(parts), row=1)
-        if len(header) != len(set(header)):
-            raise ParseError("duplicate dataset columns", row=1)
-        names = header[1:]
-        timestamps: list[datetime] = []
-        rows: list[list[float]] = []
-        for line_no, fields in enumerate(reader, start=2):
+        for k, (got, want) in enumerate(zip_longest(first, header), start=1):
+            if got != want:
+                raise ParseError(f"header field {k} is {got!r}, expected {want!r}", row=1)
+        for row, fields in enumerate(reader, start=2):
             if len(fields) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(fields)}", row=line_no)
-            ts = _parse_timestamp(fields[0], line_no)
-            if timestamps and (ts - timestamps[-1]).total_seconds() != SAMPLE_STEP_S:
-                gap = (ts - timestamps[-1]).total_seconds()
-                raise ParseError(
-                    f"timestamp gap of {gap:.0f}s (need {SAMPLE_STEP_S}s)",
-                    row=line_no)
-            timestamps.append(ts)
-            rows.append([_parse_float(text, names[j], line_no)
-                         for j, text in enumerate(fields[1:])])
+                raise ParseError(f"expected {len(header)} fields, got {len(fields)}", row=row)
+            timestamps.append(_parse_timestamp(fields[0], row))
+            try:
+                numbers = np.array(fields[1:], dtype=float)
+            except ValueError:
+                numbers = None
+            if numbers is None or not np.isfinite(numbers).all():
+                # name the cell that `float`, which numpy uses too, refuses or finds non-finite
+                for name, text in zip(DATASET_COLUMNS, fields[1:]):
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ParseError(f"column {name}: not a number: {text!r}", row=row) from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"column {name}: not finite: {text!r}", row=row)
+            values.append(numbers)
     if not timestamps:
         raise ParseError("dataset file has no data rows", row=2)
-    table = np.asarray(rows)
-    columns = {name: table[:, j].copy() for j, name in enumerate(names)}
-    return SimulatedDataset(timestamps=timestamps, columns=columns)
+    k = cadence_break(timestamps)
+    if k is not None:
+        gap = (timestamps[k] - timestamps[k - 1]).total_seconds()
+        raise ParseError(f"timestamp gap of {gap:.0f}s (need {SAMPLE_STEP_S}s)", row=k + 2)
+    return SimulatedDataset(timestamps, dict(zip(DATASET_COLUMNS, np.array(values).T.copy())))

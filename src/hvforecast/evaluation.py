@@ -46,14 +46,26 @@ def cvrmse(actual, predicted) -> float:
     return 100.0 * rmse / mean
 
 
+def _level_fault(levels: tuple[float, ...]) -> tuple[int, str] | None:
+    """Index of the first quantile level that breaks the rule that every
+    level lies in (0, 1) and the levels strictly ascend, and the reason;
+    None when every level keeps it."""
+    for k, q in enumerate(levels):
+        if not 0.0 < q < 1.0:
+            return k, f"quantile level {q} outside (0, 1)"
+        if k and not q > levels[k - 1]:
+            return k, "quantile levels must strictly ascend"
+    return None
+
+
 def _coerce_forecasts(forecasts, quantile_levels):
     """Check a raw (N, H, Z, Q) forecast array against its quantile levels,
-    which must strictly ascend, and return (values, levels)."""
+    which must keep `_level_fault`'s rule, and return (values, levels)."""
     values = np.asarray(forecasts, dtype=float)
     levels = tuple(float(q) for q in quantile_levels)
-    if not all(lo < hi for lo, hi in zip(levels, levels[1:])):
-        raise ConfigurationError(
-            f"quantile levels must strictly ascend, got {levels}")
+    fault = _level_fault(levels)
+    if fault:
+        raise ConfigurationError(f"{fault[1]}, got {levels}")
     if values.ndim != 4 or values.shape[-1] != len(levels):
         raise DimensionError(
             f"forecast values must be (instances, steps, zones, "
@@ -337,11 +349,11 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
     into dense arrays.
 
     The first instance gives the grid: the quantile levels are the q_level
-    of its leading step-1, zone-1 rows and must strictly ascend, and its
-    last row gives the step and zone counts. Each row must then carry the
-    (instance, step, zone, q_level) of its place in blocks of one instance,
-    each block a new instance, with one actual_c per (instance, step,
-    zone). The first row that breaks a rule is named."""
+    of its leading step-1, zone-1 rows and must keep `_level_fault`'s
+    rule, and its last row gives the step and zone counts. Each row must
+    then carry the (instance, step, zone, q_level) of its place in blocks
+    of one instance, each block a new instance, with one actual_c per
+    (instance, step, zone). The first row that breaks a rule is named."""
     n = len(rows)
     if not n:
         raise ParseError("forecast dump has no data rows", row=2)
@@ -363,8 +375,7 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
                 pos // n_q % n_z + 1, levels[pos % n_q])
     misplaced = np.any([got != want for got, want in
                         zip((inst, step, zone, q), expected)], axis=0)
-    descending = np.zeros(n, dtype=bool)
-    descending[1:n_q] = ~(levels[1:] > levels[:-1])
+    level_at, level_reason = _level_fault(tuple(levels.tolist())) or (n, "")
     starts = index[::block]
     repeated = np.zeros(n, dtype=bool)
     repeated[starts] = True
@@ -372,12 +383,12 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
     bits = rows["actual_c"].view(np.int64)
     differs = bits != bits[index - pos % n_q]
 
-    faults = np.array([descending, misplaced, repeated, differs])
+    faults = np.array([index == level_at, misplaced, repeated, differs])
     if faults.any():
         r = int(np.argmax(faults.any(axis=0)))
         got = _cell(inst[r], step[r], zone[r], q[r])
         raise ParseError((
-            "quantile levels must ascend",
+            level_reason,
             f"expected {_cell(*(col[r] for col in expected))}, got {got}",
             f"instance {inst[r]} appears twice",
             f"actual_c differs from the first quantile row at {got}",

@@ -2,8 +2,8 @@
 encodings, forecast-noise injection, sliding-window assembly, and
 chronological train/validation/test splitting.
 
-Feature order is fixed by the tuples below and lookup is header-driven, so
-reordering dataset columns never changes an assembled sample.
+Feature order is fixed by the tuples below. Columns are looked up by name
+in memory; the dataset file has one column order, the writer's.
 """
 
 from __future__ import annotations

@@ -381,6 +381,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"checkpoint config {name} has invalid value {value!r}")
     cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
     config = ModelConfig(**cfg_dict)
+    try:
+        config.validate()
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from None
     intervals = header["scaler_intervals"]
     if not isinstance(intervals, dict):
         raise CheckpointError(

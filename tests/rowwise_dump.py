@@ -103,9 +103,10 @@ def _cell(inst, step, zone, q) -> str:
 
 def read_forecast_dump(path: str) -> ForecastDump:
     """Parse a forecast dump back into dense arrays. The first instance's
-    leading step-1, zone-1 rows give the quantile levels, which must
-    strictly ascend, and its last row the step and zone counts; every row
-    is then walked against the key the writer's loops put at its place."""
+    leading step-1, zone-1 rows give the quantile levels, which must lie in
+    (0, 1) and strictly ascend, and its last row the step and zone counts;
+    every row is then walked against the key the writer's loops put at its
+    place."""
     rows = _parse_rows(path)
     if not rows:
         raise ParseError("forecast dump has no data rows", row=2)
@@ -121,8 +122,11 @@ def read_forecast_dump(path: str) -> ForecastDump:
                                                      levels))):
         lineno = r + 2
         inst, step, zone, q, value, actual = row
+        if r < len(levels) and not 0 < q < 1:
+            raise ParseError(f"quantile level {q} outside (0, 1)", row=lineno)
         if 0 < r < len(levels) and not q > levels[r - 1]:
-            raise ParseError("quantile levels must ascend", row=lineno)
+            raise ParseError("quantile levels must strictly ascend",
+                             row=lineno)
         if any(got != want for got, want in zip(row, key)):
             raise ParseError(f"expected {_cell(*key)}, got {_cell(*row[:4])}",
                              row=lineno)

@@ -1,7 +1,7 @@
 import csv
 import math
 import re
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hvforecast.building_sim import (
     DATASET_COLUMNS,
     MPRS_LEVELS,
     ExcitationSignals,
+    cadence_break,
     generate_mprs_setpoints,
     generate_prbs_windows,
     generate_schedules,
@@ -421,20 +422,32 @@ class TestSynthWeather:
         deltas = {(b - a).total_seconds() for a, b in zip(ts, ts[1:])}
         assert deltas == {900.0}
 
+    def test_cadence_break_is_first_index_off_the_sequence(self):
+        ts = make_timestamps(datetime(2021, 1, 1), 10)
+        assert cadence_break(ts) is None
+        assert cadence_break([]) is None
+        assert cadence_break(ts[:4] + ts[5:]) == 4
+        assert cadence_break(ts[:7] + [ts[7] + timedelta(seconds=1)]) == 7
+        # an offset-aware timestamp never equals a naive one
+        aware = ts[3].replace(tzinfo=timezone.utc)
+        assert cadence_break(ts[:3] + [aware] + ts[4:]) == 3
+
 
 class TestDatasetCsv:
     @pytest.fixture()
     def small_dataset(self):
         return simulate(*simulator_inputs(6, 2))
 
-    def test_round_trip_is_lossless(self, tmp_path, small_dataset):
-        path = tmp_path / "dataset.csv"
-        save_dataset_csv(small_dataset, str(path))
-        loaded = load_dataset_csv(str(path))
-        assert loaded.timestamps == small_dataset.timestamps
-        for name in DATASET_COLUMNS:
-            assert np.array_equal(loaded.columns[name],
-                                  small_dataset.columns[name]), name
+    def test_round_trip_is_lossless(self, tmp_path):
+        for seed in (6, 23):
+            dataset = simulate(*simulator_inputs(seed, 2))
+            path = tmp_path / f"dataset-{seed}.csv"
+            save_dataset_csv(dataset, str(path))
+            loaded = load_dataset_csv(str(path))
+            assert loaded.timestamps == dataset.timestamps
+            for name in DATASET_COLUMNS:
+                assert np.array_equal(loaded.columns[name].view(np.int64),
+                                      dataset.columns[name].view(np.int64)), name
 
     def test_writer_is_byte_identical_to_repr_per_cell(self, tmp_path,
                                                        small_dataset):
@@ -452,7 +465,7 @@ class TestDatasetCsv:
         save_dataset_csv(small_dataset, str(path))
         assert path.read_bytes() == reference.read_bytes()
 
-    def test_column_order_is_irrelevant(self, tmp_path, small_dataset):
+    def test_reordered_columns_refused(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.csv"
         save_dataset_csv(small_dataset, str(path))
         lines = path.read_text().splitlines()
@@ -461,10 +474,10 @@ class TestDatasetCsv:
         shuffled = [",".join(line.split(",")[i] for i in order)
                     for line in lines]
         path.write_text("\n".join(shuffled) + "\n")
-        loaded = load_dataset_csv(str(path))
-        for name in DATASET_COLUMNS:
-            assert np.array_equal(loaded.columns[name],
-                                  small_dataset.columns[name]), name
+        with pytest.raises(ParseError, match="row 1: header field 2 is "
+                           "'t_in_5', expected 't_out'") as info:
+            load_dataset_csv(str(path))
+        assert info.value.row == 1
 
     def test_tampered_header_rejected(self, tmp_path, small_dataset):
         path = tmp_path / "dataset.csv"
@@ -483,7 +496,8 @@ class TestDatasetCsv:
         cells[1] = "oops"
         lines[4] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="row 5"):
+        with pytest.raises(ParseError,
+                           match="row 5: column t_out: not a number: 'oops'"):
             load_dataset_csv(str(path))
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
@@ -512,6 +526,44 @@ class TestDatasetCsv:
         with pytest.raises(ParseError,
                            match=f"row {row}: timestamp .* has a UTC offset"):
             load_dataset_csv(str(path))
+
+    # Each edit takes the lines of a saved file, header first, and returns
+    # them changed; the loader must refuse the result at the row given.
+    EDITS = {
+        "empty file": (lambda lines: [], 1, "empty dataset file"),
+        "header only": (lambda lines: lines[:1], 2,
+                        "dataset file has no data rows"),
+        "blank line": (lambda lines: lines[:5] + [""] + lines[5:], 6,
+                       "expected 36 fields, got 0"),
+        "field dropped": (lambda lines: lines[:4] + [
+            lines[4].rsplit(",", 1)[0]] + lines[5:], 5,
+            "expected 36 fields, got 35"),
+        "field added": (lambda lines: lines[:4] + [lines[4] + ",1.0"]
+                        + lines[5:], 5, "expected 36 fields, got 37"),
+        "row dropped": (lambda lines: lines[:9] + lines[10:], 10,
+                        r"timestamp gap of 1800s \(need 900s\)"),
+        "rows swapped": (lambda lines: lines[:3] + [lines[4], lines[3]]
+                         + lines[5:], 4,
+                         r"timestamp gap of 1800s \(need 900s\)"),
+        "unparsable timestamp": (lambda lines: lines[:3] + [
+            "2021-02-30T00:00:00" + lines[3][19:]] + lines[4:], 4,
+            "bad timestamp '2021-02-30T00:00:00'"),
+        "space separator": (lambda lines: lines[:7] + [
+            lines[7].replace("T", " ", 1)] + lines[8:], 8,
+            "timestamp '2021-01-01 01:30:00' is not in the writer's form "
+            "'2021-01-01T01:30:00'"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_refusal_names_row(self, tmp_path, small_dataset, edit):
+        change, row, message = self.EDITS[edit]
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        lines = change(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ParseError, match=f"^row {row}: {message}") as info:
+            load_dataset_csv(str(path))
+        assert info.value.row == row
 
 
 class TestBuildingConstants:

@@ -431,6 +431,24 @@ class TestPredict:
             "error: checkpoint header is missing ['config']"]
         assert "Traceback" not in err
 
+    def test_invalid_checkpoint_config_exits_1(self, chain_dir, tmp_path,
+                                               monkeypatch, capsys):
+        blob = (chain_dir / "model.ckpt").read_bytes()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.loads(blob[12:end])
+        width = header["config"]["d_model"]
+        header["config"]["mha_heads"] = width + 1
+        text = json.dumps(header).encode()
+        bad = tmp_path / "odd-heads.ckpt"
+        bad.write_bytes(blob[:4] + struct.pack("<Q", len(text)) + text
+                        + blob[end:])
+        monkeypatch.chdir(chain_dir)
+        assert main(["predict", *CHAIN_ARGS, "--checkpoint",
+                     str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: checkpoint config: d_model ({width}) must be divisible "
+            f"by mha_heads ({width + 1})"]
+
     def test_nan_weight_refused_naming_window(self, chain_dir, tmp_path,
                                               monkeypatch, capsys):
         ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))

@@ -248,6 +248,28 @@ def test_levels_not_ascending_refused(tmp_path, name):
         calls[name]()
 
 
+@pytest.mark.parametrize("levels, bad", [((float("nan"),), "nan"),
+                                         ((0.0, 0.5), "0.0"),
+                                         ((0.5, 1.5), "1.5")])
+@pytest.mark.parametrize("name", ["per_horizon_cvrmse", "interval_coverage",
+                                  "pinball_scores", "write_forecast_dump"])
+def test_levels_outside_open_interval_refused(tmp_path, name, levels, bad):
+    values = np.full((2, 3, 2, len(levels)), 20.0)
+    actuals = np.full((2, 3, 2), 20.0)
+    calls = {
+        "per_horizon_cvrmse": lambda: per_horizon_cvrmse(values, actuals,
+                                                         levels),
+        "interval_coverage": lambda: interval_coverage(values, actuals,
+                                                       levels),
+        "pinball_scores": lambda: pinball_scores(values, actuals, levels),
+        "write_forecast_dump": lambda: write_forecast_dump(
+            str(tmp_path / "dump.csv"), values, actuals, levels),
+    }
+    with pytest.raises(ConfigurationError,
+                       match=rf"^quantile level {bad} outside \(0, 1\), got "):
+        calls[name]()
+
+
 class TestExports:
     def make_metrics(self, zones=5, steps=96, seed=10):
         rng = np.random.default_rng(seed)
@@ -566,6 +588,8 @@ class TestDumpCodec:
         "levels descending": lambda b: [
             line for i in range(0, len(b), 3) for line in b[i:i + 3][::-1]],
         "nan level": lambda b: edit_field(b, 1, 3, "nan"),
+        "first level nan": lambda b: edit_field(b, 0, 3, "nan"),
+        "first level 1.5": lambda b: edit_field(b, 0, 3, "1.5"),
         "first row at zone 2": lambda b: b[3:6] + b[:3] + b[6:],
         "zone 2**62": lambda b: edit_field(b, 23, 2, str(2 ** 62)),
         "step 2**62": lambda b: edit_field(b, 23, 1, str(2 ** 62)),
@@ -595,6 +619,17 @@ class TestDumpCodec:
     def test_faulty_file_matches_reference(self, tmp_path, text):
         path = tmp_path / "dump.csv"
         path.write_bytes(text.encode())
+        assert_same_outcome(str(path))
+
+    @pytest.mark.parametrize("level", ["nan", "0.0", "1.5"])
+    def test_only_level_outside_open_interval_names_row(self, tmp_path,
+                                                         level):
+        path = tmp_path / "dump.csv"
+        path.write_text("instance,step,zone,q_level,value_c,actual_c\n"
+                        f"0,1,1,{level},20.0,20.0\n")
+        with pytest.raises(ParseError, match=rf"^row 2: quantile level "
+                           rf"{level} outside \(0, 1\)$"):
+            read_forecast_dump(str(path))
         assert_same_outcome(str(path))
 
     def test_error_names_row(self, tmp_path):

@@ -492,12 +492,19 @@ class TestCheckpoint:
         (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
                                               "t_roof": [0.0, 1.0]}},
          "interval for t_roof is .* Table 1 has none"),
+        (lambda h: {**h, "config": {**h["config"], "mha_heads": 3}},
+         r"^checkpoint config: d_model \(4\) must be divisible by "
+         r"mha_heads \(3\)$"),
+        (lambda h: {**h, "config": {**h["config"],
+                                    "quantile_levels": [0.9, 0.5, 0.1]}},
+         "^checkpoint config: quantile_levels must be strictly ascending"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
             "numeric-config", "list-header", "aliased-offset",
             "negative-offset", "tensor-without-shape", "string-rnn-units",
             "fractional-rnn-units", "scalar-scaler-interval",
             "null-quantile-levels", "list-metadata", "moved-interval",
-            "missing-interval", "extra-interval"])
+            "missing-interval", "extra-interval", "heads-not-dividing-width",
+            "descending-quantile-levels"])
     def test_malformed_header_names_field(self, tmp_path, edit, match):
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(self.with_header(tmp_path, edit))
