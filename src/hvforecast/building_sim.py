@@ -609,35 +609,84 @@ def _parse_timestamp(text: str, row: int) -> datetime:
     return ts
 
 
+_HEADER = ["timestamp"] + DATASET_COLUMNS
+_HEADER_TEXT = ",".join(_HEADER)
+
+
 def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:
-    # csv writes a Python float as its repr, so converting each column
-    # once gives the same bytes as formatting every cell.
-    columns = [np.asarray(dataset.columns[c], dtype=float).tolist()
+    """Write the header and one row per timestamp, numbers as `repr` and
+    lines ending in `\\r\\n`. Each row is one `",".join`; the rows are
+    streamed, since one string of the whole file doubles the writer's
+    peak memory."""
+    columns = [map(repr, np.asarray(dataset.columns[c], dtype=float).tolist())
                for c in DATASET_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + DATASET_COLUMNS)
-        writer.writerows(zip((ts.isoformat() for ts in dataset.timestamps),
+    rows = map(",".join, zip((ts.isoformat() for ts in dataset.timestamps),
                              *columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(_HEADER_TEXT + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
 
 
 def load_dataset_csv(path: str) -> SimulatedDataset:
-    """Read the layout `save_dataset_csv` writes, converting each row's
-    numbers with one numpy call. Each refusal names its row, and a bad cell
-    its column."""
-    header = ["timestamp"] + DATASET_COLUMNS
+    """Read the layout `save_dataset_csv` writes. One pass over the lines
+    collects the timestamp texts and counts each row's fields, and one
+    `np.loadtxt` call parses the number columns. The timestamps must be
+    the writer's text of the 15-minute sequence from the first one. If any
+    of this fails, the rows are rescanned one at a time to name the first
+    bad one."""
+    dataset = _read_columns(path)
+    return _scan_rows(path) if dataset is None else dataset
+
+
+def _read_columns(path: str) -> SimulatedDataset | None:
+    """The dataset in `path`, or None if the file strays from the writer's
+    layout anywhere."""
+    with open(path) as fh:   # universal newlines: `\r\n` reads as `\n`
+        if fh.readline() != _HEADER_TEXT + "\n":
+            return None
+        body = fh.tell()
+        texts = []
+        for line in fh:
+            if line.count(",") != len(DATASET_COLUMNS):
+                return None
+            texts.append(line[:line.index(",")])
+        if not texts:
+            return None
+        fh.seek(body)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               usecols=range(1, len(_HEADER)))
+        except ValueError:
+            return None
+    try:
+        first = _parse_timestamp(texts[0], row=2)
+    except ParseError:
+        return None
+    timestamps = make_timestamps(first, len(texts))
+    if (table.shape != (len(texts), len(DATASET_COLUMNS))
+            or not np.isfinite(table).all()
+            or [ts.isoformat() for ts in timestamps] != texts):
+        return None
+    return SimulatedDataset(timestamps,
+                            dict(zip(DATASET_COLUMNS, table.T.copy())))
+
+
+def _scan_rows(path: str) -> SimulatedDataset:
+    """Read the dataset one row at a time, converting each row's numbers
+    with one numpy call. Each refusal names its row, and a bad cell its
+    column."""
     timestamps, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
             raise ParseError("empty dataset file", row=1)
-        for k, (got, want) in enumerate(zip_longest(first, header), start=1):
+        for k, (got, want) in enumerate(zip_longest(first, _HEADER), start=1):
             if got != want:
                 raise ParseError(f"header field {k} is {got!r}, expected {want!r}", row=1)
         for row, fields in enumerate(reader, start=2):
-            if len(fields) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(fields)}", row=row)
+            if len(fields) != len(_HEADER):
+                raise ParseError(f"expected {len(_HEADER)} fields, got {len(fields)}", row=row)
             timestamps.append(_parse_timestamp(fields[0], row))
             try:
                 numbers = np.array(fields[1:], dtype=float)

@@ -13,7 +13,7 @@ from datetime import datetime
 
 from .errors import ConfigurationError, ParseError
 from .evaluation import NOMINAL_INTERVALS
-from .model import ModelConfig
+from .model import ModelConfig, check_count
 from .pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
@@ -53,8 +53,7 @@ class PipelineSection:
 
     def validate(self) -> None:
         for name in ("n_past", "n_future", "stride"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigurationError(f"pipeline.{name} must be >= 1")
+            check_count(f"pipeline.{name}", getattr(self, name), minimum=1)
         for rule, value in ((check_noise_sd, self.noise_sd),
                             (check_fractions, self.fractions)):
             try:

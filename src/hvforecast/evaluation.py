@@ -19,6 +19,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -241,8 +242,10 @@ def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
                         instance_ids=None) -> str:
     """Write every forecast value as one CSV row:
     instance,step,zone,q_level,value_c,actual_c, with `\\r\\n` line ends
-    and no quoting. Floats use repr so the dump is lossless. Rows are
-    formatted one instance at a time."""
+    and no quoting. Floats use repr so the dump is lossless. Each
+    instance's rows are joined into one string from its value and actual
+    texts and the step, zone and level texts, which every instance
+    shares."""
     values, levels = _coerce_forecasts(forecasts, quantile_levels)
     actuals = _check_actuals(values, actuals)
     n = values.shape[0]
@@ -257,17 +260,18 @@ def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
     except (TypeError, OverflowError):
         raise ConfigurationError(
             "instance ids must be 64-bit integers") from None
-    level_text = [repr(q) for q in levels]
+    steps, zones, n_q = values.shape[1:]
+    # ",step,zone,q_level," of every row of an instance, in writer order
+    tails = [f",{h},{z},{q}," for h in range(1, steps + 1)
+             for z in range(1, zones + 1) for q in map(repr, levels)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_DUMP_DTYPE.names) + "\r\n")
-        for inst, grid, truth in zip(ids, values, actuals):
-            fh.write("".join([
-                f"{inst},{h},{z},{q},{v!r},{a}\r\n"
-                for h, (cells, row_truth) in enumerate(
-                    zip(grid.tolist(), truth.tolist()), start=1)
-                for z, (cell, a) in enumerate(
-                    zip(cells, map(repr, row_truth)), start=1)
-                for q, v in zip(level_text, cell)]))
+        for inst, grid, truth in zip(map(str, ids), values, actuals):
+            ends = [f",{a}\r\n" for a in map(repr, truth.ravel().tolist())]
+            fh.write("".join(chain.from_iterable(zip(
+                repeat(inst), tails, map(repr, grid.ravel().tolist()),
+                # each cell's actual_c ends all n_q of its rows
+                chain.from_iterable(zip(*[ends] * n_q))))))
     return path
 
 

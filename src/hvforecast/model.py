@@ -12,6 +12,7 @@ value per (timestep, zone, quantile level).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ from .numerics import Parameter, Tensor
 from .pipeline import FUTURE_FEATURES, PAST_FEATURES, WindowSet
 
 DEFAULT_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """The rule for a size or count setting: an integer, not a bool, of
+    at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,7 @@ class ModelConfig:
         for name in ("n_past", "n_future", "past_feature_count",
                      "future_feature_count", "zone_count", "rnn_units",
                      "mha_heads", "d_model"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name), minimum=1)
         if self.d_model % self.mha_heads != 0:
             raise ConfigurationError(
                 f"d_model ({self.d_model}) must be divisible by mha_heads "

@@ -8,10 +8,10 @@ in memory; the dataset file has one column order, the writer's.
 
 from __future__ import annotations
 
-import calendar as _calendar
+import calendar
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -39,6 +39,8 @@ FUTURE_FEATURES = (
 )
 
 TARGET_FEATURES = tuple(f"t_in_{z}" for z in range(1, 6))
+
+_MONTH_DAYS = np.array(calendar.mdays[1:])  # February of a common year
 
 _UNIT = (-1.0, 1.0)
 # The paper's Table 1: each model variable's scaling interval, fixed like
@@ -86,10 +88,15 @@ class Scaler:
                 self.clamp_counts.get(feature, 0) + hits)
         return self.rescale(arr, feature)
 
-    def rescale(self, values, feature: str) -> np.ndarray:
+    def rescale(self, values, feature) -> np.ndarray:
         """Clamp to the feature's interval and map onto [-1, 1] without
-        counting, for values derived from cells `scale` has counted."""
-        lo, hi = _interval(feature)
+        counting, for values derived from cells `scale` has counted.
+        `feature` names one feature, or is a tuple of names along the
+        last axis of `values`."""
+        if isinstance(feature, str):
+            lo, hi = _interval(feature)
+        else:
+            lo, hi = np.array([_interval(name) for name in feature]).T
         clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
         return 2.0 * (clipped - lo) / (hi - lo) - 1.0
 
@@ -109,21 +116,30 @@ class Scaler:
         return sum(self.clamp_counts.values())
 
 
-def encode_time_features(timestamp: datetime) -> dict[str, float]:
-    """Cyclical encodings: fractional hour of day (period 24), fractional
-    day of week (period 7, Monday 0), fractional month of year (period 12).
-    """
-    hour = timestamp.hour + timestamp.minute / 60.0 + timestamp.second / 3600.0
+def encode_time_columns(timestamps) -> dict[str, np.ndarray]:
+    """Cyclical encodings of each timestamp, one column per TIME_FEATURES
+    name: fractional hour of day (period 24), fractional day of week
+    (period 7, Monday 0), fractional month of year (period 12). Each
+    timestamp's wall-clock fields are read; microseconds are ignored."""
+    n = len(timestamps)
+    fields = {name: np.fromiter(map(attrgetter(name), timestamps),
+                                dtype=np.int64, count=n)
+              for name in ("year", "month", "day", "hour", "minute", "second")}
+    weekday = np.fromiter(map(methodcaller("weekday"), timestamps),
+                          dtype=np.int64, count=n)
+    year, month = fields["year"], fields["month"]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    days_in_month = _MONTH_DAYS[month - 1] + ((month == 2) & leap)
+    hour = fields["hour"] + fields["minute"] / 60.0 + fields["second"] / 3600.0
     day_frac = hour / 24.0
-    dow = timestamp.weekday() + day_frac
-    days_in_month = _calendar.monthrange(timestamp.year, timestamp.month)[1]
-    month = (timestamp.month - 1) + (timestamp.day - 1 + day_frac) / days_in_month
-    out: dict[str, float] = {}
+    dow = weekday + day_frac
+    month_phase = (month - 1) + (fields["day"] - 1 + day_frac) / days_in_month
+    out: dict[str, np.ndarray] = {}
     for name, value, period in (("hour", hour, 24.0), ("dow", dow, 7.0),
-                                ("month", month, 12.0)):
+                                ("month", month_phase, 12.0)):
         angle = 2.0 * np.pi * value / period
-        out[f"{name}_sin"] = float(np.sin(angle))
-        out[f"{name}_cos"] = float(np.cos(angle))
+        out[f"{name}_sin"] = np.sin(angle)
+        out[f"{name}_cos"] = np.cos(angle)
     return out
 
 
@@ -141,29 +157,6 @@ def check_fractions(fractions) -> None:
         raise ConfigurationError(
             f"fractions must be three positive values that sum to 1, "
             f"got {fractions}")
-
-
-def add_forecast_noise(
-    weather_future: np.ndarray,
-    rng: np.random.Generator,
-    sd: float = 0.01,
-) -> np.ndarray:
-    """Gaussian perturbation of future weather in physical units, with one
-    sd for every feature, then clamped back to the Table 1 intervals."""
-    check_noise_sd(sd)
-    arr = np.asarray(weather_future, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(WEATHER_FEATURES):
-        raise ConfigurationError(
-            f"weather_future must be (n, {len(WEATHER_FEATURES)}), "
-            f"got {arr.shape}")
-    if sd == 0.0:
-        noised = arr.copy()
-    else:
-        noised = arr + rng.normal(0.0, 1.0, size=arr.shape) * sd
-    for j, name in enumerate(WEATHER_FEATURES):
-        lo, hi = TABLE1_INTERVALS[name]
-        np.clip(noised[:, j], lo, hi, out=noised[:, j])
-    return noised
 
 
 _FUTURE_COLUMNS = np.array([PAST_FEATURES.index(n) for n in FUTURE_FEATURES])
@@ -209,22 +202,22 @@ class WindowSet:
         """Stacked scaled (past, future, target) arrays for the given window
         indices, with forecast noise on the future weather."""
         origins = self.origins[np.asarray(indices, dtype=int)]
-        starts = origins + self.n_past
         past_rows = origins[:, None] + np.arange(self.n_past)
-        future_rows = (starts[:, None] + np.arange(self.n_future))[:, :, None]
-        future = self.table[future_rows, _FUTURE_COLUMNS]
-        noised = np.stack([
-            add_forecast_noise(
-                self._weather[lo:lo + self.n_future],
+        future_rows = origins[:, None] + np.arange(
+            self.n_past, self.n_past + self.n_future)
+        future = self.table[future_rows[:, :, None], _FUTURE_COLUMNS]
+        weather = self._weather[future_rows]
+        if self.noise_sd:
+            weather = weather + np.stack([
                 np.random.default_rng(np.random.SeedSequence(
-                    self.noise_seed, spawn_key=(int(origin),))),
-                self.noise_sd)
-            for origin, lo in zip(origins, starts)])
-        for k, name in enumerate(WEATHER_FEATURES):
-            future[:, :, _NOISED_COLUMNS[k]] = self.scaler.rescale(
-                noised[:, :, k], name)
+                    self.noise_seed, spawn_key=(int(origin),))).normal(
+                        0.0, 1.0, size=weather.shape[1:])
+                for origin in origins]) * self.noise_sd
+        # rescale clamps the noised weather to its Table 1 intervals
+        future[:, :, _NOISED_COLUMNS] = self.scaler.rescale(
+            weather, WEATHER_FEATURES)
         return (self.table[past_rows], future,
-                self.table[future_rows, _TARGET_COLUMNS])
+                self.table[future_rows[:, :, None], _TARGET_COLUMNS])
 
     def subset(self, origins: np.ndarray) -> "WindowSet":
         sub = WindowSet.__new__(WindowSet)
@@ -254,14 +247,7 @@ def build_windows(
         raise ConfigurationError(
             f"dataset has {n} rows but windowing needs at least {need}")
 
-    time_table: dict[str, np.ndarray] = {
-        name: np.empty(n) for name in TIME_FEATURES}
-    for k, ts in enumerate(dataset.timestamps):
-        encoded = encode_time_features(ts)
-        for name in TIME_FEATURES:
-            time_table[name][k] = encoded[name]
-
-    source = {**dataset.columns, **time_table}
+    source = {**dataset.columns, **encode_time_columns(dataset.timestamps)}
     try:
         physical = np.column_stack([source[name] for name in PAST_FEATURES])
     except KeyError as exc:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigurationError, GradientError
-from .model import (ModelConfig, ModelParams, forward_batch, no_grad_batches,
-                    set_parameter_values)
+from .model import (ModelConfig, ModelParams, check_count, forward_batch,
+                    no_grad_batches, set_parameter_values)
 from .numerics import Tensor
 from .pipeline import TABLE1_INTERVALS
 
@@ -123,16 +123,13 @@ class Hyperparameters:
     shuffle_seed: int = 0
 
     def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        check_count("batch_size", self.batch_size, minimum=1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(
                 f"learning_rate must be positive and finite, got "
                 f"{self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigurationError("max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ConfigurationError("patience must be >= 0")
+        check_count("max_epochs", self.max_epochs, minimum=1)
+        check_count("patience", self.patience, minimum=0)
         if not (math.isfinite(self.grad_clip_norm)
                 and self.grad_clip_norm > 0):
             raise ConfigurationError(
@@ -407,7 +404,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(header["tensors"], list):
         raise CheckpointError("checkpoint tensors must be a JSON list")
 
-    payload = blob[header_end:]
+    payload = memoryview(blob)[header_end:]   # slices of it copy nothing
     parameters: dict[str, np.ndarray] = {}
     tensor_bytes = 0
     for i, entry in enumerate(header["tensors"]):

@@ -1,10 +1,11 @@
 """Row-at-a-time forecast-dump writer and reader, kept as test-side
 references for the columnar codec in `hvforecast.evaluation`.
 
-The writer is the `csv.writer` one the columnar writer replaced. The
-reader parses every row through `csv.reader` into Python ints and floats,
-then walks the rows against the key the writer's loops put at each place,
-with a set of the instances seen. The columnar codec's bytes, arrays and
+`write_forecast_dump` is the `csv.writer` writer the columnar writer
+replaced, and `write_forecast_dump_per_row` the f-string writer that
+followed it. The reader parses every row through `csv.reader` into Python
+ints and floats, then walks the rows against the key the writer's loops
+put at each place, with a set of the instances seen. The columnar codec's bytes, arrays and
 error messages are compared with them.
 """
 
@@ -151,3 +152,26 @@ def read_forecast_dump(path: str) -> ForecastDump:
                         actuals=np.array(actuals).reshape(shape[:3]),
                         quantile_levels=tuple(levels),
                         instance_ids=ids)
+
+
+def write_forecast_dump_per_row(path: str, forecasts, actuals,
+                                quantile_levels, instance_ids=None) -> str:
+    """The writer the tail-table one replaced: one six-field f-string per
+    row, joined one instance at a time."""
+    values, levels = _coerce_forecasts(forecasts, quantile_levels)
+    actuals = _check_actuals(values, actuals)
+    if instance_ids is None:
+        instance_ids = range(values.shape[0])
+    ids = [int(inst) for inst in instance_ids]
+    level_text = [repr(q) for q in levels]
+    with open(path, "w", newline="") as fh:
+        fh.write("instance,step,zone,q_level,value_c,actual_c\r\n")
+        for inst, grid, truth in zip(ids, values, actuals):
+            fh.write("".join([
+                f"{inst},{h},{z},{q},{v!r},{a}\r\n"
+                for h, (cells, row_truth) in enumerate(
+                    zip(grid.tolist(), truth.tolist()), start=1)
+                for z, (cell, a) in enumerate(
+                    zip(cells, map(repr, row_truth)), start=1)
+                for q, v in zip(level_text, cell)]))
+    return path

@@ -29,6 +29,8 @@ from hvforecast.building_sim import (
 from hvforecast.errors import ConfigurationError, ParseError, SimulationError
 from sim_inputs import constant_inputs
 
+import rowwise_dataset as rowwise
+
 
 @pytest.fixture(scope="module")
 def year_run():
@@ -564,6 +566,62 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match=f"^row {row}: {message}") as info:
             load_dataset_csv(str(path))
         assert info.value.row == row
+
+
+    def test_reader_matches_rowwise_reference(self, tmp_path):
+        for seed in (6, 23):
+            path = str(tmp_path / f"dataset-{seed}.csv")
+            save_dataset_csv(simulate(*simulator_inputs(seed, 3)), path)
+            assert_same_dataset(load_dataset_csv(path),
+                                rowwise.load_dataset_csv(path))
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_refusal_matches_rowwise_reference(self, tmp_path, small_dataset,
+                                               edit):
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        lines = self.EDITS[edit][0](path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ParseError) as want:
+            rowwise.load_dataset_csv(str(path))
+        with pytest.raises(ParseError) as got:
+            load_dataset_csv(str(path))
+        assert (str(got.value), got.value.row) == (str(want.value),
+                                                   want.value.row)
+
+    # Texts the writer never produces that the row reader still accepts:
+    # where `np.loadtxt` refuses them, the rescan reads them.
+    VARIANTS = {
+        "LF line ends": lambda text: text.replace("\r\n", "\n"),
+        "no final line end": lambda text: text[:-2],
+        "quoted cell": lambda text: re.sub(r"(?m)^([^,]*,)([^,]*),",
+                                           r'\1"\2",', text, count=3),
+        "digit separator": lambda text: text.replace(",0.0,", ",0_0.0,", 1),
+        "padded cell": lambda text: text.replace(",0.0,", ", 0.0 ,", 1),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variants_read_as_rowwise_reference(self, tmp_path, small_dataset,
+                                                variant):
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(small_dataset, str(path))
+        text = path.read_bytes().decode()
+        changed = self.VARIANTS[variant](text)
+        assert changed != text
+        path.write_bytes(changed.encode())
+        loaded = load_dataset_csv(str(path))
+        assert_same_dataset(loaded, rowwise.load_dataset_csv(str(path)))
+        assert_same_dataset(loaded, small_dataset)
+
+
+def assert_same_dataset(got, want):
+    assert got.timestamps == want.timestamps
+    assert list(got.columns) == DATASET_COLUMNS
+    for name in DATASET_COLUMNS:
+        assert got.columns[name].flags.c_contiguous, name
+        assert np.array_equal(got.columns[name].view(np.int64),
+                              np.asarray(want.columns[name], dtype=float
+                                         ).view(np.int64)), name
 
 
 class TestBuildingConstants:

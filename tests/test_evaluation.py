@@ -521,6 +521,25 @@ class TestDumpCodec:
         assert_same_dump(read_forecast_dump(str(path)),
                          ref.read_forecast_dump(str(path)))
 
+    @pytest.mark.parametrize("n, steps, zones, levels", [
+        (4, 3, 2, SEVEN_LEVELS), (4, 6, 1, (0.5,)), (4, 5, 3, (0.1, 0.5)),
+    ])
+    def test_byte_identical_to_per_row_writer(self, tmp_path, n, steps,
+                                              zones, levels):
+        values, actuals = dump_arrays(np.random.default_rng(31), n, steps,
+                                      zones, levels)
+        extremes = (-0.0, 1e-05, 1e16, -3.25, 5e-324, -1.7976931348623157e308)
+        values.put(np.arange(0, values.size, 3)[:len(extremes)], extremes)
+        actuals.put(np.arange(1, actuals.size, 2)[:len(extremes)], extremes)
+        ids = [2 ** 63 - 1, -2 ** 63, 0, 12345]
+        path, want = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_forecast_dump(str(path), values, actuals, levels, ids)
+        ref.write_forecast_dump_per_row(str(want), values, actuals, levels,
+                                        ids)
+        assert path.read_bytes() == want.read_bytes()
+        assert_same_dump(read_forecast_dump(str(path)),
+                         ForecastDump(values, actuals, levels, ids))
+
     def test_numpy_integer_ids_write_the_same_bytes(self, tmp_path):
         values, actuals = dump_arrays(np.random.default_rng(21), 3, 2, 2,
                                       (0.5,))

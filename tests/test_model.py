@@ -91,6 +91,16 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError, match="rnn_units"):
             ModelConfig(rnn_units=0).validate()
 
+    @pytest.mark.parametrize("name", ["rnn_units", "mha_heads", "n_past"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+    def test_non_integer_size_refused(self, name, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be an integer, got "):
+            ModelConfig(**{name: value}).validate()
+
+    def test_numpy_integer_size_accepted(self):
+        ModelConfig(rnn_units=np.int64(4), mha_heads=np.int32(2)).validate()
+
 
 def dense_params(d_in, d_out):
     return d_in * d_out + d_out

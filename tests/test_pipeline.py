@@ -1,7 +1,7 @@
 """Tests for scaling, time encodings, forecast noise, windowing, and
 chronological splits."""
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -24,13 +24,13 @@ from hvforecast.pipeline import (
     TIME_FEATURES,
     WEATHER_FEATURES,
     Scaler,
-    add_forecast_noise,
     build_windows,
-    encode_time_features,
+    encode_time_columns,
     split_chronological,
 )
 
 import unfused as uf
+from rowwise_dataset import add_forecast_noise, encode_time_features
 
 SYNTH_INTERVALS = dict(TABLE1_INTERVALS)
 for _z in range(1, 6):
@@ -118,30 +118,36 @@ class TestScaler:
             Scaler().scale(1.0, "t_roof")
 
 
+def encode_one(ts: datetime) -> dict[str, float]:
+    """The program's encodings of one timestamp, as floats."""
+    return {name: float(column[0])
+            for name, column in encode_time_columns([ts]).items()}
+
+
 class TestTimeEncodings:
     def test_midnight_hour_encoding(self):
-        enc = encode_time_features(datetime(2021, 6, 7, 0, 0))
+        enc = encode_one(datetime(2021, 6, 7, 0, 0))
         assert enc["hour_sin"] == 0.0
         assert enc["hour_cos"] == 1.0
 
     def test_six_am_hour_encoding(self):
-        enc = encode_time_features(datetime(2021, 6, 7, 6, 0))
+        enc = encode_one(datetime(2021, 6, 7, 6, 0))
         assert enc["hour_sin"] == pytest.approx(1.0, abs=1e-12)
         assert enc["hour_cos"] == pytest.approx(0.0, abs=1e-12)
 
     def test_noon_and_evening(self):
-        noon = encode_time_features(datetime(2021, 6, 7, 12, 0))
+        noon = encode_one(datetime(2021, 6, 7, 12, 0))
         assert noon["hour_cos"] == pytest.approx(-1.0, abs=1e-12)
-        evening = encode_time_features(datetime(2021, 6, 7, 18, 0))
+        evening = encode_one(datetime(2021, 6, 7, 18, 0))
         assert evening["hour_sin"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_monday_midnight_week_phase(self):
-        enc = encode_time_features(datetime(2021, 6, 7, 0, 0))  # a Monday
+        enc = encode_one(datetime(2021, 6, 7, 0, 0))  # a Monday
         assert enc["dow_sin"] == 0.0
         assert enc["dow_cos"] == 1.0
 
     def test_january_first_month_phase(self):
-        enc = encode_time_features(datetime(2021, 1, 1, 0, 0))
+        enc = encode_one(datetime(2021, 1, 1, 0, 0))
         assert enc["month_sin"] == 0.0
         assert enc["month_cos"] == 1.0
 
@@ -149,15 +155,41 @@ class TestTimeEncodings:
                         max_value=datetime(2030, 12, 31)))
     @settings(max_examples=60, deadline=None)
     def test_unit_circle_identity(self, ts):
-        enc = encode_time_features(ts)
+        enc = encode_one(ts)
         for name in ("hour", "dow", "month"):
             radius = enc[f"{name}_sin"] ** 2 + enc[f"{name}_cos"] ** 2
             assert radius == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_hour_resolution(self):
-        a = encode_time_features(datetime(2021, 6, 7, 10, 0))
-        b = encode_time_features(datetime(2021, 6, 7, 10, 15))
+        a = encode_one(datetime(2021, 6, 7, 10, 0))
+        b = encode_one(datetime(2021, 6, 7, 10, 15))
         assert a["hour_sin"] != b["hour_sin"]
+
+    @pytest.mark.parametrize("start, steps", [
+        (datetime(2023, 12, 30, 22, 0), 96 * 70),   # New Year, 29 Feb 2024
+        (datetime(1899, 12, 31), 96 * 3),            # 1900 is no leap year
+        (datetime(2000, 2, 27, 5, 7, 13, 999), 96 * 4),
+    ])
+    def test_columns_match_per_timestamp_reference(self, start, steps):
+        stamps = make_timestamps(start, steps)
+        stamps[1::7] = [ts + timedelta(seconds=29) for ts in stamps[1::7]]
+        got = encode_time_columns(stamps)
+        assert list(got) == list(TIME_FEATURES)
+        for name in TIME_FEATURES:
+            want = np.array([encode_time_features(ts)[name]
+                             for ts in stamps])
+            assert got[name].dtype == np.float64
+            assert np.array_equal(got[name].view(np.int64),
+                                  want.view(np.int64)), name
+
+    def test_offset_aware_timestamps_read_wall_clock(self):
+        zone = timezone(timedelta(hours=-5))
+        stamps = [datetime(2024, 2, 29, 23, 45, tzinfo=zone),
+                  datetime(2024, 12, 31, 23, 30, tzinfo=zone)]
+        got = encode_time_columns(stamps)
+        for k, ts in enumerate(stamps):
+            assert {name: float(got[name][k]) for name in TIME_FEATURES} == (
+                encode_time_features(ts))
 
 
 class TestForecastNoise:

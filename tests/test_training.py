@@ -234,6 +234,20 @@ class TestHyperparameters:
         with pytest.raises(ConfigurationError, match=field):
             Hyperparameters(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, None])
+    def test_non_integer_count_refused(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be an integer, got "):
+            Hyperparameters(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [("batch_size", 0),
+                                              ("max_epochs", 0),
+                                              ("patience", -1)])
+    def test_count_below_minimum_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= "):
+            Hyperparameters(**{field: value}).validate()
+
 
 class TestFit:
     def test_default_batch_size(self):
