@@ -13,7 +13,7 @@ from datetime import datetime
 
 from .errors import ConfigurationError, ParseError
 from .evaluation import NOMINAL_INTERVALS
-from .model import ModelConfig, check_count
+from .model import ModelConfig, check_count, check_seed
 from .pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
@@ -134,8 +134,7 @@ class RunConfig:
     def validate(self) -> None:
         """Check every knob. The model and training sections are checked
         by the runtime objects they map to, so each knob has one rule."""
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigurationError("seed must be an unsigned 64-bit value")
+        check_seed("seed", self.seed)
         for name in ("simulator", "pipeline", "evaluation", "paths"):
             getattr(self, name).validate()
         for name, runtime in (("model", self.model_config),
@@ -237,10 +236,7 @@ def config_from_dict(data: dict) -> RunConfig:
                     f"section {name!r} must be an object")
             kwargs[name] = _build_section(cls, section, name)
     if "seed" in data:
-        seed = data["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError("seed must be an integer")
-        kwargs["seed"] = seed
+        kwargs["seed"] = data["seed"]
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg

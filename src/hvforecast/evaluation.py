@@ -24,6 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DimensionError, ParseError
+from .numerics import level_fault
 
 NOMINAL_INTERVALS = (0.90, 0.95, 0.99)
 PLATEAU_FRACTION = 0.95
@@ -47,24 +48,12 @@ def cvrmse(actual, predicted) -> float:
     return 100.0 * rmse / mean
 
 
-def _level_fault(levels: tuple[float, ...]) -> tuple[int, str] | None:
-    """Index of the first quantile level that breaks the rule that every
-    level lies in (0, 1) and the levels strictly ascend, and the reason;
-    None when every level keeps it."""
-    for k, q in enumerate(levels):
-        if not 0.0 < q < 1.0:
-            return k, f"quantile level {q} outside (0, 1)"
-        if k and not q > levels[k - 1]:
-            return k, "quantile levels must strictly ascend"
-    return None
-
-
 def _coerce_forecasts(forecasts, quantile_levels):
     """Check a raw (N, H, Z, Q) forecast array against its quantile levels,
-    which must keep `_level_fault`'s rule, and return (values, levels)."""
+    which must keep `level_fault`'s rule, and return (values, levels)."""
     values = np.asarray(forecasts, dtype=float)
     levels = tuple(float(q) for q in quantile_levels)
-    fault = _level_fault(levels)
+    fault = level_fault(levels)
     if fault:
         raise ConfigurationError(f"{fault[1]}, got {levels}")
     if values.ndim != 4 or values.shape[-1] != len(levels):
@@ -353,7 +342,7 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
     into dense arrays.
 
     The first instance gives the grid: the quantile levels are the q_level
-    of its leading step-1, zone-1 rows and must keep `_level_fault`'s
+    of its leading step-1, zone-1 rows and must keep `level_fault`'s
     rule, and its last row gives the step and zone counts. Each row must
     then carry the (instance, step, zone, q_level) of its place in blocks
     of one instance, each block a new instance, with one actual_c per
@@ -379,7 +368,7 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
                 pos // n_q % n_z + 1, levels[pos % n_q])
     misplaced = np.any([got != want for got, want in
                         zip((inst, step, zone, q), expected)], axis=0)
-    level_at, level_reason = _level_fault(tuple(levels.tolist())) or (n, "")
+    level_at, level_reason = level_fault(levels.tolist()) or (n, "")
     starts = index[::block]
     repeated = np.zeros(n, dtype=bool)
     repeated[starts] = True

@@ -35,6 +35,16 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be >= {minimum}")
 
 
+def check_seed(name: str, value) -> None:
+    """The rule for a seed setting: an integer, not a bool, in [0, 2**64),
+    the range numpy's `SeedSequence` takes as one word."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < 2 ** 64:
+        raise ConfigurationError(
+            f"{name} must be in [0, 2**64), got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and sampling geometry. `d_model` defaults to twice the
@@ -70,17 +80,13 @@ class ModelConfig:
             raise ConfigurationError(
                 f"dropout_rate ({self.dropout_rate}) must be in [0, 1)")
         levels = tuple(self.quantile_levels)
-        if not levels:
-            raise ConfigurationError("quantile_levels must be non-empty")
-        for q in levels:
-            if not 0.0 < q < 1.0:
-                raise ConfigurationError(
-                    f"quantile_levels entry {q} outside (0, 1)")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
+        fault = nm.level_fault(levels)
+        if fault:
             raise ConfigurationError(
-                f"quantile_levels must be strictly ascending, got {levels}")
+                f"quantile_levels: {fault[1]}, got {levels}")
         if 0.5 not in levels:
             raise ConfigurationError("quantile_levels must include 0.5")
+        check_seed("rng_seed", self.rng_seed)
 
 
 class _Branch(Layer):

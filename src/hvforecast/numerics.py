@@ -4,7 +4,11 @@ Every value is a `Tensor` wrapping a row-major float64 ndarray. Operations
 build an implicit acyclic graph: each result records its parent tensors and
 a closure computing parent gradients from its own. `backward` walks that
 graph once in reverse topological order and accumulates gradients into the
-`grad` field of the participating leaves.
+`grad` field of the participating leaves. The walk consumes the graph: it
+drops each node's closure and parent links once the closure has run, so the
+activations the closures saved are freed during the walk rather than kept
+until the caller lets go of the loss. A training step then holds at most
+one graph, and a graph can be backpropagated only once.
 
 The small ops are the ones the model builds, `add`, `mul`, `elu`, `reshape`
 and `concat`, plus the sum reduction `tsum`. Broadcasting is deliberately
@@ -327,6 +331,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     return _result(out, "attention", (q, k, v), bw), shown
 
 
+def level_fault(levels: Sequence[float]) -> tuple[int, str] | None:
+    """Index of the first quantile level that breaks the rule that the
+    levels are non-empty, each lies in (0, 1) and they strictly ascend, and
+    the reason; None when the levels keep it."""
+    if not len(levels):
+        return 0, "quantile levels must be non-empty"
+    for k, q in enumerate(levels):
+        if not 0.0 < q < 1.0:
+            return k, f"quantile level {q} outside (0, 1)"
+        if k and not q > levels[k - 1]:
+            return k, "quantile levels must strictly ascend"
+    return None
+
+
 def quantile_loss(actual: Tensor, predicted: Tensor, levels: Sequence[float]) -> Tensor:
     """Mean over `levels` of the mean pinball loss
     max(q * (y - yhat), (q - 1) * (y - yhat)), as one scalar node.
@@ -335,11 +353,9 @@ def quantile_loss(actual: Tensor, predicted: Tensor, levels: Sequence[float]) ->
     matches `actual`. Keeps only the sign of each error.
     """
     levels = tuple(float(q) for q in levels)
-    if not levels:
-        raise ConfigurationError("quantile levels must be non-empty")
-    for q in levels:
-        if not 0.0 < q < 1.0:
-            raise ConfigurationError(f"quantile level {q} outside (0, 1)")
+    fault = level_fault(levels)
+    if fault:
+        raise ConfigurationError(f"{fault[1]}, got {levels}")
     if predicted.shape != actual.shape + (len(levels),):
         raise DimensionError(
             f"quantile loss: predicted {predicted.shape} does not match actual "
@@ -497,29 +513,41 @@ def topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into the grad of every reachable leaf.
+    """Accumulate d(loss)/d(leaf) into the grad of every reachable leaf,
+    consuming the graph.
 
     Each graph node is visited exactly once; a node consumed by several
     downstream ops receives the sum of their contributions before its own
-    backward closure runs.
+    backward closure runs. The graph is used once: each node leaves the walk
+    as it is visited, and its `_backward` and `parents` are cleared once its
+    closure has run. So every saved activation is freed as soon as the last
+    node that needs it has run, and after the call the root, and any output
+    the caller still holds, keep only their `data`. Without this, a training
+    loop holds a step's whole graph while the next step builds its forward.
+    A second backward through a consumed node raises ContractViolation.
     """
     if loss.size != 1:
         raise ContractViolation(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = topological_order(loss)
+    for node in order:
+        if node._backward is None and node.op != "leaf":
+            raise ContractViolation(
+                f"backward: the graph through this {node.op!r} node was already "
+                f"backpropagated; build a new graph for each backward")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
+        closure, parents = node._backward, node.parents
+        node._backward, node.parents = None, ()
         if g is None:
             continue
-        if node._backward is None:
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
+        if closure is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node.parents, node._backward(g)):
+        for parent, pg in zip(parents, closure(g)):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigurationError, GradientError
-from .model import (ModelConfig, ModelParams, check_count, forward_batch,
-                    no_grad_batches, set_parameter_values)
+from .model import (ModelConfig, ModelParams, check_count, check_seed,
+                    forward_batch, no_grad_batches, set_parameter_values)
 from .numerics import Tensor
 from .pipeline import TABLE1_INTERVALS
 
@@ -135,6 +135,7 @@ class Hyperparameters:
             raise ConfigurationError(
                 f"grad_clip_norm must be positive and finite, got "
                 f"{self.grad_clip_norm}")
+        check_seed("shuffle_seed", self.shuffle_seed)
 
 
 @dataclass

@@ -9,7 +9,9 @@ import pytest
 
 from hvforecast import numerics as nm
 from hvforecast.building_sim import DATASET_COLUMNS, SimulatedDataset, make_timestamps
+from hvforecast.config import RunConfig
 from hvforecast.errors import ConfigurationError, DimensionError, GradientError
+from hvforecast.evaluation import pinball_scores
 from hvforecast.model import (
     DEFAULT_QUANTILE_LEVELS,
     ModelConfig,
@@ -26,6 +28,7 @@ from hvforecast.pipeline import (
     TARGET_FEATURES,
     build_windows,
 )
+from hvforecast.training import Hyperparameters
 
 import unfused as uf
 
@@ -72,7 +75,9 @@ class TestModelConfig:
             ModelConfig(d_model=10, mha_heads=4).validate()
 
     def test_quantiles_must_ascend(self):
-        with pytest.raises(ConfigurationError, match="ascending"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^quantile_levels: quantile levels must "
+                                 r"strictly ascend, got \(0\.5, 0\.3\)$"):
             ModelConfig(quantile_levels=(0.5, 0.3)).validate()
 
     def test_quantiles_must_include_median(self):
@@ -100,6 +105,47 @@ class TestModelConfig:
 
     def test_numpy_integer_size_accepted(self):
         ModelConfig(rnn_units=np.int64(4), mha_heads=np.int32(2)).validate()
+
+
+# One seed rule for the three objects that carry a seed.
+SEEDED = {"seed": RunConfig, "rng_seed": ModelConfig,
+          "shuffle_seed": Hyperparameters}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("value, reason", [
+    (2.5, "must be an integer"), (True, "must be an integer"),
+    ("7", "must be an integer"), (None, "must be an integer"),
+    (-1, r"must be in \[0, 2\*\*64\)"), (2 ** 64, r"must be in \[0, 2\*\*64\)")])
+def test_seed_rule(name, value, reason):
+    with pytest.raises(ConfigurationError, match=f"^{name} {reason}, got "):
+        SEEDED[name](**{name: value}).validate()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seed_range_ends_accepted(name):
+    for value in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+        SEEDED[name](**{name: value}).validate()
+
+
+@pytest.mark.parametrize("levels, reason", [
+    ((), "quantile levels must be non-empty"),
+    ((0.5, 1.0), r"quantile level 1\.0 outside \(0, 1\)"),
+    ((0.5, 0.5), "quantile levels must strictly ascend")])
+def test_one_quantile_level_rule(levels, reason):
+    """The model config, the training loss and the metrics refuse bad
+    levels with the same words."""
+    shape = (1, 1, 1)
+    checks = (
+        lambda: ModelConfig(quantile_levels=levels).validate(),
+        lambda: nm.quantile_loss(Tensor(np.zeros(shape)),
+                                 Tensor(np.zeros(shape + (len(levels),))),
+                                 levels),
+        lambda: pinball_scores(np.zeros(shape + (len(levels),)),
+                               np.zeros(shape), levels))
+    for check in checks:
+        with pytest.raises(ConfigurationError, match=f"{reason}, got "):
+            check()
 
 
 def dense_params(d_in, d_out):

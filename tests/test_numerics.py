@@ -162,6 +162,21 @@ class TestBackward:
                 if id(p) in pos:
                     assert pos[id(p)] < pos[id(node)]
 
+    def test_backward_consumes_the_graph(self):
+        x = t([1.0, 2.0], grad=True)
+        y = nm.mul(x, x)
+        loss = nm.tsum(y)
+        backward(loss)
+        for node in (y, loss):
+            assert node.parents == () and node._backward is None
+        # a second backward, through the consumed root or through a fresh
+        # root over a consumed node, is refused before touching any grad
+        for root in (loss, nm.tsum(y)):
+            with pytest.raises(ContractViolation,
+                               match="already backpropagated"):
+                backward(root)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
 
 class TestStructuralOps:
     def test_narrow_and_grad(self):

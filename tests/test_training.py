@@ -4,12 +4,14 @@ loop with early stopping, and checkpoint persistence."""
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hvforecast import numerics as nm
 from hvforecast import training
+from hvforecast.config import RunConfig, apply_profile
 from hvforecast.errors import (
     CheckpointError,
     ConfigurationError,
@@ -376,6 +378,81 @@ class TestFit:
         assert final < 0.05 * initial
 
 
+class TestGraphMemory:
+    """`backward` consumes the graph, measured with tracemalloc (which
+    traces numpy's buffers) over train steps of the tiny profile at B=32,
+    whose forward graph takes about 24 MB."""
+
+    MB = 1e6
+
+    @pytest.fixture
+    def tiny_step(self):
+        cfg = apply_profile(RunConfig(seed=23), "tiny")
+        params = build_model(cfg.model_config())
+        mc, batch = params.cfg, cfg.training.batch_size
+        rng = np.random.default_rng(23)
+        past = rng.uniform(-1, 1, (batch, mc.n_past, mc.past_feature_count))
+        future = rng.uniform(-1, 1,
+                             (batch, mc.n_future, mc.future_feature_count))
+        target = rng.uniform(-1, 1, (batch, mc.n_future, mc.zone_count))
+        return params, past, future, target
+
+    @staticmethod
+    def traced() -> int:
+        return tracemalloc.get_traced_memory()[0]
+
+    def test_backward_releases_the_graph(self, tiny_step):
+        params, past, future, target = tiny_step
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            # traced, so that backward's replacement of each grad nets out
+            for p in params.parameters():
+                p.zero_grad()
+            before = self.traced()
+            out = forward_batch(params, past, future, training=True, rng=rng)
+            loss = total_quantile_loss(target, out, params.cfg.quantile_levels)
+            graph = self.traced() - before
+            nm.backward(loss)
+            held = self.traced() - before
+        finally:
+            tracemalloc.stop()
+        assert graph > 10 * self.MB
+        # `loss` and `out` are still referenced, and keep only their data
+        assert abs(held) < 1 * self.MB, (graph, held)
+        assert out.parents == () and out._backward is None
+
+    def test_train_loop_holds_one_graph_at_a_time(self, tiny_step):
+        params, past, future, target = tiny_step
+        named = params.named_parameters()
+        state = OptimizerState.for_params(named, learning_rate=1e-3)
+        rng = np.random.default_rng(0)
+        graph = None
+        tracemalloc.start()
+        try:
+            # shaped like `fit`: `out` and `loss` stay bound until the next
+            # step rebinds them
+            for _ in range(3):
+                for p in named.values():
+                    p.zero_grad()
+                before = self.traced()
+                out = forward_batch(params, past, future, training=True,
+                                    rng=rng)
+                loss = total_quantile_loss(target, out,
+                                           params.cfg.quantile_levels)
+                if graph is None:
+                    graph = self.traced() - before
+                nm.backward(loss)
+                grads = {n: p.grad for n, p in named.items()}
+                clip_gradient_norm(grads, 1.0)
+                adam_step(named, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph > 10 * self.MB
+        assert peak < 1.5 * graph, (graph, peak)
+
+
 class TestCheckpoint:
     def roundtrip(self, tmp_path, metadata=None):
         params = build_model(MICRO)
@@ -511,7 +588,8 @@ class TestCheckpoint:
          r"mha_heads \(3\)$"),
         (lambda h: {**h, "config": {**h["config"],
                                     "quantile_levels": [0.9, 0.5, 0.1]}},
-         "^checkpoint config: quantile_levels must be strictly ascending"),
+         r"^checkpoint config: quantile_levels: quantile levels must "
+         r"strictly ascend, got \(0\.9, 0\.5, 0\.1\)$"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
             "numeric-config", "list-header", "aliased-offset",
             "negative-offset", "tensor-without-shape", "string-rnn-units",
