@@ -18,7 +18,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SimulationError
+from .errors import (ConfigurationError, ParseError, SimulationError,
+                     check_count, check_seed)
 
 ZONE_NAMES = ("south", "east", "north", "west", "core")
 ZONE_COUNT = 5
@@ -529,8 +530,7 @@ def synth_weather(
     """Mild synthetic climate: seasonal and diurnal temperature cycles with
     AR(1) noise, half-sine daytime irradiance under daily cloud cover, a
     reflected-AR(1) wind, and bounded humidity."""
-    if days < 1:
-        raise ConfigurationError("days must be >= 1")
+    check_count("days", days, minimum=1)
     if start is None:
         start = datetime(2021, 1, 1)
     n = days * (24 * 3600 // SAMPLE_STEP_S)
@@ -582,6 +582,7 @@ def simulator_inputs(seed: int, days: int, start: datetime | None = None
     """Return `simulate`'s (weather, schedules, signals) for `days` days,
     drawn from one generator seeded with `SeedSequence(seed)` in a fixed
     order: weather, schedules, setpoints, windows."""
+    check_seed("seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weather = synth_weather(rng, days, start=start)
     schedules = generate_schedules(rng, weather.timestamps)

@@ -7,13 +7,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 
-from .errors import ConfigurationError, ParseError
+from .errors import (ConfigurationError, ParseError, check_count,
+                     check_numbers, check_seed)
 from .evaluation import NOMINAL_INTERVALS
-from .model import ModelConfig, check_count, check_seed
+from .model import ModelConfig
 from .pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
@@ -30,11 +30,10 @@ class SimulatorSection:
     start: str = "2021-01-01"
 
     def validate(self) -> None:
-        if self.days < 1:
-            raise ConfigurationError("simulator.days must be >= 1")
+        check_count("simulator.days", self.days, minimum=1)
         try:
             datetime.strptime(self.start, "%Y-%m-%d")
-        except ValueError:
+        except (TypeError, ValueError):   # TypeError: not a str
             raise ConfigurationError(
                 f"simulator.start must be YYYY-MM-DD, got "
                 f"{self.start!r}") from None
@@ -89,6 +88,7 @@ class EvaluationSection:
     nominal_intervals: tuple[float, ...] = NOMINAL_INTERVALS
 
     def validate(self) -> None:
+        check_numbers("evaluation.nominal_intervals", self.nominal_intervals)
         for level in self.nominal_intervals:
             if not 0.0 < level < 1.0:
                 raise ConfigurationError(
@@ -107,8 +107,11 @@ class PathsSection:
 
     def validate(self) -> None:
         for f in fields(self):
-            if not getattr(self, f.name):
-                raise ConfigurationError(f"paths.{f.name} must be non-empty")
+            value = getattr(self, f.name)
+            if not (isinstance(value, str) and value):
+                raise ConfigurationError(
+                    f"paths.{f.name} must be a non-empty string, got "
+                    f"{value!r}")
 
 
 _SECTION_TYPES = {
@@ -142,7 +145,7 @@ class RunConfig:
             try:
                 runtime().validate()
             except ConfigurationError as exc:
-                raise ConfigurationError(f"{name}: {exc}") from exc
+                raise ConfigurationError(f"{name}.{exc}") from exc
 
     def model_config(self) -> ModelConfig:
         """Model geometry: window lengths from the pipeline section, feature
@@ -172,52 +175,13 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_type(section: str, name: str, annotation: str, value) -> None:
-    """Refuse a JSON value that cannot hold the field's type: a string, a
-    bool or a NaN/Infinity where a number belongs, a non-integer where a
-    count belongs."""
-    where = f"{section}.{name}"
-    if annotation == "int | None" and value is None:
-        return
-    if annotation in ("int", "int | None"):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"{where} must be an integer, got {value!r}")
-    elif annotation == "float":
-        if not _is_number(value):
-            raise ConfigurationError(
-                f"{where} must be a finite number, got {value!r}")
-    elif annotation.startswith("tuple[float"):
-        if not (isinstance(value, (list, tuple))
-                and all(map(_is_number, value))):
-            raise ConfigurationError(
-                f"{where} must be a list of finite numbers, got {value!r}")
-    elif annotation == "str" and not isinstance(value, str):
-        raise ConfigurationError(f"{where} must be a string, got {value!r}")
-
-
 def _build_section(cls, data: dict, section: str):
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(
             f"unknown key {unknown[0]!r} in section {section!r}")
-    kwargs = {}
-    for name, value in data.items():
-        _check_type(section, name, known[name].type, value)
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad value in section {section!r}: {exc}") from exc
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in data.items()})
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -18,31 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigurationError, DimensionError, GradientError
+from .errors import (ConfigurationError, DimensionError, GradientError,
+                     check_count, check_number, check_numbers, check_seed)
 from .layers import BiLstm, Dense, Grn, Layer, MultiHeadAttention, dropout_apply
 from .numerics import Parameter, Tensor
 from .pipeline import FUTURE_FEATURES, PAST_FEATURES, WindowSet
 
 DEFAULT_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.5, 0.95, 0.975, 0.995)
-
-
-def check_count(name: str, value, minimum: int) -> None:
-    """The rule for a size or count setting: an integer, not a bool, of
-    at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}")
-
-
-def check_seed(name: str, value) -> None:
-    """The rule for a seed setting: an integer, not a bool, in [0, 2**64),
-    the range numpy's `SeedSequence` takes as one word."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value < 2 ** 64:
-        raise ConfigurationError(
-            f"{name} must be in [0, 2**64), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +46,10 @@ class ModelConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.d_model is None:
+        # a wrongly typed rnn_units leaves d_model None, for validate to
+        # refuse by name
+        if (self.d_model is None
+                and isinstance(self.rnn_units, numbers.Integral)):
             object.__setattr__(self, "d_model", 2 * self.rnn_units)
 
     def validate(self) -> None:
@@ -76,9 +61,11 @@ class ModelConfig:
             raise ConfigurationError(
                 f"d_model ({self.d_model}) must be divisible by mha_heads "
                 f"({self.mha_heads})")
+        check_number("dropout_rate", self.dropout_rate)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(
                 f"dropout_rate ({self.dropout_rate}) must be in [0, 1)")
+        check_numbers("quantile_levels", self.quantile_levels)
         levels = tuple(self.quantile_levels)
         fault = nm.level_fault(levels)
         if fault:

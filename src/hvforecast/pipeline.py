@@ -9,14 +9,14 @@ in memory; the dataset file has one column order, the writer's.
 from __future__ import annotations
 
 import calendar
-import math
 from dataclasses import dataclass
 from operator import attrgetter, methodcaller
 
 import numpy as np
 
 from .building_sim import WEATHER_INTERVALS, SimulatedDataset
-from .errors import ConfigurationError
+from .errors import (ConfigurationError, check_count, check_number,
+                     check_numbers, check_seed)
 
 WEATHER_FEATURES = tuple(WEATHER_INTERVALS)
 
@@ -145,15 +145,13 @@ def encode_time_columns(timestamps) -> dict[str, np.ndarray]:
 
 def check_noise_sd(sd: float) -> None:
     """The forecast-noise rule: one finite, non-negative sd."""
-    if not 0 <= sd < math.inf:
-        raise ConfigurationError(
-            f"noise_sd must be finite and non-negative, got {sd}")
+    check_number("noise_sd", sd, "non-negative")
 
 
 def check_fractions(fractions) -> None:
     """The split rule: three positive fractions summing to 1."""
-    if (len(fractions) != 3 or not all(f > 0 for f in fractions)
-            or not abs(sum(fractions) - 1.0) <= 1e-9):
+    check_numbers("fractions", fractions, "positive")
+    if len(fractions) != 3 or not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ConfigurationError(
             f"fractions must be three positive values that sum to 1, "
             f"got {fractions}")
@@ -238,9 +236,11 @@ def build_windows(
 
     Window count follows floor((N - n_past - n_future)/stride) + 1.
     """
-    if n_past <= 0 or n_future <= 0 or stride <= 0:
-        raise ConfigurationError("n_past, n_future, and stride must be positive")
+    for name, value in (("n_past", n_past), ("n_future", n_future),
+                        ("stride", stride)):
+        check_count(name, value, minimum=1)
     check_noise_sd(noise_sd)
+    check_seed("noise_seed", noise_seed)
     n = len(dataset)
     need = n_past + n_future
     if n < need:

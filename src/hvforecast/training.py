@@ -11,28 +11,23 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import CheckpointError, ConfigurationError, GradientError
-from .model import (ModelConfig, ModelParams, check_count, check_seed,
-                    forward_batch, no_grad_batches, set_parameter_values)
+from .errors import (CheckpointError, ConfigurationError, GradientError,
+                     check_count, check_number, check_seed)
+from .model import (ModelConfig, ModelParams, forward_batch, no_grad_batches,
+                    set_parameter_values)
 from .numerics import Tensor
 from .pipeline import TABLE1_INTERVALS
 
 CHECKPOINT_MAGIC = b"HVF1"
-CHECKPOINT_VERSION = 1
-_HEADER_KEYS = ("config", "metadata", "scaler_intervals", "tensors")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+CHECKPOINT_VERSION = 2
+_HEADER_KEYS = ("config", "metadata", "payload_crc32", "scaler_intervals",
+                "tensors")
 
 
 def _as_tensor(x) -> Tensor:
@@ -99,9 +94,7 @@ def clip_gradient_norm(grads: dict[str, np.ndarray],
                        max_norm: float) -> float:
     """Scale all gradients so their joint Euclidean norm is at most
     `max_norm`; returns the pre-clip norm."""
-    if not (math.isfinite(max_norm) and max_norm > 0):
-        raise ConfigurationError(
-            f"max_norm must be positive and finite, got {max_norm}")
+    check_number("max_norm", max_norm, "positive")
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
@@ -124,17 +117,10 @@ class Hyperparameters:
 
     def validate(self) -> None:
         check_count("batch_size", self.batch_size, minimum=1)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(
-                f"learning_rate must be positive and finite, got "
-                f"{self.learning_rate}")
+        check_number("learning_rate", self.learning_rate, "positive")
         check_count("max_epochs", self.max_epochs, minimum=1)
         check_count("patience", self.patience, minimum=0)
-        if not (math.isfinite(self.grad_clip_norm)
-                and self.grad_clip_norm > 0):
-            raise ConfigurationError(
-                f"grad_clip_norm must be positive and finite, got "
-                f"{self.grad_clip_norm}")
+        check_number("grad_clip_norm", self.grad_clip_norm, "positive")
         check_seed("shuffle_seed", self.shuffle_seed)
 
 
@@ -296,22 +282,26 @@ def restore_model(ckpt: Checkpoint) -> ModelParams:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write magic, a canonical JSON header (names, shapes, offsets), then
-    the raw float64 little-endian tensor payloads, atomically."""
-    names = sorted(ckpt.parameters)
+    """Write magic, a canonical JSON header (names, shapes, offsets, the
+    payload's CRC-32), then the raw float64 little-endian tensor payloads,
+    atomically."""
+    arrays = {name: np.ascontiguousarray(ckpt.parameters[name], dtype="<f8")
+              for name in sorted(ckpt.parameters)}
     tensors = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.parameters[name], dtype=np.float64)
+    crc = 0
+    for name, arr in arrays.items():
         tensors.append({"name": name, "shape": list(arr.shape),
                         "offset": offset})
         offset += arr.nbytes
+        crc = zlib.crc32(arr, crc)
     header = {
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
         "scaler_intervals": {k: list(v)
                              for k, v in sorted(TABLE1_INTERVALS.items())},
         "metadata": ckpt.metadata,
+        "payload_crc32": crc,
         "tensors": tensors,
     }
     blob = json.dumps(header, sort_keys=True,
@@ -321,10 +311,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in names:
-            arr = np.ascontiguousarray(ckpt.parameters[name],
-                                       dtype=np.float64)
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+        for arr in arrays.values():
+            fh.write(arr)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -367,17 +355,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint config key mismatch: missing {missing}, "
             f"unexpected {extra}")
-    for name, value in cfg_dict.items():
-        if name == "quantile_levels":
-            valid = isinstance(value, list) and all(map(_is_number, value))
-        elif name == "dropout_rate":
-            valid = _is_number(value)
-        else:  # every other ModelConfig field is an integer
-            valid = _is_int(value)
-        if not valid:
-            raise CheckpointError(
-                f"checkpoint config {name} has invalid value {value!r}")
-    cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
+    if isinstance(cfg_dict["quantile_levels"], list):
+        cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
     config = ModelConfig(**cfg_dict)
     try:
         config.validate()
@@ -388,8 +367,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             "checkpoint scaler_intervals must be a JSON object")
     for name, interval in intervals.items():
-        if not (isinstance(interval, list) and len(interval) == 2
-                and all(map(_is_number, interval))):
+        if not (isinstance(interval, list) and len(interval) == 2):
             raise CheckpointError(
                 f"checkpoint scaler_intervals {name} must be a [low, high] "
                 f"pair, got {interval!r}")
@@ -414,7 +392,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         name = entry["name"]
         shape = entry.get("shape")
         if not (isinstance(shape, list)
-                and all(_is_int(d) and d >= 0 for d in shape)):
+                and all(type(d) is int and d >= 0 for d in shape)):
             raise CheckpointError(
                 f"checkpoint tensor {name} has invalid shape {shape!r}")
         # save_checkpoint writes the payloads back to back in header order,
@@ -435,6 +413,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint payload length {len(payload)} does not match its "
             f"{tensor_bytes} tensor bytes")
+    crc = zlib.crc32(payload)
+    if header["payload_crc32"] != crc:
+        raise CheckpointError(
+            f"checkpoint payload fails its checksum: CRC-32 {crc}, header "
+            f"records {header['payload_crc32']!r}")
 
     return Checkpoint(
         config=config,

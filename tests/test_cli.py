@@ -6,11 +6,13 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 
 import pytest
 
-from hvforecast.building_sim import load_dataset_csv
+from hvforecast.building_sim import (load_dataset_csv, simulate,
+                                     simulator_inputs)
 from hvforecast import cli
 from hvforecast.cli import assemble_config, build_parser, main, select_instances
 from hvforecast.config import (
@@ -26,6 +28,7 @@ from hvforecast.pipeline import (
     FUTURE_FEATURES,
     PAST_FEATURES,
     TARGET_FEATURES,
+    build_windows,
 )
 from hvforecast.training import (
     Hyperparameters,
@@ -81,11 +84,11 @@ class TestRunConfig:
                                         "d_model": 10}})
         with pytest.raises(ConfigurationError, match="seed"):
             config_from_dict({"seed": -1})
-        with pytest.raises(ConfigurationError, match="model: d_model"):
+        with pytest.raises(ConfigurationError, match="model.d_model"):
             config_from_dict({"model": {"d_model": 0}})
-        with pytest.raises(ConfigurationError, match="training: batch_size"):
+        with pytest.raises(ConfigurationError, match="training.batch_size"):
             config_from_dict({"training": {"batch_size": 0}})
-        with pytest.raises(ConfigurationError, match="model: dropout_rate"):
+        with pytest.raises(ConfigurationError, match="model.dropout_rate"):
             config_from_dict({"model": {"dropout_rate": 1.0}})
 
     @pytest.mark.parametrize("data, message", [
@@ -178,6 +181,84 @@ class TestRunConfig:
         b = config_from_dict({"seed": 1})
         assert a.config_hash() == RunConfig().config_hash()
         assert a.config_hash() != b.config_hash()
+
+
+WRONG_VALUES = (True, "1", None, math.nan, 2.5, [1], {})
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+            if f.name != "seed"}
+
+
+def wrong_values(default):
+    """The values of WRONG_VALUES that a setting with this default must
+    refuse: a number setting takes 2.5, a list setting [1], a path "1",
+    and d_model None. A list setting also refuses each other wrong value
+    as an entry."""
+    if isinstance(default, tuple):
+        return ([v for v in WRONG_VALUES if v != [1]]
+                + [[v] for v in WRONG_VALUES if v != 2.5])
+    valid = {float: [2.5], str: ["1"], type(None): [None]}.get(
+        type(default), [])
+    return [v for v in WRONG_VALUES if v not in valid]
+
+
+def runtime_check(section, name):
+    """(label, check) for the runtime object that owns a setting: the model
+    and training settings belong to ModelConfig and Hyperparameters, which
+    name them without their section, and the rest to their section."""
+    owner = {"model": ModelConfig, "training": Hyperparameters}.get(section)
+    if owner is None:
+        return (f"{section}.{name}",
+                lambda v: SECTIONS[section](**{name: v}).validate())
+    return name, lambda v: owner(**{name: v}).validate()
+
+
+SETTINGS = [(section, f.name) for section, cls in SECTIONS.items()
+            for f in dataclasses.fields(cls)] + [(None, "seed")]
+
+
+@pytest.mark.parametrize("section, name", SETTINGS,
+                         ids=[f"{s}.{n}" if s else n for s, n in SETTINGS])
+def test_wrongly_typed_setting_refused_by_name(section, name):
+    """Every setting refuses a wrongly typed value with a ConfigurationError
+    that names it, both from a config file and from the runtime object."""
+    if section is None:
+        default = RunConfig.seed
+        cases = [(name, lambda v: config_from_dict({"seed": v})),
+                 (name, lambda v: RunConfig(seed=v).validate())]
+    else:
+        default = getattr(SECTIONS[section](), name)
+        cases = [(f"{section}.{name}",
+                  lambda v: config_from_dict({section: {name: v}})),
+                 runtime_check(section, name)]
+    for value in wrong_values(default):
+        for label, check in cases:
+            with pytest.raises(ConfigurationError,
+                               match=rf"^{re.escape(label)}\b"):
+                check(value)
+
+
+# Settings that library entry points take as arguments, with a valid value.
+LIBRARY_SETTINGS = {"n_past": 4, "n_future": 4, "stride": 1, "noise_sd": 0.01,
+                    "noise_seed": 0, "seed": 0, "days": 1}
+
+
+@pytest.fixture(scope="module")
+def one_day():
+    return simulate(*simulator_inputs(seed=0, days=1))
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SETTINGS))
+def test_library_entry_point_refuses_wrong_type_by_name(name, one_day):
+    """`simulator_inputs` and `build_windows` refuse a wrongly typed
+    argument with the rule its config setting uses."""
+    for value in wrong_values(LIBRARY_SETTINGS[name]):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(name)}\b"):
+            if name in ("seed", "days"):
+                simulator_inputs(**{"seed": 0, "days": 1, name: value})
+            else:
+                build_windows(one_day, **{"n_past": 4, "n_future": 4,
+                                          name: value})
 
 
 class TestOverrideFlags:

@@ -540,6 +540,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="payload length"):
             load_checkpoint(str(padded))
 
+    def test_flipped_payload_bit_rejected(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[-3] ^= 0x10
+        flipped = tmp_path / "flipped.ckpt"
+        flipped.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(str(flipped))
+
     @pytest.mark.parametrize("edit, match", [
         (lambda h: {k: v for k, v in h.items() if k != "config"},
          r"missing \['config'\]"),
@@ -563,14 +572,15 @@ class TestCheckpoint:
             *h["tensors"][1:]]},
          r"tensor \S+ has invalid shape None"),
         (lambda h: {**h, "config": {**h["config"], "rnn_units": "2"}},
-         "config rnn_units has invalid value '2'"),
+         "^checkpoint config: rnn_units must be an integer, got '2'$"),
         (lambda h: {**h, "config": {**h["config"], "rnn_units": 2.5}},
-         "config rnn_units has invalid value 2.5"),
+         r"^checkpoint config: rnn_units must be an integer, got 2\.5$"),
         (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
                                               "t_out": 3}},
          "scaler_intervals t_out must be a"),
         (lambda h: {**h, "config": {**h["config"], "quantile_levels": None}},
-         "config quantile_levels has invalid value None"),
+         "^checkpoint config: quantile_levels must be a list of numbers, "
+         "got None$"),
         (lambda h: {**h, "metadata": [1]},
          "metadata must be a JSON object"),
         (lambda h: {**h, "scaler_intervals": {**h["scaler_intervals"],
