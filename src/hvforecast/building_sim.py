@@ -10,16 +10,15 @@ one dataset row per 15 minutes.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import zip_longest
 
 import numpy as np
 
 from .errors import (ConfigurationError, ParseError, SimulationError,
                      check_count, check_seed)
+from .tables import finite, parse_table, scan_table
 
 ZONE_NAMES = ("south", "east", "north", "west", "core")
 ZONE_COUNT = 5
@@ -595,23 +594,27 @@ def simulator_inputs(seed: int, days: int, start: datetime | None = None
 # CSV serialization (repr floats: lossless round trips)
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
+def _parse_timestamp(text: str) -> datetime:
     try:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
-        raise ParseError(f"bad timestamp {text!r}: {exc}", row=row) from None
+        raise ParseError(f"bad timestamp {text!r}: {exc}") from None
     # save_dataset_csv writes naive timestamps; an offset-aware one never
     # equals a naive one, so the cadence check would misreport it
     if ts.tzinfo is not None:
-        raise ParseError(f"timestamp {text!r} has a UTC offset", row=row)
+        raise ParseError(f"timestamp {text!r} has a UTC offset")
     if ts.isoformat() != text:
         raise ParseError(f"timestamp {text!r} is not in the writer's form "
-                         f"{ts.isoformat()!r}", row=row)
+                         f"{ts.isoformat()!r}")
     return ts
 
 
-_HEADER = ["timestamp"] + DATASET_COLUMNS
-_HEADER_TEXT = ",".join(_HEADER)
+# One dataset row. A writer's timestamp text is at most 26 characters; the
+# 27-character field keeps a longer text from being cut down to one.
+_DATASET_DTYPE = np.dtype([("timestamp", "U27")]
+                          + [(name, "f8") for name in DATASET_COLUMNS])
+_DATASET_RULES = ([lambda text: _parse_timestamp(text).isoformat()]
+                  + [finite] * len(DATASET_COLUMNS))
 
 
 def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:
@@ -624,89 +627,39 @@ def save_dataset_csv(dataset: SimulatedDataset, path: str) -> None:
     rows = map(",".join, zip((ts.isoformat() for ts in dataset.timestamps),
                              *columns))
     with open(path, "w", newline="") as fh:
-        fh.write(_HEADER_TEXT + "\r\n")
+        fh.write(",".join(_DATASET_DTYPE.names) + "\r\n")
         fh.writelines(row + "\r\n" for row in rows)
 
 
 def load_dataset_csv(path: str) -> SimulatedDataset:
-    """Read the layout `save_dataset_csv` writes. One pass over the lines
-    collects the timestamp texts and counts each row's fields, and one
-    `np.loadtxt` call parses the number columns. The timestamps must be
-    the writer's text of the 15-minute sequence from the first one. If any
-    of this fails, the rows are rescanned one at a time to name the first
-    bad one."""
-    dataset = _read_columns(path)
-    return _scan_rows(path) if dataset is None else dataset
+    """Read the layout `save_dataset_csv` writes with the package's table
+    reader. A parsed table is taken when its numbers are finite and its
+    timestamp texts are the writer's 15-minute sequence from the first
+    one. Otherwise the rescan names the first bad row or, if every row is
+    good, the row where the cadence breaks."""
+    rows = parse_table(path, _DATASET_DTYPE)
+    timestamps = None if rows is None else _writer_timestamps(rows)
+    if timestamps is None:
+        rows = scan_table(path, "dataset", _DATASET_DTYPE, _DATASET_RULES)
+        timestamps = [datetime.fromisoformat(text)
+                      for text in rows["timestamp"].tolist()]
+        k = cadence_break(timestamps)
+        if k is not None:
+            gap = (timestamps[k] - timestamps[k - 1]).total_seconds()
+            raise ParseError(f"timestamp gap of {gap:.0f}s (need "
+                             f"{SAMPLE_STEP_S}s)", row=k + 2)
+    return SimulatedDataset(timestamps, {name: rows[name].copy()
+                                         for name in DATASET_COLUMNS})
 
 
-def _read_columns(path: str) -> SimulatedDataset | None:
-    """The dataset in `path`, or None if the file strays from the writer's
-    layout anywhere."""
-    with open(path) as fh:   # universal newlines: `\r\n` reads as `\n`
-        if fh.readline() != _HEADER_TEXT + "\n":
-            return None
-        body = fh.tell()
-        texts = []
-        for line in fh:
-            if line.count(",") != len(DATASET_COLUMNS):
-                return None
-            texts.append(line[:line.index(",")])
-        if not texts:
-            return None
-        fh.seek(body)
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                               usecols=range(1, len(_HEADER)))
-        except ValueError:
-            return None
+def _writer_timestamps(rows: np.ndarray) -> list[datetime] | None:
+    """The timestamps of parsed rows whose numbers are finite and whose
+    timestamp texts are the writer's sequence, else None."""
+    texts = rows["timestamp"].tolist()
     try:
-        first = _parse_timestamp(texts[0], row=2)
+        timestamps = make_timestamps(_parse_timestamp(texts[0]), len(texts))
     except ParseError:
         return None
-    timestamps = make_timestamps(first, len(texts))
-    if (table.shape != (len(texts), len(DATASET_COLUMNS))
-            or not np.isfinite(table).all()
-            or [ts.isoformat() for ts in timestamps] != texts):
-        return None
-    return SimulatedDataset(timestamps,
-                            dict(zip(DATASET_COLUMNS, table.T.copy())))
-
-
-def _scan_rows(path: str) -> SimulatedDataset:
-    """Read the dataset one row at a time, converting each row's numbers
-    with one numpy call. Each refusal names its row, and a bad cell its
-    column."""
-    timestamps, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ParseError("empty dataset file", row=1)
-        for k, (got, want) in enumerate(zip_longest(first, _HEADER), start=1):
-            if got != want:
-                raise ParseError(f"header field {k} is {got!r}, expected {want!r}", row=1)
-        for row, fields in enumerate(reader, start=2):
-            if len(fields) != len(_HEADER):
-                raise ParseError(f"expected {len(_HEADER)} fields, got {len(fields)}", row=row)
-            timestamps.append(_parse_timestamp(fields[0], row))
-            try:
-                numbers = np.array(fields[1:], dtype=float)
-            except ValueError:
-                numbers = None
-            if numbers is None or not np.isfinite(numbers).all():
-                # name the cell that `float`, which numpy uses too, refuses or finds non-finite
-                for name, text in zip(DATASET_COLUMNS, fields[1:]):
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise ParseError(f"column {name}: not a number: {text!r}", row=row) from None
-                    if not math.isfinite(value):
-                        raise ParseError(f"column {name}: not finite: {text!r}", row=row)
-            values.append(numbers)
-    if not timestamps:
-        raise ParseError("dataset file has no data rows", row=2)
-    k = cadence_break(timestamps)
-    if k is not None:
-        gap = (timestamps[k] - timestamps[k - 1]).total_seconds()
-        raise ParseError(f"timestamp gap of {gap:.0f}s (need {SAMPLE_STEP_S}s)", row=k + 2)
-    return SimulatedDataset(timestamps, dict(zip(DATASET_COLUMNS, np.array(values).T.copy())))
+    ok = (all(np.isfinite(rows[name]).all() for name in DATASET_COLUMNS)
+          and [ts.isoformat() for ts in timestamps] == texts)
+    return timestamps if ok else None

@@ -5,11 +5,9 @@ bookkeeping, pinball scores, and deterministic CSV exports.
 The forecast dump (`hvforecast predict` writes it, `hvforecast evaluate`
 reads it) holds one CSV row per (instance, step, zone, quantile level),
 in the order the writer loops over them. It is written one instance at a
-time and read column by column: one `np.loadtxt` call parses the body,
-numpy checks every row against the writer's layout, and the columns are
-reshaped into the dense arrays. A file that does not parse is rescanned
-row by row to name its first bad row; a file out of layout is refused
-naming its first row out of place.
+time and read with the package's table reader (`tables`). numpy then
+checks every row against the writer's layout, naming the first row out
+of place, and reshapes the columns into the dense arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -25,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DimensionError, ParseError
 from .numerics import level_fault
+from .tables import integer, number, parse_table, scan_table
 
 NOMINAL_INTERVALS = (0.90, 0.95, 0.99)
 PLATEAU_FRACTION = 0.95
@@ -224,7 +222,7 @@ def export_metrics(metrics, path: str) -> str:
 _DUMP_DTYPE = np.dtype([("instance", "i8"), ("step", "i8"), ("zone", "i8"),
                         ("q_level", "f8"), ("value_c", "f8"),
                         ("actual_c", "f8")])
-_INT64_LIMIT = 2 ** 63
+_DUMP_RULES = [integer] * 3 + [number] * 3
 
 
 def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
@@ -274,57 +272,12 @@ class ForecastDump:
 
 def read_forecast_dump(path: str) -> ForecastDump:
     """Parse a forecast dump, its rows in the order `write_forecast_dump`
-    writes them, back into dense arrays. The body is parsed by one
-    `np.loadtxt` call. If it refuses the file, or skips blank lines, the
-    rows are rescanned one at a time to name the first bad one."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != ",".join(_DUMP_DTYPE.names):
-            raise ParseError(f"forecast dump header must be "
-                             f"{list(_DUMP_DTYPE.names)}", row=1)
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x reads "1.0" in an int column with only a
-                # DeprecationWarning; int() refuses it.
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_DUMP_DTYPE, delimiter=",",
-                                  comments=None, ndmin=1)
-        except (ValueError, Warning):
-            rows = None
-    if rows is None or len(rows) != _count_lines(path) - 1:
-        rows = _scan_rows(path)
+    writes them, back into dense arrays, with the package's table reader,
+    which rescans a malformed file to name its first bad row."""
+    rows = parse_table(path, _DUMP_DTYPE)
+    if rows is None:
+        rows = scan_table(path, "forecast dump", _DUMP_DTYPE, _DUMP_RULES)
     return _assemble_dump(rows)
-
-
-def _count_lines(path: str) -> int:
-    count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            count += chunk.count(b"\n")
-            last = chunk[-1:]
-    return count + (last != b"\n")
-
-
-def _scan_rows(path: str) -> np.ndarray:
-    """Parse the dump body one csv row at a time, refusing the first
-    malformed row."""
-    parsed = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise ParseError(f"expected 6 columns, got {len(row)}",
-                                 row=lineno)
-            try:
-                ints = [int(text) for text in row[:3]]
-                floats = [float(text) for text in row[3:]]
-            except ValueError as exc:
-                raise ParseError(f"bad value: {exc}", row=lineno) from exc
-            if not all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in ints):
-                raise ParseError("bad value: integer out of range",
-                                 row=lineno)
-            parsed.append((*ints, *floats))
-    return np.array(parsed, dtype=_DUMP_DTYPE)
 
 
 def _leading(mask: np.ndarray) -> int:
@@ -348,8 +301,6 @@ def _assemble_dump(rows: np.ndarray) -> ForecastDump:
     of one instance, each block a new instance, with one actual_c per
     (instance, step, zone). The first row that breaks a rule is named."""
     n = len(rows)
-    if not n:
-        raise ParseError("forecast dump has no data rows", row=2)
     inst, step, zone, q = (rows[name] for name in
                            ("instance", "step", "zone", "q_level"))
     first = inst == inst[0]

@@ -191,9 +191,12 @@ def forward_batch(
 
 def no_grad_batches(params: ModelParams, windows: WindowSet, indices,
                     batch_size: int):
-    """The one inference loop: forward the windows at `indices` (a sliceable
-    sequence) without recording gradients, `batch_size` at a time, yielding
-    each chunk's output Tensor and its scaled targets."""
+    """The one inference loop: forward the windows at `indices` (a sliceable,
+    non-empty sequence) without recording gradients, `batch_size` (>= 1) at
+    a time, yielding each chunk's output Tensor and its scaled targets."""
+    check_count("batch_size", batch_size, minimum=1)
+    if len(indices) == 0:
+        raise ConfigurationError("cannot forecast an empty window set")
     with nm.no_grad():
         for lo in range(0, len(indices), batch_size):
             past, future, target = windows.batch(indices[lo:lo + batch_size])

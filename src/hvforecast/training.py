@@ -143,8 +143,6 @@ class TrainReport:
 def evaluate_loss(params: ModelParams, windows, batch_size: int = 256) -> float:
     """Mean quantile loss over a window set, computed without recording
     gradients."""
-    if len(windows) == 0:
-        raise ConfigurationError("cannot evaluate an empty window set")
     levels = params.cfg.quantile_levels
     total = 0.0
     for out, target in no_grad_batches(params, windows, range(len(windows)),

@@ -47,7 +47,10 @@ def load_dataset_csv(path: str) -> SimulatedDataset:
         for row, fields in enumerate(reader, start=2):
             if len(fields) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(fields)}", row=row)
-            timestamps.append(_parse_timestamp(fields[0], row))
+            try:
+                timestamps.append(_parse_timestamp(fields[0]))
+            except ParseError as exc:
+                raise ParseError(str(exc), row=row) from None
             try:
                 numbers = np.array(fields[1:], dtype=float)
             except ValueError:

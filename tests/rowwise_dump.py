@@ -56,33 +56,36 @@ def write_forecast_dump(path: str, forecasts, actuals, quantile_levels,
 def _parse_rows(path: str) -> list[tuple]:
     """Every body row as (instance, step, zone, q_level, value_c,
     actual_c) in Python ints and floats; the first malformed row is
-    refused."""
-    expected_header = ["instance", "step", "zone", "q_level", "value_c",
-                       "actual_c"]
+    refused in the words of the package's table reader."""
+    names = ["instance", "step", "zone", "q_level", "value_c", "actual_c"]
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != expected_header:
-            raise ParseError(
-                f"forecast dump header must be {expected_header}", row=1)
+        if header is None:
+            raise ParseError("empty forecast dump file", row=1)
+        for k, (got, want) in enumerate(
+                itertools.zip_longest(header, names), start=1):
+            if got != want:
+                raise ParseError(
+                    f"header field {k} is {got!r}, expected {want!r}", row=1)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 6:
                 raise ParseError(
-                    f"expected 6 columns, got {len(row)}", row=lineno)
-            try:
-                inst = int(row[0])
-                step = int(row[1])
-                zone = int(row[2])
-                q = float(row[3])
-                value = float(row[4])
-                actual = float(row[5])
-            except ValueError as exc:
-                raise ParseError(f"bad value: {exc}", row=lineno) from exc
-            if not all(-2 ** 63 <= v < 2 ** 63 for v in (inst, step, zone)):
-                raise ParseError("bad value: integer out of range",
-                                 row=lineno)
-            rows.append((inst, step, zone, q, value, actual))
+                    f"expected 6 fields, got {len(row)}", row=lineno)
+            for k, (name, text) in enumerate(zip(names, row)):
+                try:
+                    row[k] = int(text) if k < 3 else float(text)
+                except ValueError:
+                    kind = "an integer" if k < 3 else "a number"
+                    raise ParseError(f"column {name}: not {kind}: {text!r}",
+                                     row=lineno) from None
+                if k < 3 and not -2 ** 63 <= row[k] < 2 ** 63:
+                    raise ParseError(f"column {name}: integer out of range: "
+                                     f"{text!r}", row=lineno)
+            rows.append(tuple(row))
+    if not rows:
+        raise ParseError("forecast dump file has no data rows", row=2)
     return rows
 
 
@@ -109,8 +112,6 @@ def read_forecast_dump(path: str) -> ForecastDump:
     every row is then walked against the key the writer's loops put at its
     place."""
     rows = _parse_rows(path)
-    if not rows:
-        raise ParseError("forecast dump has no data rows", row=2)
     first = rows[0][0]
     run = list(itertools.takewhile(lambda row: row[0] == first, rows))
     levels = [row[3] for row in itertools.takewhile(

@@ -529,6 +529,28 @@ class TestDatasetCsv:
                            match=f"row {row}: timestamp .* has a UTC offset"):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("start", [datetime(2021, 1, 1),
+                                       datetime(2021, 1, 1, 0, 0, 0, 1)])
+    def test_long_timestamp_text_refused_at_its_row(self, tmp_path, start):
+        # a text that starts as the writer's stamp and runs on past the
+        # longest one (26 characters) must not be cut down to that stamp
+        rng = np.random.default_rng(8)
+        dataset = bs.SimulatedDataset(
+            make_timestamps(start, 6),
+            {name: rng.uniform(20.0, 25.0, 6) for name in DATASET_COLUMNS})
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(dataset, str(path))
+        lines = path.read_text().splitlines()
+        stamp, rest = lines[2].split(",", 1)
+        text = stamp + (".000000xyz" if len(stamp) == 19 else "xyz")
+        assert len(text) > 26
+        lines[2] = f"{text},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^row 3: bad timestamp "
+                           f"'{text}'") as info:
+            load_dataset_csv(str(path))
+        assert info.value.row == 3
+
     # Each edit takes the lines of a saved file, header first, and returns
     # them changed; the loader must refuse the result at the row given.
     EDITS = {

@@ -659,7 +659,8 @@ class TestDumpCodec:
         lines = path.read_bytes().split(b"\r\n")
         lines[6] = b"0,1,2,0.5,oops,20.0"
         path.write_bytes(b"\r\n".join(lines))
-        with pytest.raises(ParseError, match="row 7: bad value") as info:
+        with pytest.raises(ParseError, match="row 7: column value_c: not a "
+                           "number") as info:
             read_forecast_dump(str(path))
         assert info.value.row == 7
 

@@ -28,7 +28,7 @@ from hvforecast.pipeline import (
     TARGET_FEATURES,
     build_windows,
 )
-from hvforecast.training import Hyperparameters
+from hvforecast.training import Hyperparameters, evaluate_loss
 
 import unfused as uf
 
@@ -436,6 +436,20 @@ class TestForecastWindows:
         params.named_parameters()["head/b"].data[0] = np.nan
         with pytest.raises(GradientError, match="origin 9 "):
             forecast_windows(params, windows, [9, 3, 4], batch_size=2)
+
+    @pytest.mark.parametrize("indices, batch_size, match", [
+        ([], 2, "empty window set"),
+        ([0, 1], 0, "batch_size must be >= 1"),
+        ([0, 1], 1.5, "batch_size must be an integer"),
+    ])
+    def test_bad_request_refused_by_name(self, indices, batch_size, match):
+        windows = self.windows()
+        params = build_model(full_feature_config())
+        with pytest.raises(ConfigurationError, match=match):
+            forecast_windows(params, windows, indices, batch_size=batch_size)
+        with pytest.raises(ConfigurationError, match=match):
+            evaluate_loss(params, windows.subset(windows.origins[indices]),
+                          batch_size=batch_size)
 
 
 class TestParameterLoading:
