@@ -46,7 +46,6 @@ from .training import (
     fit,
     load_checkpoint,
     make_checkpoint,
-    restore_model,
     save_checkpoint,
 )
 
@@ -141,8 +140,8 @@ def select_instances(selector: str, count: int) -> list[int]:
 def cmd_predict(cfg: RunConfig, checkpoint_path: str | None,
                 dataset_path: str | None, selector: str,
                 out_path: str | None) -> int:
-    ckpt = load_checkpoint(checkpoint_path or cfg.paths.checkpoint)
-    mc = ckpt.config
+    params = load_checkpoint(checkpoint_path or cfg.paths.checkpoint).params
+    mc = params.cfg
     for name, features in (("past_feature_count", PAST_FEATURES),
                            ("future_feature_count", FUTURE_FEATURES),
                            ("zone_count", TARGET_FEATURES)):
@@ -154,7 +153,6 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str | None,
         raise CheckpointError(
             f"checkpoint quantile_levels are {list(mc.quantile_levels)}, but "
             f"the run config has {list(cfg.model.quantile_levels)}")
-    params = restore_model(ckpt)
     dataset = load_dataset_csv(dataset_path or cfg.paths.dataset)
     test = _windows_and_splits(cfg, dataset, mc.n_past, mc.n_future).test
     chosen = select_instances(selector, len(test))

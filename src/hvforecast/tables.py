@@ -42,11 +42,11 @@ def integer(text: str) -> int:
 def parse_table(path: str, dtype: np.dtype) -> np.ndarray | None:
     """The rows of `path` if its header is the writer's and one
     `np.loadtxt` call parses a row from every line after it, else None."""
-    with open(path) as fh:   # text mode ends lines where np.loadtxt does
-        if fh.readline() != ",".join(dtype.names) + "\n":
-            return None
-        lines = sum(1 for _ in fh)
     try:
+        with open(path) as fh:   # text mode ends lines where np.loadtxt does
+            if fh.readline() != ",".join(dtype.names) + "\n":
+                return None
+            lines = sum(1 for _ in fh)
         with warnings.catch_warnings():
             # numpy 1.x reads "1.0" in an int column with only a
             # DeprecationWarning, and an empty body with a UserWarning
@@ -54,6 +54,7 @@ def parse_table(path: str, dtype: np.dtype) -> np.ndarray | None:
             # numpy reads a path in chunks, and a name ending in .gz as gzip
             rows = np.loadtxt(path, dtype=dtype, delimiter=",",
                               comments=None, skiprows=1, ndmin=1)
+    # text that is not UTF-8 raises UnicodeDecodeError, a ValueError
     except (OSError, ValueError, Warning):
         return None
     # np.loadtxt skips blank lines, which the rescan refuses
@@ -64,30 +65,38 @@ def scan_table(path: str, what: str, dtype: np.dtype, rules) -> np.ndarray:
     """The rows of `path`, read one `csv.reader` row at a time. The first
     fault is refused naming its row, and a bad cell its column; `what`
     names the file."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ParseError(f"empty {what} file", row=1)
-        for k, (got, want) in enumerate(zip_longest(first, dtype.names),
-                                        start=1):
-            if got != want:
-                raise ParseError(f"header field {k} is {got!r}, expected "
-                                 f"{want!r}", row=1)
-        for row, fields in enumerate(reader, start=2):
-            if len(fields) != len(rules):
-                raise ParseError(f"expected {len(rules)} fields, got "
-                                 f"{len(fields)}", row=row)
-            cells = []
-            for name, rule, text in zip(dtype.names, rules, fields):
-                try:
-                    cells.append(rule(text))
-                except ParseError as exc:
-                    raise ParseError(str(exc), row=row) from None
-                except ValueError as exc:
-                    raise ParseError(f"column {name}: {exc}", row=row) from None
-            rows.append(tuple(cells))
+    rows = None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"empty {what} file", row=1)
+            for k, (got, want) in enumerate(zip_longest(first, dtype.names),
+                                            start=1):
+                if got != want:
+                    raise ParseError(f"header field {k} is {got!r}, expected "
+                                     f"{want!r}", row=1)
+            rows = []
+            for row, fields in enumerate(reader, start=2):
+                if len(fields) != len(rules):
+                    raise ParseError(f"expected {len(rules)} fields, got "
+                                     f"{len(fields)}", row=row)
+                cells = []
+                for name, rule, text in zip(dtype.names, rules, fields):
+                    try:
+                        cells.append(rule(text))
+                    except ParseError as exc:
+                        raise ParseError(str(exc), row=row) from None
+                    except ValueError as exc:
+                        raise ParseError(f"column {name}: {exc}",
+                                         row=row) from None
+                rows.append(tuple(cells))
+    except UnicodeDecodeError:
+        # text is decoded a chunk ahead of the rows read, so the bad byte
+        # is in this row or a later one
+        raise ParseError(f"{what} file is not UTF-8 text",
+                         row=1 if rows is None else len(rows) + 2) from None
     if not rows:
         raise ParseError(f"{what} file has no data rows", row=2)
     return np.array(rows, dtype=dtype)

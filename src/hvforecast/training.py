@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import struct
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -253,38 +253,26 @@ def fit(
 
 @dataclass
 class Checkpoint:
-    """Everything needed to reproduce inference: architecture config, all
-    parameter tensors, and training metadata. The file also records the
+    """Everything needed to reproduce inference: the model (its config and
+    parameter tensors) and training metadata. The file also records the
     Table 1 scaling intervals, and loading refuses any others."""
 
-    config: ModelConfig
-    parameters: dict[str, np.ndarray]
+    params: ModelParams
     metadata: dict
-    version: int = CHECKPOINT_VERSION
 
 
 def make_checkpoint(params: ModelParams,
                     metadata: dict | None = None) -> Checkpoint:
-    return Checkpoint(
-        config=params.cfg,
-        parameters={n: p.data.copy()
-                    for n, p in params.named_parameters().items()},
-        metadata=dict(metadata or {}),
-    )
-
-
-def restore_model(ckpt: Checkpoint) -> ModelParams:
-    params = ModelParams(ckpt.config)
-    set_parameter_values(params, ckpt.parameters)
-    return params
+    """Wrap the live model, without copying it."""
+    return Checkpoint(params=params, metadata=dict(metadata or {}))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Write magic, a canonical JSON header (names, shapes, offsets, the
     payload's CRC-32), then the raw float64 little-endian tensor payloads,
     atomically."""
-    arrays = {name: np.ascontiguousarray(ckpt.parameters[name], dtype="<f8")
-              for name in sorted(ckpt.parameters)}
+    arrays = {name: np.ascontiguousarray(p.data, dtype="<f8") for name, p
+              in sorted(ckpt.params.named_parameters().items())}
     tensors = []
     offset = 0
     crc = 0
@@ -294,8 +282,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         offset += arr.nbytes
         crc = zlib.crc32(arr, crc)
     header = {
-        "version": ckpt.version,
-        "config": dataclasses.asdict(ckpt.config),
+        "version": CHECKPOINT_VERSION,
+        "config": dataclasses.asdict(ckpt.params.cfg),
         "scaler_intervals": {k: list(v)
                              for k, v in sorted(TABLE1_INTERVALS.items())},
         "metadata": ckpt.metadata,
@@ -317,109 +305,113 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Build the model the header describes and read each tensor from the
+    file straight into its parameter's array, refusing by name a tensor
+    whose name, shape or offset is not the model's."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8:
-        raise CheckpointError("checkpoint file is truncated")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic bytes)")
-    header_len = struct.unpack("<Q", blob[4:12])[0]
-    header_end = 12 + header_len
-    if len(blob) < header_end:
-        raise CheckpointError("checkpoint file is truncated")
-    try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(
-            f"checkpoint header must be a JSON object, got "
-            f"{type(header).__name__}")
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r}, expected "
-            f"{CHECKPOINT_VERSION}")
-    absent = [key for key in _HEADER_KEYS if key not in header]
-    if absent:
-        raise CheckpointError(f"checkpoint header is missing {absent}")
-    cfg_dict = header["config"]
-    if not isinstance(cfg_dict, dict):
-        raise CheckpointError("checkpoint config must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    missing = sorted(fields - set(cfg_dict))
-    extra = sorted(set(cfg_dict) - fields)
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint config key mismatch: missing {missing}, "
-            f"unexpected {extra}")
-    if isinstance(cfg_dict["quantile_levels"], list):
-        cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
-    config = ModelConfig(**cfg_dict)
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        raise CheckpointError(f"checkpoint config: {exc}") from None
-    intervals = header["scaler_intervals"]
-    if not isinstance(intervals, dict):
-        raise CheckpointError(
-            "checkpoint scaler_intervals must be a JSON object")
-    for name, interval in intervals.items():
-        if not (isinstance(interval, list) and len(interval) == 2):
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(CHECKPOINT_MAGIC) + 8)
+        if len(head) < len(CHECKPOINT_MAGIC) + 8:
+            raise CheckpointError("checkpoint file is truncated")
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a checkpoint file (bad magic bytes)")
+        header_end = 12 + struct.unpack("<Q", head[4:])[0]
+        if size < header_end:
+            raise CheckpointError("checkpoint file is truncated")
+        try:
+            header = json.loads(fh.read(header_end - 12).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
             raise CheckpointError(
-                f"checkpoint scaler_intervals {name} must be a [low, high] "
-                f"pair, got {interval!r}")
-    for name in sorted(intervals.keys() | TABLE1_INTERVALS.keys()):
-        got, want = intervals.get(name), TABLE1_INTERVALS.get(name)
-        if got is None or want is None or tuple(got) != want:
+                f"checkpoint header must be a JSON object, got "
+                f"{type(header).__name__}")
+        version = header.get("version")
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"checkpoint scaling interval for {name} is "
-                f"{'missing' if got is None else got}, but Table 1 has "
-                f"{'none' if want is None else list(want)}")
-    if not isinstance(header["metadata"], dict):
-        raise CheckpointError("checkpoint metadata must be a JSON object")
-    if not isinstance(header["tensors"], list):
-        raise CheckpointError("checkpoint tensors must be a JSON list")
-
-    payload = memoryview(blob)[header_end:]   # slices of it copy nothing
-    parameters: dict[str, np.ndarray] = {}
-    tensor_bytes = 0
-    for i, entry in enumerate(header["tensors"]):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
-            raise CheckpointError(f"checkpoint tensor entry {i} has no name")
-        name = entry["name"]
-        shape = entry.get("shape")
-        if not (isinstance(shape, list)
-                and all(type(d) is int and d >= 0 for d in shape)):
+                f"unsupported checkpoint version {version!r}, expected "
+                f"{CHECKPOINT_VERSION}")
+        absent = [key for key in _HEADER_KEYS if key not in header]
+        if absent:
+            raise CheckpointError(f"checkpoint header is missing {absent}")
+        cfg_dict = header["config"]
+        if not isinstance(cfg_dict, dict):
+            raise CheckpointError("checkpoint config must be a JSON object")
+        fields = {f.name for f in dataclasses.fields(ModelConfig)}
+        missing = sorted(fields - set(cfg_dict))
+        extra = sorted(set(cfg_dict) - fields)
+        if missing or extra:
             raise CheckpointError(
-                f"checkpoint tensor {name} has invalid shape {shape!r}")
-        # save_checkpoint writes the payloads back to back in header order,
-        # so any other offset would alias or skip bytes.
-        if entry.get("offset") != tensor_bytes:
+                f"checkpoint config key mismatch: missing {missing}, "
+                f"unexpected {extra}")
+        if isinstance(cfg_dict["quantile_levels"], list):
+            cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
+        try:
+            params = ModelParams(ModelConfig(**cfg_dict))
+        except ConfigurationError as exc:
+            raise CheckpointError(f"checkpoint config: {exc}") from None
+        intervals = header["scaler_intervals"]
+        if not isinstance(intervals, dict):
             raise CheckpointError(
-                f"checkpoint tensor {name} has offset "
-                f"{entry.get('offset')!r}, expected {tensor_bytes}")
-        end = tensor_bytes + 8 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError(
-                f"checkpoint file is truncated: tensor {name} "
-                f"extends past end of file")
-        parameters[name] = np.frombuffer(
-            payload[tensor_bytes:end], dtype="<f8").reshape(shape).copy()
-        tensor_bytes = end
-    if len(payload) != tensor_bytes:
+                "checkpoint scaler_intervals must be a JSON object")
+        for name, interval in intervals.items():
+            if not (isinstance(interval, list) and len(interval) == 2):
+                raise CheckpointError(
+                    f"checkpoint scaler_intervals {name} must be a "
+                    f"[low, high] pair, got {interval!r}")
+        for name in sorted(intervals.keys() | TABLE1_INTERVALS.keys()):
+            got, want = intervals.get(name), TABLE1_INTERVALS.get(name)
+            if got is None or want is None or tuple(got) != want:
+                raise CheckpointError(
+                    f"checkpoint scaling interval for {name} is "
+                    f"{'missing' if got is None else got}, but Table 1 has "
+                    f"{'none' if want is None else list(want)}")
+        if not isinstance(header["metadata"], dict):
+            raise CheckpointError("checkpoint metadata must be a JSON object")
+        if not isinstance(header["tensors"], list):
+            raise CheckpointError("checkpoint tensors must be a JSON list")
+        named = params.named_parameters()
+        unread = dict(named)
+        crc = offset = 0
+        for i, entry in enumerate(header["tensors"]):
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("name"), str)):
+                raise CheckpointError(
+                    f"checkpoint tensor entry {i} has no name")
+            name = entry["name"]
+            param = unread.pop(name, None)
+            if param is None:
+                raise CheckpointError(
+                    f"checkpoint tensor {name} is "
+                    + ("listed twice" if name in named
+                       else "not a model parameter"))
+            if entry.get("shape") != list(param.shape):
+                raise CheckpointError(
+                    f"checkpoint tensor {name} has shape "
+                    f"{entry.get('shape')!r}, but the model's is "
+                    f"{list(param.shape)}")
+            # save_checkpoint writes the payloads back to back in header
+            # order, so any other offset would alias or skip bytes.
+            if entry.get("offset") != offset:
+                raise CheckpointError(
+                    f"checkpoint tensor {name} has offset "
+                    f"{entry.get('offset')!r}, expected {offset}")
+            if fh.readinto(param.data) != param.data.nbytes:
+                raise CheckpointError(
+                    f"checkpoint file is truncated: tensor {name} "
+                    f"extends past end of file")
+            crc = zlib.crc32(param.data, crc)
+            if sys.byteorder == "big":   # the file is little-endian
+                param.data.byteswap(inplace=True)
+            offset += param.data.nbytes
+    if unread:
+        raise CheckpointError(f"checkpoint lacks tensors {sorted(unread)}")
+    if size - header_end != offset:
         raise CheckpointError(
-            f"checkpoint payload length {len(payload)} does not match its "
-            f"{tensor_bytes} tensor bytes")
-    crc = zlib.crc32(payload)
+            f"checkpoint payload length {size - header_end} does not match "
+            f"its {offset} tensor bytes")
     if header["payload_crc32"] != crc:
         raise CheckpointError(
             f"checkpoint payload fails its checksum: CRC-32 {crc}, header "
             f"records {header['payload_crc32']!r}")
-
-    return Checkpoint(
-        config=config,
-        parameters=parameters,
-        metadata=header["metadata"],
-        version=version,
-    )
+    return Checkpoint(params=params, metadata=header["metadata"])

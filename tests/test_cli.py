@@ -374,8 +374,8 @@ class TestGenerate:
 class TestTrain:
     def test_checkpoint_loads_and_carries_metadata(self, chain_dir):
         ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))
-        assert ckpt.config.n_past == 48
-        assert ckpt.config.rnn_units == 16
+        assert ckpt.params.cfg.n_past == 48
+        assert ckpt.params.cfg.rnn_units == 16
         assert ckpt.metadata["epochs_run"] == 2
         assert ckpt.metadata["dataset_rows"] == 480
         assert ckpt.metadata["best_val_loss"] > 0
@@ -530,10 +530,29 @@ class TestPredict:
             f"error: checkpoint config: d_model ({width}) must be divisible "
             f"by mha_heads ({width + 1})"]
 
+    def test_transposed_tensor_shape_exits_1(self, chain_dir, tmp_path,
+                                             monkeypatch, capsys):
+        blob = (chain_dir / "model.ckpt").read_bytes()
+        end = 12 + struct.unpack("<Q", blob[4:12])[0]
+        header = json.loads(blob[12:end])
+        entry = next(t for t in header["tensors"] if t["name"] == "head/w")
+        entry["shape"].reverse()
+        text = json.dumps(header).encode()
+        bad = tmp_path / "transposed.ckpt"
+        bad.write_bytes(blob[:4] + struct.pack("<Q", len(text)) + text
+                        + blob[end:])
+        monkeypatch.chdir(chain_dir)
+        assert main(["predict", *CHAIN_ARGS, "--checkpoint",
+                     str(bad)]) == 1
+        rows, cols = entry["shape"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: checkpoint tensor head/w has shape [{rows}, {cols}], "
+            f"but the model's is [{cols}, {rows}]"]
+
     def test_nan_weight_refused_naming_window(self, chain_dir, tmp_path,
                                               monkeypatch, capsys):
         ckpt = load_checkpoint(str(chain_dir / "model.ckpt"))
-        ckpt.parameters["head/b"][0] = math.nan
+        ckpt.params.named_parameters()["head/b"].data[0] = math.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         save_checkpoint(ckpt, str(nan_ckpt))
         out = tmp_path / "forecasts.csv"
@@ -549,7 +568,7 @@ class TestPredict:
     def test_checkpoint_geometry_mismatch_refused(self, chain_dir, tmp_path,
                                                   monkeypatch, capsys, field,
                                                   value):
-        config = load_checkpoint(str(chain_dir / "model.ckpt")).config
+        config = load_checkpoint(str(chain_dir / "model.ckpt")).params.cfg
         odd = tmp_path / "odd.ckpt"
         save_checkpoint(make_checkpoint(build_model(
             dataclasses.replace(config, **{field: value}))), str(odd))

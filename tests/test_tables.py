@@ -2,6 +2,7 @@
 reads: `dataset.csv` and the forecast dump refuse each fault in the same
 words, and differ only in the file's name, width and column names."""
 
+import gzip
 from datetime import datetime
 
 import numpy as np
@@ -96,6 +97,28 @@ def test_both_readers_share_one_wording(tmp_path, fault, what):
     assert (str(got.value), got.value.row) == (str(want.value),
                                                want.value.row)
 
+
+
+def latin1_row_4(data):
+    """`data` with a Latin-1 "e acute" at the start of row 4."""
+    lines = data.split(b"\n")
+    lines[3] = b"\xe9" + lines[3]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("edit", [gzip.compress, latin1_row_4],
+                         ids=["compressed", "latin-1 cell"])
+@pytest.mark.parametrize("what", sorted(FILES))
+def test_undecodable_table_refused(tmp_path, what, edit):
+    # text is decoded a chunk ahead of the rows read, so a file this small
+    # is refused at row 1 wherever its first byte that is not UTF-8 is
+    save, load, _, _ = FILES[what]
+    path = tmp_path / "table.csv"
+    save(str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ParseError) as got:
+        load(str(path))
+    assert str(got.value) == f"row 1: {what} file is not UTF-8 text"
 
 
 @pytest.mark.parametrize("what", sorted(FILES))

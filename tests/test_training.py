@@ -32,7 +32,6 @@ from hvforecast.training import (
     fit,
     load_checkpoint,
     make_checkpoint,
-    restore_model,
     save_checkpoint,
     total_quantile_loss,
 )
@@ -474,12 +473,15 @@ class TestCheckpoint:
         return str(edited)
 
     def test_parameters_bitwise_round_trip(self, tmp_path):
-        params, ckpt, path = self.roundtrip(tmp_path)
+        params, _, path = self.roundtrip(tmp_path)
         loaded = load_checkpoint(path)
-        assert set(loaded.parameters) == set(ckpt.parameters)
-        for name, arr in ckpt.parameters.items():
-            assert np.array_equal(loaded.parameters[name], arr)
-        assert loaded.config == params.cfg
+        saved = params.named_parameters()
+        restored = loaded.params.named_parameters()
+        assert list(restored) == list(saved)
+        for name, p in saved.items():
+            assert np.array_equal(restored[name].data, p.data)
+            assert not np.shares_memory(restored[name].data, p.data)
+        assert loaded.params.cfg == params.cfg
         assert loaded.metadata == {"best_epoch": 3}
 
     def test_header_records_table1_intervals(self, tmp_path):
@@ -500,7 +502,7 @@ class TestCheckpoint:
 
     def test_forecast_from_checkpoint_bitwise_equal(self, tmp_path):
         params, _, path = self.roundtrip(tmp_path)
-        restored = restore_model(load_checkpoint(path))
+        restored = load_checkpoint(path).params
         rng = np.random.default_rng(11)
         past = rng.uniform(-1, 1, size=(1, MICRO.n_past,
                                         MICRO.past_feature_count))
@@ -510,6 +512,27 @@ class TestCheckpoint:
         b = forward_batch(restored, past, future).data
         assert np.array_equal(a, b)
 
+    def test_load_holds_only_the_model(self, tmp_path):
+        # the model's weights and their zeroed gradients are twice the
+        # payload; a file-sized buffer or a copy of the tensors on the way
+        # into the model would add another payload or more
+        params = build_model(ModelConfig(
+            n_past=4, n_future=2, past_feature_count=3,
+            future_feature_count=2, zone_count=2, rnn_units=32, mha_heads=2,
+            dropout_rate=0.0, quantile_levels=(0.1, 0.5, 0.9)))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(make_checkpoint(params), path)
+        payload = 8 * params.parameter_count()
+        del params
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload > 10 ** 6
+        assert peak < 2.5 * payload, (peak, payload)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -517,11 +540,9 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_unknown_version_rejected(self, tmp_path):
-        _, ckpt, path = self.roundtrip(tmp_path)
-        ckpt.version = 99
-        bumped = str(tmp_path / "v99.ckpt")
-        save_checkpoint(ckpt, bumped)
-        with pytest.raises(CheckpointError, match="version"):
+        bumped = self.with_header(tmp_path, lambda h: {**h, "version": 99})
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 99"):
             load_checkpoint(bumped)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -570,7 +591,20 @@ class TestCheckpoint:
         (lambda h: {**h, "tensors": [
             {k: v for k, v in h["tensors"][0].items() if k != "shape"},
             *h["tensors"][1:]]},
-         r"tensor \S+ has invalid shape None"),
+         r"tensor \S+ has shape None, but the model's is \[\d+(, \d+)*\]$"),
+        (lambda h: {**h, "tensors": h["tensors"][:-1]},
+         r"^checkpoint lacks tensors \['output_bilstm/fwd/w_x'\]$"),
+        (lambda h: {**h, "tensors": [
+            {**t, "shape": t["shape"][::-1]} if t["name"] == "head/w" else t
+            for t in h["tensors"]]},
+         r"^checkpoint tensor head/w has shape \[6, 4\], but the model's "
+         r"is \[4, 6\]$"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "name": "head/v"},
+                                     *h["tensors"][1:]]},
+         "^checkpoint tensor head/v is not a model parameter$"),
+        (lambda h: {**h, "tensors": [h["tensors"][0], h["tensors"][0],
+                                     *h["tensors"][2:]]},
+         r"^checkpoint tensor \S+ is listed twice$"),
         (lambda h: {**h, "config": {**h["config"], "rnn_units": "2"}},
          "^checkpoint config: rnn_units must be an integer, got '2'$"),
         (lambda h: {**h, "config": {**h["config"], "rnn_units": 2.5}},
@@ -602,7 +636,9 @@ class TestCheckpoint:
          r"strictly ascend, got \(0\.9, 0\.5, 0\.1\)$"),
     ], ids=["no-config", "no-quantile-levels", "unknown-config-key",
             "numeric-config", "list-header", "aliased-offset",
-            "negative-offset", "tensor-without-shape", "string-rnn-units",
+            "negative-offset", "tensor-without-shape", "dropped-tensor",
+            "transposed-shape", "unknown-tensor", "repeated-tensor",
+            "string-rnn-units",
             "fractional-rnn-units", "scalar-scaler-interval",
             "null-quantile-levels", "list-metadata", "moved-interval",
             "missing-interval", "extra-interval", "heads-not-dividing-width",
