@@ -32,14 +32,20 @@ class Layer:
                 yield from value.parameters()
 
 
-def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
+def _uniform(rng: np.random.Generator | None, bound: float,
+             shape) -> np.ndarray:
+    """Weights drawn uniform in +/- `bound`; with no generator, left
+    undrawn (`np.empty`) for a caller that fills every one."""
+    if rng is None:
+        return np.empty(shape)
     return rng.uniform(-bound, bound, size=shape)
 
 
 class Dense(Layer):
     """Affine map along the last axis: y = x W + b."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name: str):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
+                 name: str):
         bound = 1.0 / math.sqrt(d_in)
         self.w = Parameter(f"{name}/w", _uniform(rng, bound, (d_in, d_out)))
         self.b = Parameter(f"{name}/b", np.zeros(d_out))
@@ -54,7 +60,8 @@ class LstmCell(Layer):
     Forget-gate bias starts at 1.0; other weights are uniform in
     +/- 1/sqrt(units)."""
 
-    def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
+    def __init__(self, d_in: int, units: int, rng: np.random.Generator | None,
+                 name: str):
         bound = 1.0 / math.sqrt(units)
         self.w_x = Parameter(f"{name}/w_x", _uniform(rng, bound, (d_in, 4 * units)))
         self.w_h = Parameter(f"{name}/w_h", _uniform(rng, bound, (units, 4 * units)))
@@ -70,7 +77,8 @@ class BiLstm(Layer):
     through time, computing the recurrence of the one-step reference
     `lstm_step` in `tests/unfused.py`."""
 
-    def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
+    def __init__(self, d_in: int, units: int, rng: np.random.Generator | None,
+                 name: str):
         self.fwd = LstmCell(d_in, units, rng, f"{name}/fwd")
         self.bwd = LstmCell(d_in, units, rng, f"{name}/bwd")
 
@@ -89,7 +97,8 @@ class MultiHeadAttention(Layer):
     node between the four dense maps.
     """
 
-    def __init__(self, d_model: int, heads: int, rng: np.random.Generator, name: str):
+    def __init__(self, d_model: int, heads: int, rng: np.random.Generator | None,
+                 name: str):
         if d_model % heads != 0:
             raise ConfigurationError(f"mha: d_model {d_model} not divisible by {heads} heads")
         self.d_model = d_model
@@ -115,7 +124,8 @@ class Glu(Layer):
     """Gated linear unit: one affine map produces value and gate halves,
     output = value * sigmoid(gate)."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, name: str):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
+                 name: str):
         self.proj = Dense(d_in, 2 * d_out, rng, f"{name}/proj")
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -147,7 +157,7 @@ class Grn(Layer):
     layer norm of its input.
     """
 
-    def __init__(self, d: int, rng: np.random.Generator, name: str):
+    def __init__(self, d: int, rng: np.random.Generator | None, name: str):
         self.d = d
         self.fc1 = Dense(d, d, rng, f"{name}/fc1")
         self.fc2 = Dense(d, d, rng, f"{name}/fc2")

@@ -82,8 +82,8 @@ class _Branch(Layer):
     skip connection, and the sum feeds a gated residual block, so
     position-local content survives even when attention averages broadly."""
 
-    def __init__(self, d_in: int, cfg: ModelConfig, rng: np.random.Generator,
-                 name: str):
+    def __init__(self, d_in: int, cfg: ModelConfig,
+                 rng: np.random.Generator | None, name: str):
         self.proj = Dense(d_in, cfg.d_model, rng, f"{name}/proj")
         self.attn = MultiHeadAttention(cfg.d_model, cfg.mha_heads, rng,
                                        f"{name}/self_mha")
@@ -112,11 +112,13 @@ class _Branch(Layer):
 
 
 class ModelParams(Layer):
-    """All model weights, built deterministically from the config seed."""
+    """All model weights, built deterministically from the config seed.
+    With `draw=False` the random weights are left undrawn, for a caller
+    that overwrites every parameter (`training.load_checkpoint`)."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, draw: bool = True):
         cfg.validate()
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(cfg.rng_seed) if draw else None
         q_count = len(cfg.quantile_levels)
         self.cfg = cfg
         self.encoder = _Branch(cfg.past_feature_count, cfg, rng, "encoder")

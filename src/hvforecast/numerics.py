@@ -80,7 +80,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        # np.zeros takes its pages zeroed from the allocator, where
+        # np.zeros_like writes each one
+        self.grad = np.zeros(self.shape)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
@@ -90,7 +92,9 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf; `grad` starts at zero so unreached parameters read as zero-grad."""
+    """Named trainable leaf; `grad` starts at zero so unreached parameters
+    read as zero-grad. A training loop may set `grad` to None between steps
+    to free it; `backward` then makes a new one on its first write."""
 
     __slots__ = ("name",)
 

@@ -61,17 +61,31 @@ def parse_table(path: str, dtype: np.dtype) -> np.ndarray | None:
     return rows if len(rows) == lines else None
 
 
+def _undecodable(fields: list[str]) -> bool:
+    """Whether a row read with errors="surrogateescape" held a byte that
+    is not UTF-8, which that handler turns into a lone surrogate."""
+    try:
+        "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def scan_table(path: str, what: str, dtype: np.dtype, rules) -> np.ndarray:
     """The rows of `path`, read one `csv.reader` row at a time. The first
     fault is refused naming its row, and a bad cell its column; `what`
-    names the file."""
-    rows = None
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+    names the file. A row holding a byte that is not UTF-8 is refused as
+    such."""
+    # surrogateescape decodes every byte, so a bad one is found in its row,
+    # not in the chunk the decoder reads ahead
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
             first = next(reader, None)
             if first is None:
                 raise ParseError(f"empty {what} file", row=1)
+            if _undecodable(first):
+                raise ParseError(f"{what} file is not UTF-8 text", row=1)
             for k, (got, want) in enumerate(zip_longest(first, dtype.names),
                                             start=1):
                 if got != want:
@@ -79,6 +93,9 @@ def scan_table(path: str, what: str, dtype: np.dtype, rules) -> np.ndarray:
                                      f"{want!r}", row=1)
             rows = []
             for row, fields in enumerate(reader, start=2):
+                if _undecodable(fields):
+                    raise ParseError(f"{what} file is not UTF-8 text",
+                                     row=row)
                 if len(fields) != len(rules):
                     raise ParseError(f"expected {len(rules)} fields, got "
                                      f"{len(fields)}", row=row)
@@ -92,11 +109,11 @@ def scan_table(path: str, what: str, dtype: np.dtype, rules) -> np.ndarray:
                         raise ParseError(f"column {name}: {exc}",
                                          row=row) from None
                 rows.append(tuple(cells))
-    except UnicodeDecodeError:
-        # text is decoded a chunk ahead of the rows read, so the bad byte
-        # is in this row or a later one
-        raise ParseError(f"{what} file is not UTF-8 text",
-                         row=1 if rows is None else len(rows) + 2) from None
+        except csv.Error:
+            # Python 3.10's csv refuses a NUL byte ("line contains NUL"),
+            # which no text file holds and gzip data does
+            raise ParseError(f"{what} file is not UTF-8 text",
+                             row=reader.line_num) from None
     if not rows:
         raise ParseError(f"{what} file has no data rows", row=2)
     return np.array(rows, dtype=dtype)

@@ -49,27 +49,20 @@ ADAM_EPS = 1e-8
 @dataclass
 class OptimizerState:
     """Adam moments keyed by parameter name, plus the shared step counter
-    and the learning rate."""
+    and the learning rate. `adam_step` makes a parameter's moments at its
+    first update, so no moment memory exists before the first step."""
 
     learning_rate: float = 1e-3
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @classmethod
-    def for_params(cls, named: dict[str, "nm.Parameter"],
-                   learning_rate: float = 1e-3) -> "OptimizerState":
-        state = cls(learning_rate=learning_rate)
-        for name, p in named.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
-
 
 def adam_step(named: dict[str, "nm.Parameter"],
               grads: dict[str, np.ndarray],
               state: OptimizerState) -> None:
-    """One bias-corrected Adam update, in place on the parameter values."""
+    """One bias-corrected Adam update, in place on the parameter values.
+    A parameter's moments start at zero, made at its first update."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
@@ -78,6 +71,9 @@ def adam_step(named: dict[str, "nm.Parameter"],
         g = np.asarray(grads[name])
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for parameter {name}")
+        if name not in state.m:
+            state.m[name] = np.zeros(p.shape)
+            state.v[name] = np.zeros(p.shape)
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -152,6 +148,20 @@ def evaluate_loss(params: ModelParams, windows, batch_size: int = 256) -> float:
     return total / len(windows)
 
 
+def _apply_gradients(named: dict[str, "nm.Parameter"], max_norm: float,
+                     state: OptimizerState) -> None:
+    """Clip and apply the gradients `backward` left on the parameters, and
+    take them off the parameters, so that none is held through the next
+    forward; the next `backward` makes new ones. A parameter `backward` did
+    not reach has a zero gradient."""
+    grads = {}
+    for name, p in named.items():
+        grads[name] = np.zeros(p.shape) if p.grad is None else p.grad
+        p.grad = None
+    clip_gradient_norm(grads, max_norm)
+    adam_step(named, grads, state)
+
+
 def fit(
     params: ModelParams,
     train_windows,
@@ -164,7 +174,8 @@ def fit(
     ends once validation loss has failed to improve for more than
     `patience` consecutive epochs, and the best-validation parameters are
     restored before returning. Epoch 0 records the pre-training validation
-    loss."""
+    loss. Each step's gradients are freed once applied, so every
+    parameter's `grad` is None when `fit` returns."""
     hyper.validate()
     for name, windows in (("train", train_windows),
                           ("validation", val_windows)):
@@ -172,8 +183,9 @@ def fit(
             raise ConfigurationError(f"{name} split is empty")
 
     named = params.named_parameters()
-    state = OptimizerState.for_params(named,
-                                      learning_rate=hyper.learning_rate)
+    for p in named.values():
+        p.grad = None   # each step's backward makes its gradients anew
+    state = OptimizerState(learning_rate=hyper.learning_rate)
     log_fh = open(log_path, "w") if log_path is not None else None
 
     def emit(record: EpochRecord) -> None:
@@ -207,8 +219,6 @@ def fit(
             for lo in range(0, len(order), hyper.batch_size):
                 idx = order[lo:lo + hyper.batch_size]
                 past, future, target = train_windows.batch(idx)
-                for p in named.values():
-                    p.zero_grad()
                 out = forward_batch(params, past, future, training=True,
                                     rng=dropout_rng)
                 loss = total_quantile_loss(target, out,
@@ -219,9 +229,7 @@ def fit(
                         f"epoch {epoch}, batch order[{lo}:{lo + len(idx)}] "
                         f"starting at window {idx[0]}")
                 nm.backward(loss)
-                grads = {n: p.grad for n, p in named.items()}
-                clip_gradient_norm(grads, hyper.grad_clip_norm)
-                adam_step(named, grads, state)
+                _apply_gradients(named, hyper.grad_clip_norm, state)
                 running += float(loss.data) * len(idx)
                 seen += len(idx)
 
@@ -347,7 +355,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if isinstance(cfg_dict["quantile_levels"], list):
             cfg_dict["quantile_levels"] = tuple(cfg_dict["quantile_levels"])
         try:
-            params = ModelParams(ModelConfig(**cfg_dict))
+            # every tensor is read from the file below, or the load is
+            # refused, so the random init is not drawn
+            params = ModelParams(ModelConfig(**cfg_dict), draw=False)
         except ConfigurationError as exc:
             raise CheckpointError(f"checkpoint config: {exc}") from None
         intervals = header["scaler_intervals"]

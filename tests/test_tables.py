@@ -99,26 +99,43 @@ def test_both_readers_share_one_wording(tmp_path, fault, what):
 
 
 
-def latin1_row_4(data):
-    """`data` with a Latin-1 "e acute" at the start of row 4."""
+def latin1_at_row(data, row):
+    """`data` with a Latin-1 "e acute" at the start of `row` (the header is
+    row 1)."""
     lines = data.split(b"\n")
-    lines[3] = b"\xe9" + lines[3]
+    lines[row - 1] = b"\xe9" + lines[row - 1]
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("edit", [gzip.compress, latin1_row_4],
-                         ids=["compressed", "latin-1 cell"])
+@pytest.mark.parametrize("edit, row", [
+    (gzip.compress, 1), (lambda data: latin1_at_row(data, 4), 4)],
+    ids=["compressed", "latin-1 cell"])
 @pytest.mark.parametrize("what", sorted(FILES))
-def test_undecodable_table_refused(tmp_path, what, edit):
-    # text is decoded a chunk ahead of the rows read, so a file this small
-    # is refused at row 1 wherever its first byte that is not UTF-8 is
+def test_undecodable_table_refused(tmp_path, what, edit, row):
+    # the refusal names the row that holds the first byte that is not UTF-8
     save, load, _, _ = FILES[what]
     path = tmp_path / "table.csv"
     save(str(path))
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ParseError) as got:
         load(str(path))
-    assert str(got.value) == f"row 1: {what} file is not UTF-8 text"
+    assert str(got.value) == f"row {row}: {what} file is not UTF-8 text"
+
+
+def test_undecodable_byte_past_the_first_chunk_names_its_row(tmp_path):
+    # row 401 of a 5-day dataset starts about 270 KB in, well past the
+    # chunk a text decoder reads ahead
+    rng = np.random.default_rng(5)
+    path = tmp_path / "dataset.csv"
+    save_dataset_csv(SimulatedDataset(
+        make_timestamps(datetime(2021, 1, 1), 5 * 96),
+        {name: rng.uniform(20.0, 25.0, 5 * 96) for name in DATASET_COLUMNS}),
+        str(path))
+    path.write_bytes(latin1_at_row(path.read_bytes(), 401))
+    with pytest.raises(ParseError) as got:
+        load_dataset_csv(str(path))
+    assert str(got.value) == "row 401: dataset file is not UTF-8 text"
+    assert got.value.row == 401
 
 
 @pytest.mark.parametrize("what", sorted(FILES))

@@ -1,14 +1,17 @@
 """Tests for pinball/quantile losses, the Adam optimizer, the training
 loop with early stopping, and checkpoint persistence."""
 
+import dataclasses
 import json
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from hvforecast import model
 from hvforecast import numerics as nm
 from hvforecast import training
 from hvforecast.config import RunConfig, apply_profile
@@ -155,7 +158,7 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         p = Parameter("w", np.array([1.0, -2.0]))
         named = {"w": p}
-        state = OptimizerState.for_params(named)
+        state = OptimizerState()
         adam_step(named, {"w": np.zeros(2)}, state)
         assert np.array_equal(p.data, [1.0, -2.0])
         assert state.t == 1
@@ -165,7 +168,7 @@ class TestAdam:
         lr = 0.05
         p = Parameter("w", np.array([2.0]))
         named = {"w": p}
-        state = OptimizerState.for_params(named, learning_rate=lr)
+        state = OptimizerState(learning_rate=lr)
         adam_step(named, {"w": np.array([g])}, state)
         expect = 2.0 - lr * g / (abs(g) + training.ADAM_EPS)
         assert p.data[0] == pytest.approx(expect, rel=1e-12)
@@ -179,7 +182,7 @@ class TestAdam:
         grads = rng.normal(size=5)
         p = Parameter("w", values.copy())
         named = {"w": p}
-        state = OptimizerState.for_params(named, learning_rate=0.01)
+        state = OptimizerState(learning_rate=0.01)
         adam_step(named, {"w": grads.copy()}, state)
         expect = values - 0.01 * grads / (np.abs(grads) + training.ADAM_EPS)
         assert np.allclose(p.data, expect, rtol=0, atol=1e-15)
@@ -187,14 +190,14 @@ class TestAdam:
     def test_nan_gradient_names_parameter(self):
         p = Parameter("encoder/w", np.zeros(2))
         named = {"encoder/w": p}
-        state = OptimizerState.for_params(named)
+        state = OptimizerState()
         with pytest.raises(GradientError, match="encoder/w"):
             adam_step(named, {"encoder/w": np.array([np.nan, 0.0])}, state)
 
     def test_second_moment_stays_nonnegative(self):
         p = Parameter("w", np.zeros(3))
         named = {"w": p}
-        state = OptimizerState.for_params(named)
+        state = OptimizerState()
         rng = np.random.default_rng(7)
         for _ in range(20):
             adam_step(named, {"w": rng.normal(size=3)}, state)
@@ -357,7 +360,7 @@ class TestFit:
         params = build_model(MICRO)
         data = micro_data(MICRO, 4)
         named = params.named_parameters()
-        state = OptimizerState.for_params(named, learning_rate=3e-3)
+        state = OptimizerState(learning_rate=3e-3)
         past, future, target = data.batch(range(4))
         initial = None
         final = None
@@ -424,7 +427,7 @@ class TestGraphMemory:
     def test_train_loop_holds_one_graph_at_a_time(self, tiny_step):
         params, past, future, target = tiny_step
         named = params.named_parameters()
-        state = OptimizerState.for_params(named, learning_rate=1e-3)
+        state = OptimizerState(learning_rate=1e-3)
         rng = np.random.default_rng(0)
         graph = None
         tracemalloc.start()
@@ -450,6 +453,122 @@ class TestGraphMemory:
             tracemalloc.stop()
         assert graph > 10 * self.MB
         assert peak < 1.5 * graph, (graph, peak)
+
+
+def zeroing_fit(params, train, val, hyper):
+    """`fit`'s loop as it ran with every gradient zeroed before each forward
+    and Adam's moments made before the first step. Returns the losses in
+    `fit`'s report order and the parameter values after each epoch."""
+    named = params.named_parameters()
+    state = OptimizerState(learning_rate=hyper.learning_rate)
+    for name, p in named.items():
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
+    losses = [evaluate_loss(params, val, hyper.batch_size)]
+    values = [{n: p.data.copy() for n, p in named.items()}]
+    for epoch in range(1, hyper.max_epochs + 1):
+        seq = np.random.SeedSequence(hyper.shuffle_seed, spawn_key=(epoch,))
+        shuffle_rng, dropout_rng = [np.random.default_rng(s)
+                                    for s in seq.spawn(2)]
+        order = shuffle_rng.permutation(len(train))
+        running = 0.0
+        for lo in range(0, len(order), hyper.batch_size):
+            idx = order[lo:lo + hyper.batch_size]
+            past, future, target = train.batch(idx)
+            for p in named.values():
+                p.zero_grad()
+            out = forward_batch(params, past, future, training=True,
+                                rng=dropout_rng)
+            loss = total_quantile_loss(target, out,
+                                       params.cfg.quantile_levels)
+            nm.backward(loss)
+            grads = {n: p.grad for n, p in named.items()}
+            clip_gradient_norm(grads, hyper.grad_clip_norm)
+            adam_step(named, grads, state)
+            running += float(loss.data) * len(idx)
+        losses += [running / len(order),
+                   evaluate_loss(params, val, hyper.batch_size)]
+        values.append({n: p.data.copy() for n, p in named.items()})
+    return losses, values
+
+
+class TestOptimizerMemory:
+    """`fit` frees each step's gradients before the next forward and makes
+    Adam's moments at the first update, without changing a bit of its
+    result."""
+
+    # parameters (about 1.4 MB) that outweigh the graph of a 2-window batch
+    WIDE = dataclasses.replace(MICRO, n_past=3, n_future=2, rnn_units=48)
+
+    def test_losses_and_parameters_match_the_zeroing_loop(self):
+        cfg = dataclasses.replace(MICRO, dropout_rate=0.2)
+        train = micro_data(cfg, 7)
+        val = micro_data(cfg, 3, seed=1)
+        hyper = Hyperparameters(batch_size=3, learning_rate=0.02,
+                                max_epochs=2, patience=5,
+                                grad_clip_norm=0.5)
+        params = build_model(cfg)
+        report = fit(params, train, val, hyper)
+        want_losses, want_values = zeroing_fit(build_model(cfg), train, val,
+                                               hyper)
+        got_losses = [report.epochs[0].val_loss] + [
+            v for r in report.epochs[1:] for v in (r.train_loss, r.val_loss)]
+        assert got_losses == want_losses
+        assert report.best_epoch == 2
+        for name, p in params.named_parameters().items():
+            assert p.data.tobytes() == want_values[2][name].tobytes(), name
+
+    def test_no_gradient_or_early_moment_is_held_through_a_forward(
+            self, monkeypatch):
+        params = build_model(self.WIDE)
+        size = sum(p.data.nbytes for p in params.parameters())
+        grads = []     # weak references to every gradient backward made
+        updates = []   # the moment count at entry to each Adam step
+        entries = []   # (traced bytes, updates done, earlier grads freed)
+
+        def on_forward(forward):
+            def probe(*args, **kwargs):
+                entries.append((tracemalloc.get_traced_memory()[0],
+                                len(updates),
+                                all(ref() is None for ref in grads)))
+                return forward(*args, **kwargs)
+            return probe
+
+        def on_backward(loss):
+            backward(loss)
+            grads.extend(weakref.ref(p.grad) for p in params.parameters())
+
+        def on_adam(named, step_grads, state):
+            updates.append(len(state.m) + len(state.v))
+            adam(named, step_grads, state)
+
+        backward, adam = nm.backward, training.adam_step
+        monkeypatch.setattr(nm, "backward", on_backward)
+        monkeypatch.setattr(training, "adam_step", on_adam)
+        monkeypatch.setattr(training, "forward_batch",
+                            on_forward(training.forward_batch))
+        monkeypatch.setattr(model, "forward_batch",
+                            on_forward(model.forward_batch))
+        tracemalloc.start()
+        try:
+            fit(params, micro_data(self.WIDE, 4),
+                micro_data(self.WIDE, 2, seed=1),
+                Hyperparameters(batch_size=2, max_epochs=2))
+        finally:
+            tracemalloc.stop()
+        assert size > 1e6
+        moments = 2 * len(params.named_parameters())
+        assert updates == [0, moments, moments, moments]
+        # the pre-training validation, then 2 train steps and a validation
+        # forward per epoch
+        assert len(entries) == 1 + 2 * (2 + 1)
+        for traced, done, freed in entries:
+            assert freed
+            # fit's copy of the best values; once an update has run, also
+            # the updated parameter values (built before tracing began) and
+            # Adam's two moments. A gradient would add one more `size`.
+            assert traced < size * (1.5 + 3 * (done > 0)), (traced, done)
+        assert all(p.grad is None for p in params.parameters())
 
 
 class TestCheckpoint:
