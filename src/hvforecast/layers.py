@@ -108,9 +108,11 @@ class MultiHeadAttention(Layer):
         self.wv = Dense(d_model, d_model, rng, f"{name}/v")
         self.wo = Dense(d_model, d_model, rng, f"{name}/out")
 
-    def __call__(self, q_seq: Tensor, kv_seq: Tensor) -> tuple[Tensor, np.ndarray]:
+    def __call__(self, q_seq: Tensor,
+                 kv_seq: Tensor) -> tuple[Tensor, np.ndarray | None]:
         """Returns the output and the attention weights (batch, heads, Tq,
-        Tk) as a read-only array."""
+        Tk) as a read-only array; under `numerics.no_grad` the weights are
+        None, as `numerics.attention` does not form them all at once."""
         if q_seq.shape[-1] != self.d_model or kv_seq.shape[-1] != self.d_model:
             raise DimensionError(
                 f"mha: feature extents {q_seq.shape[-1]}/{kv_seq.shape[-1]} "

@@ -18,8 +18,12 @@ layers' dense blocks are fused nodes with hand-written backwards: `affine`,
 `layer_norm`, `glu`, `attention`, `quantile_loss` and `lstm_sequence`. Each
 applies its trailing-axis vectors internally after checking their extents,
 and keeps only what its backward needs, so one layer stores one output
-instead of a chain of intermediates. The unfused compositions they replace,
-and the small ops only those need, are test-side references.
+instead of a chain of intermediates. Under `no_grad` the two that hold the
+most, `attention` and `lstm_sequence`, keep nothing for a backward and
+compute the same values bitwise with less memory: attention in blocks of
+(batch, head) slices, the recurrence with one step's buffers. The unfused
+compositions they replace, and the small ops only those need, are
+test-side references.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ _GRAD_ENABLED = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / finite differences)."""
+    """Disable graph recording inside the block (inference / finite
+    differences); `attention` and `lstm_sequence` then also skip the
+    buffers a backward would read."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -107,12 +113,18 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over `parents` becomes a node of the recorded graph."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-            backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+            backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None
+            ) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out.op = op
         out.parents = parents
@@ -148,7 +160,13 @@ def mul(a: Tensor, b) -> Tensor:
         return _result(a.data * c, "mul", (a,), lambda g: (g * c,))
     _check_same_shape("mul", a, b)
     ad, bd = a.data, b.data
-    return _result(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
+
+    def bw(g):
+        # an operand outside the graph, such as a dropout mask, gets none
+        return (g * bd if a.requires_grad else None,
+                g * ad if b.requires_grad else None)
+
+    return _result(ad * bd, "mul", (a, b), bw)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,7 +226,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b along the last axis of `x`, as one node: one GEMM with the
-    bias added in place, so only the result is stored."""
+    bias added in place, so only the result is stored. The backward skips
+    the input gradient when `x` is outside the graph, as a model input is."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"affine: input {x.shape} does not fit kernel {w.shape}")
     if b.shape != (w.shape[1],):
@@ -219,7 +238,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         g_rows = g.reshape(-1, g.shape[-1])
-        return g @ wd.T, xd.reshape(-1, xd.shape[-1]).T @ g_rows, g_rows.sum(axis=0)
+        g_x = g @ wd.T if x.requires_grad else None
+        return g_x, xd.reshape(-1, xd.shape[-1]).T @ g_rows, g_rows.sum(axis=0)
 
     return _result(out, "affine", (x, w, b), bw)
 
@@ -279,7 +299,13 @@ def glu(z: Tensor) -> Tensor:
     return _result(value * _sigmoid(gate), "glu", (z,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+# Score elements (float64, 2 MiB) that one block of a no-grad `attention`
+# may hold; a single (batch, head) slice larger than this is its own block.
+ATTENTION_BLOCK_SCORES = 2 ** 18
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              heads: int) -> tuple[Tensor, np.ndarray | None]:
     """Scaled dot-product attention over `heads` heads, as one node.
 
     `q` is (batch, Tq, d) and `k`, `v` are (batch, Tk, d). Each is split
@@ -289,6 +315,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     (batch, heads, Tq, Tk) as a read-only array. The weights are the only
     intermediate kept: the backward takes the softmax row term from the
     node's own output, sum_k(dW * W) = sum_j(dO * O) per query and head.
+
+    Under `no_grad` nothing is kept for a backward: the weights are None,
+    and the output is computed in blocks of whole (batch, head) slices
+    whose scores fit `ATTENTION_BLOCK_SCORES`, so the scores of all slices
+    never exist at once. Each slice runs the same matrix products and
+    row reductions as unblocked, so the output is bitwise the same.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
         raise DimensionError(
@@ -311,12 +343,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     def merge(a, steps):
         return a.transpose(0, 2, 1, 3).reshape(batch, steps, dm)
 
+    def softmax_scores(qb, kb):
+        w = qb @ kb.transpose(0, 1, 3, 2)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w
+
     qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
-    weights = qh @ kh.transpose(0, 1, 3, 2)
-    weights *= scale
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    if not _GRAD_ENABLED:
+        out = np.empty((batch, tq, dm))
+        out_h = split(out, tq)
+        # a block is several batch items with every head, or some heads
+        # of one batch item
+        per_block = max(1, ATTENTION_BLOCK_SCORES // (tq * tk))
+        items, head_run = max(1, per_block // heads), min(heads, per_block)
+        for i in range(0, batch, items):
+            for h in range(0, heads, head_run):
+                block = (slice(i, i + items), slice(h, h + head_run))
+                out_h[block] = softmax_scores(qh[block], kh[block]) @ vh[block]
+        return _result(out, "attention", (q, k, v), None), None
+
+    weights = softmax_scores(qh, kh)
     out = merge(weights @ vh, tq)
 
     def bw(g):
@@ -411,6 +460,10 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     derivative coefficients are formed for all steps at once, the loop
     carries just dh/dc and one `dz @ w_h.T`, and the weight and input
     gradients are three GEMMs over all steps.
+
+    When no graph is recorded (under `no_grad`, or with no input that
+    requires grad) the same loop keeps one step's gates, cell state and
+    tanh(c) instead of every step's, and the node has no backward.
     """
     if x.ndim != 3:
         raise DimensionError(
@@ -435,25 +488,33 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         xs = xs[::-1]
     xs = np.ascontiguousarray(xs).reshape(steps * batch, d)
     xw = (xs @ wx).reshape(steps, batch, 4, u)
-    gates = np.empty((steps, batch, 4, u))
-    cs = np.empty((steps, batch, u))
-    tcs = np.empty((steps, batch, u))
+    keep = _records((x, w_x, w_h, b))
+    if not keep:
+        del xs   # the time-major copy, read again only by a backward
+    # without a graph, one step's gates, cell state and tanh(c) are kept
+    kept = steps if keep else 1
+    gates = np.empty((kept, batch, 4, u))
+    cs = np.empty((kept, batch, u))
+    tcs = np.empty((kept, batch, u))
     hs = np.empty((steps, batch, u))
     h = np.zeros((batch, u))
     c = np.zeros((batch, u))
     for t in range(steps):
+        k = t if keep else 0
         z = (xw[t].reshape(batch, 4 * u) + h @ wh).reshape(batch, 4, u)
         z += bd.reshape(4, u)
         z *= _GATE_SCALE
-        a = np.tanh(z, out=gates[t])
+        a = np.tanh(z, out=gates[k])
         a *= _GATE_SCALE
         a += _GATE_OFFSET
-        c = np.add(a[:, 1] * c, a[:, 0] * a[:, 2], out=cs[t])
-        h = np.multiply(a[:, 3], np.tanh(c, out=tcs[t]), out=hs[t])
+        c = np.add(a[:, 1] * c, a[:, 0] * a[:, 2], out=cs[k])
+        h = np.multiply(a[:, 3], np.tanh(c, out=tcs[k]), out=hs[t])
 
     out = hs.transpose(1, 0, 2)
     if reverse:
         out = out[:, ::-1]
+    if not keep:
+        return _result(out, "lstm_sequence", (x, w_x, w_h, b), None)
 
     def bw(g):
         gs = g.transpose(1, 0, 2)

@@ -62,7 +62,10 @@ def adam_step(named: dict[str, "nm.Parameter"],
               grads: dict[str, np.ndarray],
               state: OptimizerState) -> None:
     """One bias-corrected Adam update, in place on the parameter values.
-    A parameter's moments start at zero, made at its first update."""
+    A parameter's moments start at zero, made at its first update. The
+    moments and values are updated through `out=` with two temporaries per
+    parameter, in the operation order of
+    p - lr * (m / bias1) / (sqrt(v / bias2) + eps)."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
@@ -76,14 +79,20 @@ def adam_step(named: dict[str, "nm.Parameter"],
             state.v[name] = np.zeros(p.shape)
         m = state.m[name]
         v = state.v[name]
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                         + ADAM_EPS)
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= state.learning_rate
+        denom = np.divide(v, bias2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p.data -= step
 
 
 def clip_gradient_norm(grads: dict[str, np.ndarray],

@@ -209,6 +209,18 @@ class TestLstmSequence:
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) <= 1e-12, name
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_grad_states_are_bitwise_the_recorded_ones(self, reverse):
+        rng = np.random.default_rng(12)
+        cell = LstmCell(5, 6, rng, "c")
+        x = t(rng.normal(size=(3, 7, 5)))
+        recorded = nm.lstm_sequence(x, cell.w_x, cell.w_h, cell.b, reverse=reverse)
+        with nm.no_grad():
+            out = nm.lstm_sequence(x, cell.w_x, cell.w_h, cell.b, reverse=reverse)
+        assert recorded._backward is not None
+        assert out._backward is None and out.parents == ()
+        assert out.data.tobytes() == recorded.data.tobytes()
+
     def test_is_one_graph_node(self):
         rng = np.random.default_rng(0)
         cell = LstmCell(2, 3, rng, "c")
@@ -414,6 +426,33 @@ class TestDropout:
         kept = out.data != 0.0
         assert np.allclose(x.grad[kept], 2.0)
         assert np.allclose(x.grad[~kept], 0.0)
+
+    def test_mask_gets_no_gradient_and_parameters_match_unfused(self):
+        rng = np.random.default_rng(2)
+        first, second = Dense(4, 6, rng, "a"), Dense(6, 3, rng, "b")
+        x = t(rng.normal(size=(5, 4)))   # a model input, outside the graph
+        probe = t(rng.normal(size=(5, 3)))
+        params = list(first.parameters()) + list(second.parameters())
+
+        def gradients(out):
+            for p in params:
+                p.grad = None
+            backward(nm.tsum(nm.mul(out, probe)))
+            return [p.grad for p in params]
+
+        dropped = dropout_apply(first(x), 0.5, training=True,
+                                rng=np.random.default_rng(9))
+        mask = dropped.parents[1]
+        assert dropped._backward(np.ones((5, 6)))[1] is None
+        got = gradients(second(dropped))
+        assert mask.grad is None and x.grad is None
+        # unfused reference, whose product forms both operand gradients
+        h, md = uf.affine(x, first.w, first.b), mask.data
+        product = nm._result(h.data * md, "mul", (h, mask),
+                             lambda g, hd=h.data: (g * md, g * hd))
+        want = gradients(uf.affine(product, second.w, second.b))
+        for p, g, ref in zip(params, got, want):
+            assert g.tobytes() == ref.tobytes(), p.name
 
 
 class TestParameterEnumeration:

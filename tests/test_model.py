@@ -2,6 +2,7 @@
 determinism, forward shapes, attention invariants, gradient correctness on a
 micro configuration, and forecasts in degrees C."""
 
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -252,6 +253,33 @@ class TestForward:
         a = forward_batch(params, past, future, training=False)
         b = forward_batch(params, past, future, training=False)
         assert np.array_equal(a.data, b.data)
+
+    def test_no_grad_forward_is_bitwise_the_recorded_one_at_paper_geometry(
+            self):
+        cfg = ModelConfig()
+        params = build_model(cfg)
+        past, future = random_inputs(cfg, seed=5, batch=2)
+        recorded = forward_batch(params, past, future)
+        with nm.no_grad():
+            out = forward_batch(params, past, future)
+        assert recorded.requires_grad and not out.requires_grad
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_no_grad_forward_holds_no_full_score_matrix(self):
+        # at 672 history steps the encoder's self-attention scores over
+        # the whole batch alone take 2 * 4 * 672 * 672 floats (27.6 MiB)
+        cfg = ModelConfig(rnn_units=16, d_model=32, mha_heads=4, rng_seed=3)
+        params = build_model(cfg)
+        past, future = random_inputs(cfg, seed=6, batch=2)
+        tracemalloc.start()
+        try:
+            with nm.no_grad():
+                out = forward_batch(params, past, future)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out.data).all()
+        assert peak < 10 * 2 ** 20, peak
 
     def test_training_mode_reproducible_with_seed(self):
         params = build_model(TINY)

@@ -259,6 +259,39 @@ class TestNoGrad:
             y = nm.mul(x, x)
         assert not y.requires_grad and y.parents == ()
 
+    # (batch, heads, Tq, Tk) and the block bound in whole (batch, head)
+    # slices: all 12 slices in one block; 2 batch items (8 slices) per
+    # block, the last holding 1; 3 heads of one batch item per block, the
+    # last holding 1
+    @pytest.mark.parametrize("slices", [None, 8, 3],
+                             ids=["one block", "batch split", "head split"])
+    def test_blocked_attention_is_bitwise_the_recorded_output(
+            self, monkeypatch, slices):
+        batch, heads, tq, tk, dm = 3, 4, 6, 9, 8
+        if slices is not None:
+            monkeypatch.setattr(nm, "ATTENTION_BLOCK_SCORES", slices * tq * tk)
+        rng = np.random.default_rng(21)
+        q, k, v = (Parameter(name, rng.normal(size=shape)) for name, shape in
+                   (("q", (batch, tq, dm)), ("k", (batch, tk, dm)),
+                    ("v", (batch, tk, dm))))
+        recorded, weights = nm.attention(q, k, v, heads)
+        with nm.no_grad():
+            out, none = nm.attention(q, k, v, heads)
+        assert recorded.requires_grad and weights.shape == (batch, heads, tq, tk)
+        assert none is None
+        assert not out.requires_grad and out._backward is None
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_closures_skip_gradients_of_operands_outside_the_graph(self):
+        rng = np.random.default_rng(22)
+        x, mask = t(rng.normal(size=(4, 3))), t(rng.normal(size=(4, 3)))
+        w, b = Parameter("w", rng.normal(size=(3, 2))), Parameter("b", np.zeros(2))
+        g = np.ones((4, 3))
+        assert nm.mul(Parameter("p", x.data), mask)._backward(g)[1] is None
+        assert nm.mul(mask, Parameter("p", x.data))._backward(g)[0] is None
+        g_x, g_w, g_b = nm.affine(x, w, b)._backward(np.ones((4, 2)))
+        assert g_x is None and g_w.shape == (3, 2) and g_b.shape == (2,)
+
 
 def probe_loss(out, probe):
     return out if out.size == 1 else nm.tsum(nm.mul(out, Tensor(probe)))

@@ -204,6 +204,32 @@ class TestAdam:
             assert np.all(state.v["w"] >= 0.0)
         assert state.t == 20
 
+    def test_in_place_update_is_bitwise_the_allocating_formula(self):
+        rng = np.random.default_rng(8)
+        shapes = {"w": (6, 5), "b": (5,)}
+        named = {n: Parameter(n, rng.normal(size=s)) for n, s in shapes.items()}
+        arrays = {n: p.data for n, p in named.items()}
+        want = {n: p.data.copy() for n, p in named.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        state = OptimizerState(learning_rate=0.03)
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        for step in range(1, 6):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            adam_step(named, grads, state)
+            # the update as written with a new array per operation
+            bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                want[n] = want[n] - 0.03 * (m[n] / bias1) / (
+                    np.sqrt(v[n] / bias2) + training.ADAM_EPS)
+            for n, p in named.items():
+                assert p.data is arrays[n]
+                assert p.data.tobytes() == want[n].tobytes(), (step, n)
+                assert state.m[n].tobytes() == m[n].tobytes()
+                assert state.v[n].tobytes() == v[n].tobytes()
+
 
 class TestGradientClipping:
     def test_large_norm_scaled_to_limit(self):
