@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from .errors import (ConfigurationError, ParseError, check_count,
-                     check_numbers, check_seed)
+                     check_number, check_numbers, check_seed)
 from .evaluation import NOMINAL_INTERVALS
 from .model import ModelConfig
 from .pipeline import (
@@ -19,7 +19,6 @@ from .pipeline import (
     PAST_FEATURES,
     TARGET_FEATURES,
     check_fractions,
-    check_noise_sd,
 )
 from .training import Hyperparameters
 
@@ -53,12 +52,8 @@ class PipelineSection:
     def validate(self) -> None:
         for name in ("n_past", "n_future", "stride"):
             check_count(f"pipeline.{name}", getattr(self, name), minimum=1)
-        for rule, value in ((check_noise_sd, self.noise_sd),
-                            (check_fractions, self.fractions)):
-            try:
-                rule(value)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"pipeline.{exc}") from exc
+        check_number("pipeline.noise_sd", self.noise_sd, "non-negative")
+        check_fractions("pipeline.fractions", self.fractions)
 
 
 @dataclass(frozen=True)

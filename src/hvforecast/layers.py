@@ -94,7 +94,8 @@ class MultiHeadAttention(Layer):
     Self-attention passes the same sequence for queries and keys/values;
     cross-attention draws keys/values from a second sequence. The head
     split, scores, softmax, mixing and merge are one `numerics.attention`
-    node between the four dense maps.
+    node between the four dense maps; the call returns the output of the
+    last one. The softmax weights stay inside that node.
     """
 
     def __init__(self, d_model: int, heads: int, rng: np.random.Generator | None,
@@ -108,18 +109,14 @@ class MultiHeadAttention(Layer):
         self.wv = Dense(d_model, d_model, rng, f"{name}/v")
         self.wo = Dense(d_model, d_model, rng, f"{name}/out")
 
-    def __call__(self, q_seq: Tensor,
-                 kv_seq: Tensor) -> tuple[Tensor, np.ndarray | None]:
-        """Returns the output and the attention weights (batch, heads, Tq,
-        Tk) as a read-only array; under `numerics.no_grad` the weights are
-        None, as `numerics.attention` does not form them all at once."""
+    def __call__(self, q_seq: Tensor, kv_seq: Tensor) -> Tensor:
         if q_seq.shape[-1] != self.d_model or kv_seq.shape[-1] != self.d_model:
             raise DimensionError(
                 f"mha: feature extents {q_seq.shape[-1]}/{kv_seq.shape[-1]} "
                 f"do not match d_model {self.d_model}")
-        mixed, weights = nm.attention(self.wq(q_seq), self.wk(kv_seq),
-                                      self.wv(kv_seq), self.heads)
-        return self.wo(mixed), weights
+        mixed = nm.attention(self.wq(q_seq), self.wk(kv_seq), self.wv(kv_seq),
+                             self.heads)
+        return self.wo(mixed)
 
 
 class Glu(Layer):

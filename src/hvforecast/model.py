@@ -100,7 +100,7 @@ class _Branch(Layer):
     def __call__(self, seq: Tensor, training: bool,
                  rng: np.random.Generator | None) -> Tensor:
         x = self.proj(seq)
-        a, _ = self.attn(x, x)
+        a = self.attn(x, x)
         a = dropout_apply(a, self.dropout_rate, training, rng)
         x = self.grn_attn(nm.add(x, a))
         h = self.lstm(x)
@@ -181,7 +181,7 @@ def forward_batch(
 
     enc = params.encoder(past_t, training, rng)
     dec = params.decoder(future_t, training, rng)
-    crossed, _ = params.cross(dec, enc)
+    crossed = params.cross(dec, enc)
     x = params.grn_cross(nm.add(dec, crossed))
     x = params.out_lstm(x)
     x = params.grn_out(x)

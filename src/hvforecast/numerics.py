@@ -4,11 +4,12 @@ Every value is a `Tensor` wrapping a row-major float64 ndarray. Operations
 build an implicit acyclic graph: each result records its parent tensors and
 a closure computing parent gradients from its own. `backward` walks that
 graph once in reverse topological order and accumulates gradients into the
-`grad` field of the participating leaves. The walk consumes the graph: it
-drops each node's closure and parent links once the closure has run, so the
-activations the closures saved are freed during the walk rather than kept
-until the caller lets go of the loss. A training step then holds at most
-one graph, and a graph can be backpropagated only once.
+`grad` field of the participating leaves; a leaf's `grad` is None until the
+first gradient written to it, and a reader takes None as zero. The walk
+consumes the graph: it drops each node's closure and parent links once the
+closure has run, so the activations the closures saved are freed during the
+walk rather than kept until the caller lets go of the loss. A training step
+then holds at most one graph, and a graph can be backpropagated only once.
 
 The small ops are the ones the model builds, `add`, `mul`, `elu`, `reshape`
 and `concat`, plus the sum reduction `tsum`. Broadcasting is deliberately
@@ -18,12 +19,12 @@ layers' dense blocks are fused nodes with hand-written backwards: `affine`,
 `layer_norm`, `glu`, `attention`, `quantile_loss` and `lstm_sequence`. Each
 applies its trailing-axis vectors internally after checking their extents,
 and keeps only what its backward needs, so one layer stores one output
-instead of a chain of intermediates. Under `no_grad` the two that hold the
-most, `attention` and `lstm_sequence`, keep nothing for a backward and
-compute the same values bitwise with less memory: attention in blocks of
-(batch, head) slices, the recurrence with one step's buffers. The unfused
-compositions they replace, and the small ops only those need, are
-test-side references.
+instead of a chain of intermediates. The two that hold the most,
+`attention` and `lstm_sequence`, each run one loop for both modes; when no
+graph is recorded that loop keeps nothing for a backward and computes the
+same values bitwise with less memory: attention in blocks of (batch, head)
+slices, the recurrence with one step's buffers. The unfused compositions
+they replace, and the small ops only those need, are test-side references.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         # np.zeros takes its pages zeroed from the allocator, where
         # np.zeros_like writes each one
@@ -93,21 +91,17 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
 
 class Parameter(Tensor):
-    """Named trainable leaf; `grad` starts at zero so unreached parameters
-    read as zero-grad. A training loop may set `grad` to None between steps
-    to free it; `backward` then makes a new one on its first write."""
+    """Named trainable leaf. Its `grad` is None until a `backward` reaches
+    it, which makes the gradient on its first write; a parameter no
+    backward reached has no gradient, which a reader takes as zero."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.zero_grad()
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -124,16 +118,10 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _records(parents):
-        out.requires_grad = True
-        out.op = op
-        out.parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out.op = op
-        out.parents = ()
-        out._backward = None
+    out.op = op
+    out.requires_grad = keep = _records(parents)
+    out.parents = parents if keep else ()
+    out._backward = backward if keep else None
     return out
 
 
@@ -208,16 +196,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _result(np.concatenate(datas, axis=axis), "concat", tuple(tensors), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, as a scalar node."""
     shape = a.shape
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), bw)
+    return _result(a.data.sum(), "sum", (a,),
+                   lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +282,30 @@ def glu(z: Tensor) -> Tensor:
     return _result(value * _sigmoid(gate), "glu", (z,), bw)
 
 
-# Score elements (float64, 2 MiB) that one block of a no-grad `attention`
-# may hold; a single (batch, head) slice larger than this is its own block.
+# Score elements (float64, 2 MiB) that one block of an unrecorded
+# `attention` may hold; a single (batch, head) slice larger than this is its
+# own block.
 ATTENTION_BLOCK_SCORES = 2 ** 18
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              heads: int) -> tuple[Tensor, np.ndarray | None]:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention over `heads` heads, as one node.
 
     `q` is (batch, Tq, d) and `k`, `v` are (batch, Tk, d). Each is split
     into `heads` slices of d/heads features; every head mixes `v` by the
-    softmax of its scaled scores, and the heads are merged back to
-    (batch, Tq, d). Returns that node and the softmax weights
-    (batch, heads, Tq, Tk) as a read-only array. The weights are the only
-    intermediate kept: the backward takes the softmax row term from the
-    node's own output, sum_k(dW * W) = sum_j(dO * O) per query and head.
+    softmax of its scaled scores, and the heads are merged back to the
+    (batch, Tq, d) output.
 
-    Under `no_grad` nothing is kept for a backward: the weights are None,
-    and the output is computed in blocks of whole (batch, head) slices
-    whose scores fit `ATTENTION_BLOCK_SCORES`, so the scores of all slices
-    never exist at once. Each slice runs the same matrix products and
-    row reductions as unblocked, so the output is bitwise the same.
+    One loop runs over blocks of whole (batch, head) slices and writes each
+    block's mix into the output. A recorded node is a single block, whose
+    softmax weights (batch, heads, Tq, Tk) are the only intermediate its
+    backward keeps: the softmax row term comes from the node's own output,
+    sum_k(dW * W) = sum_j(dO * O) per query and head. When no graph is
+    recorded (under `no_grad`, or with no input that requires grad) the
+    blocks hold scores within `ATTENTION_BLOCK_SCORES`, so the scores of all
+    slices never exist at once, and nothing is kept. Each slice runs the
+    same matrix products and row reductions in either case, so the output
+    is bitwise the same.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
         raise DimensionError(
@@ -343,45 +328,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     def merge(a, steps):
         return a.transpose(0, 2, 1, 3).reshape(batch, steps, dm)
 
-    def softmax_scores(qb, kb):
-        w = qb @ kb.transpose(0, 1, 3, 2)
-        w *= scale
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        return w
-
     qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
-    if not _GRAD_ENABLED:
-        out = np.empty((batch, tq, dm))
-        out_h = split(out, tq)
+    keep = _records((q, k, v))
+    if keep:   # one block, whose weights the backward reads
+        items, head_run = batch, heads
+    else:
         # a block is several batch items with every head, or some heads
         # of one batch item
         per_block = max(1, ATTENTION_BLOCK_SCORES // (tq * tk))
         items, head_run = max(1, per_block // heads), min(heads, per_block)
-        for i in range(0, batch, items):
-            for h in range(0, heads, head_run):
-                block = (slice(i, i + items), slice(h, h + head_run))
-                out_h[block] = softmax_scores(qh[block], kh[block]) @ vh[block]
-        return _result(out, "attention", (q, k, v), None), None
-
-    weights = softmax_scores(qh, kh)
-    out = merge(weights @ vh, tq)
+    out = np.empty((batch, tq, dm))
+    out_h = split(out, tq)
+    for i in range(0, batch, items):
+        for h in range(0, heads, head_run):
+            block = (slice(i, i + items), slice(h, h + head_run))
+            weights = qh[block] @ kh[block].transpose(0, 1, 3, 2)
+            weights *= scale
+            weights -= weights.max(axis=-1, keepdims=True)
+            np.exp(weights, out=weights)
+            weights /= weights.sum(axis=-1, keepdims=True)
+            out_h[block] = weights @ vh[block]
+    if not keep:
+        return _result(out, "attention", (q, k, v), None)
 
     def bw(g):
         gm = split(g, tq)
         g_v = weights.transpose(0, 1, 3, 2) @ gm
         gs = gm @ vh.transpose(0, 1, 3, 2)
-        gs -= (gm * split(out, tq)).sum(axis=-1, keepdims=True)
+        gs -= (gm * out_h).sum(axis=-1, keepdims=True)
         gs *= weights
         gs *= scale
         g_q = gs @ kh
         g_k = gs.transpose(0, 1, 3, 2) @ qh
         return merge(g_q, tq), merge(g_k, tk), merge(g_v, tk)
 
-    shown = weights.view()
-    shown.flags.writeable = False
-    return _result(out, "attention", (q, k, v), bw), shown
+    return _result(out, "attention", (q, k, v), bw)
 
 
 def level_fault(levels: Sequence[float]) -> tuple[int, str] | None:

@@ -143,17 +143,12 @@ def encode_time_columns(timestamps) -> dict[str, np.ndarray]:
     return out
 
 
-def check_noise_sd(sd: float) -> None:
-    """The forecast-noise rule: one finite, non-negative sd."""
-    check_number("noise_sd", sd, "non-negative")
-
-
-def check_fractions(fractions) -> None:
+def check_fractions(name: str, fractions) -> None:
     """The split rule: three positive fractions summing to 1."""
-    check_numbers("fractions", fractions, "positive")
+    check_numbers(name, fractions, "positive")
     if len(fractions) != 3 or not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ConfigurationError(
-            f"fractions must be three positive values that sum to 1, "
+            f"{name} must be three positive values that sum to 1, "
             f"got {fractions}")
 
 
@@ -239,7 +234,7 @@ def build_windows(
     for name, value in (("n_past", n_past), ("n_future", n_future),
                         ("stride", stride)):
         check_count(name, value, minimum=1)
-    check_noise_sd(noise_sd)
+    check_number("noise_sd", noise_sd, "non-negative")
     check_seed("noise_seed", noise_seed)
     n = len(dataset)
     need = n_past + n_future
@@ -282,7 +277,7 @@ def split_chronological(
     windows: WindowSet,
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> DatasetSplits:
-    check_fractions(fractions)
+    check_fractions("fractions", fractions)
     n_rows = len(windows.table)
     b1 = int(np.floor(fractions[0] * n_rows))
     b2 = int(np.floor((fractions[0] + fractions[1]) * n_rows))

@@ -192,8 +192,6 @@ def fit(
             raise ConfigurationError(f"{name} split is empty")
 
     named = params.named_parameters()
-    for p in named.values():
-        p.grad = None   # each step's backward makes its gradients anew
     state = OptimizerState(learning_rate=hyper.learning_rate)
     log_fh = open(log_path, "w") if log_path is not None else None
 

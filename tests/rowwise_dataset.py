@@ -26,8 +26,8 @@ from hvforecast.building_sim import (
     _parse_timestamp,
     cadence_break,
 )
-from hvforecast.errors import ConfigurationError, ParseError
-from hvforecast.pipeline import TABLE1_INTERVALS, WEATHER_FEATURES, check_noise_sd
+from hvforecast.errors import ConfigurationError, ParseError, check_number
+from hvforecast.pipeline import TABLE1_INTERVALS, WEATHER_FEATURES
 
 
 def load_dataset_csv(path: str) -> SimulatedDataset:
@@ -98,7 +98,7 @@ def add_forecast_noise(
 ) -> np.ndarray:
     """Gaussian perturbation of future weather in physical units, with one
     sd for every feature, then clamped back to the Table 1 intervals."""
-    check_noise_sd(sd)
+    check_number("noise_sd", sd, "non-negative")
     arr = np.asarray(weather_future, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != len(WEATHER_FEATURES):
         raise ConfigurationError(

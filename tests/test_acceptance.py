@@ -190,7 +190,7 @@ def layer_gradient_cases(seed):
         ("dense", lambda: uf.tmean(dense(x_dense)), dense),
         ("lstm_cell", cell_loss, cell),
         ("bilstm", lambda: uf.tmean(bilstm(x_bilstm)), bilstm),
-        ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)[0]), mha),
+        ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)), mha),
         ("glu", lambda: uf.tmean(glu(x_glu)), glu),
         ("grn", lambda: uf.tmean(grn(x_grn)), grn),
         ("layer_norm", lambda: uf.tmean(norm(x_norm)), norm),

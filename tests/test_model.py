@@ -317,10 +317,13 @@ class TestForward:
         past, future = random_inputs(TINY, seed=5)
         enc = params.encoder(Tensor(past), False, None)
         dec = params.decoder(Tensor(future), False, None)
-        weights = params.cross(dec, enc)[1]
+        cross = params.cross
+        mixed, weights = uf.attention(cross.wq(dec), cross.wk(enc),
+                                      cross.wv(enc), TINY.mha_heads)
+        assert np.array_equal(cross(dec, enc).data, cross.wo(mixed).data)
         assert weights.shape == (1, TINY.mha_heads, TINY.n_future,
                                  TINY.n_past)
-        sums = weights.sum(axis=-1)
+        sums = weights.data.sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-10
 
     def test_collected_attention_equals_unfused_reference(self):
@@ -334,11 +337,15 @@ class TestForward:
         enc = params.encoder(Tensor(past), False, None)
         dec = params.decoder(Tensor(future), False, None)
         cross = params.cross
-        weights = cross(dec, enc)[1]
-        _, expect = uf.attention(cross.wq(dec), cross.wk(enc), cross.wv(enc),
-                                 cfg.mha_heads)
+        out = cross(dec, enc)
+        node = out.parents[0]
+        assert node.op == "attention"
+        weights = uf.kept_weights(node)
+        mixed, expect = uf.attention(cross.wq(dec), cross.wk(enc),
+                                     cross.wv(enc), cfg.mha_heads)
         assert weights.shape == (3, cfg.mha_heads, cfg.n_future, cfg.n_past)
         assert np.array_equal(weights, expect.data)
+        assert np.array_equal(out.data, cross.wo(mixed).data)
 
     def test_every_future_window_signal_reaches_output(self):
         cfg = ModelConfig(n_past=8, n_future=4,

@@ -129,11 +129,12 @@ class TestBackward:
         expect = (1 - np.tanh(x.data) ** 2) * (a.data + b.data)
         assert np.allclose(x.grad, expect, atol=1e-12)
 
-    def test_unreachable_parameter_keeps_zero_grad(self):
+    def test_unreachable_parameter_grad_stays_none(self):
         used = Parameter("used", np.array([2.0]))
         unused = Parameter("unused", np.array([5.0]))
+        assert used.grad is None and unused.grad is None
         backward(nm.tsum(nm.mul(used, used)))
-        assert np.array_equal(unused.grad, [0.0])
+        assert unused.grad is None
         assert used.grad[0] == pytest.approx(4.0)
 
     def test_three_layer_composite_matches_finite_differences(self):
@@ -274,12 +275,30 @@ class TestNoGrad:
         q, k, v = (Parameter(name, rng.normal(size=shape)) for name, shape in
                    (("q", (batch, tq, dm)), ("k", (batch, tk, dm)),
                     ("v", (batch, tk, dm))))
-        recorded, weights = nm.attention(q, k, v, heads)
+        recorded = nm.attention(q, k, v, heads)
         with nm.no_grad():
-            out, none = nm.attention(q, k, v, heads)
-        assert recorded.requires_grad and weights.shape == (batch, heads, tq, tk)
-        assert none is None
+            out = nm.attention(q, k, v, heads)
+        assert recorded.requires_grad and recorded._backward is not None
+        assert uf.kept_weights(recorded).shape == (batch, heads, tq, tk)
         assert not out.requires_grad and out._backward is None
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("slices", [None, 8, 3],
+                             ids=["one block", "batch split", "head split"])
+    def test_attention_over_untracked_inputs_is_bitwise_the_recorded_output(
+            self, monkeypatch, slices):
+        # grad stays on, but no input requires it: the node is not
+        # recorded, so it runs the blocks of an unrecorded attention
+        batch, heads, tq, tk, dm = 3, 4, 6, 9, 8
+        if slices is not None:
+            monkeypatch.setattr(nm, "ATTENTION_BLOCK_SCORES", slices * tq * tk)
+        rng = np.random.default_rng(23)
+        arrays = [rng.normal(size=shape) for shape in
+                  ((batch, tq, dm), (batch, tk, dm), (batch, tk, dm))]
+        recorded = nm.attention(*(t(a, grad=True) for a in arrays), heads)
+        out = nm.attention(*(t(a) for a in arrays), heads)
+        assert recorded._backward is not None
+        assert not out.requires_grad and out._backward is None and out.parents == ()
         assert out.data.tobytes() == recorded.data.tobytes()
 
     def test_closures_skip_gradients_of_operands_outside_the_graph(self):
@@ -321,7 +340,7 @@ FUSED_CASES = {
     "glu": ("glu", nm.glu, uf.glu, [(3, 5, 8)]),
     **{f"attention_{kind}_{heads}h": (
         "attention",
-        lambda q, k, v, heads=heads: nm.attention(q, k, v, heads)[0],
+        lambda q, k, v, heads=heads: nm.attention(q, k, v, heads),
         lambda q, k, v, heads=heads: uf.attention(q, k, v, heads)[0],
         [(3, 5, 4), (3, tk, 4), (3, tk, 4)])
        for kind, tk in (("self", 5), ("cross", 7)) for heads in (1, 2, 4)},
@@ -365,14 +384,16 @@ class TestFusedOps:
                                 tol=1e-6)
         assert report.passed, report
 
-    def test_attention_weights_match_reference_and_are_read_only(self):
+    def test_attention_weights_match_reference(self):
         rng = np.random.default_rng(4)
-        q, k, v = (t(rng.normal(size=s)) for s in ((2, 3, 6), (2, 4, 6), (2, 4, 6)))
-        _, weights = nm.attention(q, k, v, 3)
-        _, ref = uf.attention(q, k, v, 3)
+        q, k, v = (t(rng.normal(size=s), grad=True)
+                   for s in ((2, 3, 6), (2, 4, 6), (2, 4, 6)))
+        out = nm.attention(q, k, v, 3)
+        ref_out, ref = uf.attention(q, k, v, 3)
+        weights = uf.kept_weights(out)
         assert weights.shape == (2, 3, 3, 4)
         assert np.array_equal(weights, ref.data)
-        assert not weights.flags.writeable
+        assert np.array_equal(out.data, ref_out.data)
 
     def test_quantile_loss_one_level_each_side_of_median(self):
         rng = np.random.default_rng(6)
@@ -381,7 +402,7 @@ class TestFusedOps:
             (out, grads), (ref, ref_grads) = fused_and_reference(
                 lambda a, b: nm.quantile_loss(a, b, (q,)),
                 lambda a, b: uf.quantile_loss(a, b, (q,)), [y, p])
-            assert out.item() == ref.item()
+            assert float(out.data) == float(ref.data)
             for g, ref_g in zip(grads, ref_grads):
                 assert np.max(np.abs(g - ref_g)) <= 1e-12
 

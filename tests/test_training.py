@@ -84,14 +84,14 @@ class TestPinballLoss:
 
     def test_zero_at_perfect_prediction(self):
         y = np.array([1.0, -2.0, 3.0])
-        assert pinball_loss(y, y, 0.3).item() == 0.0
+        assert float(pinball_loss(y, y, 0.3).data) == 0.0
 
     def test_median_overprediction(self):
-        assert pinball_loss(np.array([1.0]), np.array([0.0]),
-                            0.5).item() == 0.5
+        assert float(pinball_loss(np.array([1.0]), np.array([0.0]),
+                                  0.5).data) == 0.5
 
     def test_high_level_underprediction(self):
-        loss = pinball_loss(np.array([0.0]), np.array([1.0]), 0.9).item()
+        loss = float(pinball_loss(np.array([0.0]), np.array([1.0]), 0.9).data)
         assert loss == pytest.approx(0.1, abs=1e-12)
 
     def test_level_outside_open_interval_rejected(self):
@@ -111,9 +111,9 @@ class TestPinballLoss:
             b = rng.normal(size=6)
             lam = rng.uniform()
             q = rng.uniform(0.01, 0.99)
-            mixed = pinball_loss(y, lam * a + (1 - lam) * b, q).item()
-            bound = (lam * pinball_loss(y, a, q).item()
-                     + (1 - lam) * pinball_loss(y, b, q).item())
+            mixed = float(pinball_loss(y, lam * a + (1 - lam) * b, q).data)
+            bound = (lam * float(pinball_loss(y, a, q).data)
+                     + (1 - lam) * float(pinball_loss(y, b, q).data))
             assert mixed <= bound + 1e-12
 
 
@@ -122,22 +122,22 @@ class TestTotalQuantileLoss:
         rng = np.random.default_rng(2)
         y = rng.normal(size=(4, 6, 5))
         yhat = rng.normal(size=(4, 6, 5, 1))
-        loss = total_quantile_loss(y, yhat, (0.5,)).item()
+        loss = float(total_quantile_loss(y, yhat, (0.5,)).data)
         mae = float(np.mean(np.abs(y - yhat[..., 0])))
         assert loss == pytest.approx(0.5 * mae, abs=1e-12)
 
     def test_zero_at_perfect_prediction(self):
         y = np.random.default_rng(3).normal(size=(2, 3, 4))
         yhat = np.repeat(y[..., None], 3, axis=-1)
-        assert total_quantile_loss(y, yhat, (0.1, 0.5, 0.9)).item() == 0.0
+        assert float(total_quantile_loss(y, yhat, (0.1, 0.5, 0.9)).data) == 0.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=(3, 4, 2))
         yhat = rng.normal(size=(3, 4, 2, 3))
-        base = total_quantile_loss(y, yhat, (0.2, 0.5, 0.8)).item()
-        shifted = total_quantile_loss(y + 7.5, yhat + 7.5,
-                                      (0.2, 0.5, 0.8)).item()
+        base = float(total_quantile_loss(y, yhat, (0.2, 0.5, 0.8)).data)
+        shifted = float(total_quantile_loss(y + 7.5, yhat + 7.5,
+                                            (0.2, 0.5, 0.8)).data)
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_level_count_mismatch_rejected(self):
@@ -658,9 +658,10 @@ class TestCheckpoint:
         assert np.array_equal(a, b)
 
     def test_load_holds_only_the_model(self, tmp_path):
-        # the model's weights and their zeroed gradients are twice the
-        # payload; a file-sized buffer or a copy of the tensors on the way
-        # into the model would add another payload or more
+        # the model's weights are the payload, and a parameter holds no
+        # gradient until a backward reaches it; a file-sized buffer or a
+        # copy of the tensors on the way into the model would add another
+        # payload or more
         params = build_model(ModelConfig(
             n_past=4, n_future=2, past_feature_count=3,
             future_feature_count=2, zone_count=2, rnn_units=32, mha_heads=2,
@@ -676,7 +677,7 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert payload > 10 ** 6
-        assert peak < 2.5 * payload, (peak, payload)
+        assert peak < 1.5 * payload, (peak, payload)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -9,6 +9,8 @@ that only these references and the tests need (`tanh`, `sigmoid`, `exp`,
 live here too, built on the engine's node constructor. `lstm_step` is one
 step of the recurrence `numerics.lstm_sequence` runs, and `inverse_scale`
 is the per-feature reference for `Scaler.inverse_scale_targets`.
+`kept_weights` reads the softmax weights a recorded `numerics.attention`
+node keeps for its backward, to compare with those of `attention`.
 """
 
 from __future__ import annotations
@@ -229,6 +231,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
     weights = softmax_last_axis(scores)
     mixed = matmul(weights, vh)
     return nm.reshape(transpose(mixed, (0, 2, 1, 3)), (batch, tq, dm)), weights
+
+
+def kept_weights(node: Tensor) -> np.ndarray:
+    """The softmax weights (batch, heads, Tq, Tk) held by the backward
+    closure of a recorded `numerics.attention` node."""
+    names = node._backward.__code__.co_freevars
+    return node._backward.__closure__[names.index("weights")].cell_contents
 
 
 def pinball_loss(y: Tensor, yhat: Tensor, q: float) -> Tensor:
