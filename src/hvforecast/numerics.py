@@ -25,6 +25,15 @@ graph is recorded that loop keeps nothing for a backward and computes the
 same values bitwise with less memory: attention in blocks of (batch, head)
 slices, the recurrence with one step's buffers. The unfused compositions
 they replace, and the small ops only those need, are test-side references.
+
+The train step is thousands of small numpy calls, so the nodes are written
+to make few of them over few new arrays. `affine` runs its input gradient
+as one 2-D GEMM over all rows. `elu`, `glu` and `layer_norm` work in place
+in buffers they own, and `lstm_sequence` folds the sigmoid gates' halving
+into its weights once per call. Each keeps the rounding of every step, so
+their results are bitwise those of the allocating forms, except `affine`'s
+input gradient: a 2-D GEMM may block its sums unlike a batched 3-D `@`,
+which moves it by a few ulps (within 1e-12 of the unfused reference).
 """
 
 from __future__ import annotations
@@ -82,11 +91,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        # np.zeros takes its pages zeroed from the allocator, where
-        # np.zeros_like writes each one
-        self.grad = np.zeros(self.shape)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
@@ -158,15 +162,30 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 0.5*(tanh(x/2)+1) is overflow-free for any finite x
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+    """sigmoid(z) = 0.5*(tanh(z/2)+1), overflow-free for any finite z,
+    computed in place in one new buffer."""
+    s = z * 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def elu(a: Tensor) -> Tensor:
-    """exp(x)-1 for x<=0, identity above (alpha = 1)."""
-    pos = a.data > 0
-    y = np.where(pos, a.data, np.expm1(a.data))
-    return _result(y, "elu", (a,), lambda g: (g * np.where(pos, 1.0, y + 1.0),))
+    """exp(x)-1 for x<=0, identity above (alpha = 1), as
+    expm1(min(x, 0)) + max(x, 0) in one owned buffer. Keeps only its
+    output: the derivative is min(y, 0) + 1."""
+    y = np.minimum(a.data, 0.0)
+    np.expm1(y, out=y)
+    y += np.maximum(a.data, 0.0)
+
+    def bw(g):
+        d = np.minimum(y, 0.0)
+        d += 1.0
+        d *= g
+        return (d,)
+
+    return _result(y, "elu", (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +228,11 @@ def tsum(a: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b along the last axis of `x`, as one node: one GEMM with the
-    bias added in place, so only the result is stored. The backward skips
-    the input gradient when `x` is outside the graph, as a model input is."""
+    bias added in place, so only the result is stored. The backward takes
+    `x` and the output gradient as (rows, features) matrices, so the input
+    gradient is one 2-D GEMM: with a 3-D `g`, `g @ w.T` would run a small
+    product per batch item against the transposed kernel. It skips the
+    input gradient when `x` is outside the graph, as a model input is."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"affine: input {x.shape} does not fit kernel {w.shape}")
     if b.shape != (w.shape[1],):
@@ -221,7 +243,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         g_rows = g.reshape(-1, g.shape[-1])
-        g_x = g @ wd.T if x.requires_grad else None
+        g_x = (g_rows @ wd.T).reshape(xd.shape) if x.requires_grad else None
         return g_x, xd.reshape(-1, xd.shape[-1]).T @ g_rows, g_rows.sum(axis=0)
 
     return _result(out, "affine", (x, w, b), bw)
@@ -242,18 +264,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
             f"layer_norm: gain {gain.shape} or bias {bias.shape} does not "
             f"match the last extent of {x.shape}")
     normed = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = ((normed * normed).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    out = np.multiply(normed, normed)
+    inv_std = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
     normed *= inv_std
-    out = normed * gain.data
-    out += bias.data
     gd = gain.data
+    np.multiply(normed, gd, out=out)
+    out += bias.data
 
     def bw(g):
         g_rows = g.reshape(-1, d)
-        g_gain = (g * normed).reshape(-1, d).sum(axis=0)
-        gy = g * gd
+        # one buffer holds g * x_hat, then gy, then gy * x_hat and its
+        # product with the mean of that
+        buf = np.multiply(g, normed)
+        g_gain = buf.reshape(-1, d).sum(axis=0)
+        gy = np.multiply(g, gd, out=buf)
         gx = gy - gy.mean(axis=-1, keepdims=True)
-        gx -= normed * (gy * normed).mean(axis=-1, keepdims=True)
+        gy *= normed
+        np.multiply(normed, gy.mean(axis=-1, keepdims=True), out=gy)
+        gx -= gy
         gx *= inv_std
         return gx, g_gain, g_rows.sum(axis=0)
 
@@ -262,12 +290,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 def glu(z: Tensor) -> Tensor:
     """Gated linear unit over the two halves of the last axis of `z`:
-    value * sigmoid(gate), value first. Keeps nothing but its input; the
-    backward recomputes the gate."""
+    value * sigmoid(gate), value first. The sigmoid is formed in place in
+    one half-size buffer, which then becomes the output, so the forward
+    allocates nothing else. Keeps nothing but its input; the backward
+    recomputes the gate and reuses its buffer for 1 - sigmoid."""
     if z.ndim < 1 or z.shape[-1] % 2 or z.shape[-1] == 0:
         raise DimensionError(f"glu: last extent of {z.shape} is not a positive even number")
     d = z.shape[-1] // 2
     value, gate = z.data[..., :d], z.data[..., d:]
+    out = _sigmoid(gate)
+    out *= value
 
     def bw(g):
         s = _sigmoid(gate)
@@ -275,11 +307,11 @@ def glu(z: Tensor) -> Tensor:
         np.multiply(g, s, out=gz[..., :d])
         gs = g * value
         gs *= s
-        gs *= 1.0 - s
+        gs *= np.subtract(1.0, s, out=s)
         gz[..., d:] = gs
         return (gz,)
 
-    return _result(value * _sigmoid(gate), "glu", (z,), bw)
+    return _result(out, "glu", (z,), bw)
 
 
 # Score elements (float64, 2 MiB) that one block of an unrecorded
@@ -348,6 +380,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             np.exp(weights, out=weights)
             weights /= weights.sum(axis=-1, keepdims=True)
             out_h[block] = weights @ vh[block]
+            if not keep:
+                del weights   # before the next block's scores are made
     if not keep:
         return _result(out, "attention", (q, k, v), None)
 
@@ -420,8 +454,8 @@ def quantile_loss(actual: Tensor, predicted: Tensor, levels: Sequence[float]) ->
 # Per-gate pre-scale (and post-scale) and offset that turn one tanh over the
 # packed (input, forget, candidate, output) gates into three sigmoids,
 # 0.5*(tanh(z/2)+1), and one tanh.
-_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
-_GATE_OFFSET = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+_GATE_OFFSET = np.array([0.5, 0.5, 0.0, 0.5])
 
 
 def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
@@ -436,11 +470,15 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     `reverse` runs the recurrence from the last step to the first; output
     step t always holds the state after reading x[:, t].
 
-    The input projection of every step is one time-major GEMM; only
-    `h @ w_h` stays in the loop. Backward is hand-written BPTT: the gate
-    derivative coefficients are formed for all steps at once, the loop
-    carries just dh/dc and one `dz @ w_h.T`, and the weight and input
-    gradients are three GEMMs over all steps.
+    The sigmoid gates' columns of `w_x`, `w_h` and `b` are halved once per
+    call, which is exact (a power of two), so each step's pre-activations
+    come out already scaled for the one tanh. The input projection of every
+    step is one time-major GEMM; only `h @ w_h` stays in the loop, written
+    straight into that step's gate buffer. Backward is hand-written BPTT:
+    the gate derivative coefficients are formed for all steps at once, on
+    a gate-major copy of the gates so each product runs over contiguous
+    data; the loop carries just dh/dc and one `dz @ w_h.T`, and the weight
+    and input gradients are three GEMMs over all steps.
 
     When no graph is recorded (under `no_grad`, or with no input that
     requires grad) the same loop keeps one step's gates, cell state and
@@ -461,20 +499,28 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         raise DimensionError(
             f"lstm_sequence: recurrent kernel {w_h.shape} or bias {b.shape} "
             f"does not fit {u} units")
-    wx, wh, bd = w_x.data, w_h.data, b.data
+    wx, wh = w_x.data, w_h.data
+    scale = np.repeat(_GATE_SCALE, u)
 
     # time-major, in processing order
     xs = x.data.transpose(1, 0, 2)
     if reverse:
         xs = xs[::-1]
     xs = np.ascontiguousarray(xs).reshape(steps * batch, d)
-    xw = (xs @ wx).reshape(steps, batch, 4, u)
+    xw = (xs @ (wx * scale)).reshape(steps, batch, 4 * u)
     keep = _records((x, w_x, w_h, b))
     if not keep:
         del xs   # the time-major copy, read again only by a backward
+    wh_scaled = wh * scale
+    # the step's vectors as whole (batch, 4*units) rows: an in-place ufunc
+    # over equal shapes runs one contiguous loop, where a broadcast vector
+    # runs one per batch row
+    b_rows, scale_rows, offset_rows = (
+        np.broadcast_to(v, (batch, 4 * u)).copy()
+        for v in (b.data * scale, scale, np.repeat(_GATE_OFFSET, u)))
     # without a graph, one step's gates, cell state and tanh(c) are kept
     kept = steps if keep else 1
-    gates = np.empty((kept, batch, 4, u))
+    gates = np.empty((kept, batch, 4 * u))
     cs = np.empty((kept, batch, u))
     tcs = np.empty((kept, batch, u))
     hs = np.empty((steps, batch, u))
@@ -482,14 +528,14 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     c = np.zeros((batch, u))
     for t in range(steps):
         k = t if keep else 0
-        z = (xw[t].reshape(batch, 4 * u) + h @ wh).reshape(batch, 4, u)
-        z += bd.reshape(4, u)
-        z *= _GATE_SCALE
-        a = np.tanh(z, out=gates[k])
-        a *= _GATE_SCALE
-        a += _GATE_OFFSET
-        c = np.add(a[:, 1] * c, a[:, 0] * a[:, 2], out=cs[k])
-        h = np.multiply(a[:, 3], np.tanh(c, out=tcs[k]), out=hs[t])
+        a = np.matmul(h, wh_scaled, out=gates[k])
+        a += xw[t]
+        a += b_rows
+        np.tanh(a, out=a)
+        a *= scale_rows
+        a += offset_rows
+        c = np.add(a[:, u:2 * u] * c, a[:, :u] * a[:, 2 * u:3 * u], out=cs[k])
+        h = np.multiply(a[:, 3 * u:], np.tanh(c, out=tcs[k]), out=hs[t])
 
     out = hs.transpose(1, 0, 2)
     if reverse:
@@ -501,16 +547,30 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         gs = g.transpose(1, 0, 2)
         if reverse:
             gs = gs[::-1]
-        i, f, cand, o = (gates[:, :, k] for k in range(4))
-        c_prev = np.zeros_like(cs)
-        c_prev[1:] = cs[:-1]
-        # dz_{i,f,g} = dc * coef_c[:, :, k]; dz_o = dh * coef_o;
-        # dc gains dh * dc_dh from the output gate path
-        coef_c = np.stack((cand * i * (1.0 - i), c_prev * f * (1.0 - f),
-                           i * (1.0 - cand * cand)), axis=2)
-        coef_o = tcs * o * (1.0 - o)
-        dc_dh = o * (1.0 - tcs * tcs)
-        dz = np.empty_like(gates)
+        # a gate-major copy, so that every product below runs over
+        # contiguous data; once read, i, cand and o serve as scratch, and
+        # f stays for the loop
+        packed = gates.reshape(steps, batch, 4, u).transpose(2, 0, 1, 3)
+        i, f, cand, o = np.ascontiguousarray(packed)
+        # dz_{i,f,g} = dc * coef[k]; dz_o = dh * coef[3];
+        # dc gains dh * dc_dh from the output gate path. Each product is
+        # associated as in (cand * i) * (1 - i).
+        coef = np.empty((4, steps, batch, u))
+        np.multiply(cand, cand, out=coef[2])
+        np.subtract(1.0, coef[2], out=coef[2])
+        coef[2] *= i
+        np.multiply(cand, i, out=coef[0])
+        coef[0] *= np.subtract(1.0, i, out=i)
+        coef[1, 0] = 0.0   # c_prev is zero before the first step
+        np.multiply(cs[:-1], f[1:], out=coef[1, 1:])
+        coef[1, 1:] *= np.subtract(1.0, f[1:], out=i[1:])
+        dc_dh = np.multiply(tcs, tcs, out=cand)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        np.multiply(tcs, o, out=coef[3])
+        coef[3] *= np.subtract(1.0, o, out=o)
+        coef_c = coef[:3].transpose(1, 2, 0, 3)   # (steps, batch, 3, units)
+        dz = np.empty((steps, batch, 4, u))
         dh_next = np.zeros((batch, u))
         dc_next = np.zeros((batch, u))
         for t in reversed(range(steps)):
@@ -518,7 +578,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
             dc = dh * dc_dh[t]
             dc += dc_next
             np.multiply(coef_c[t], dc[:, None, :], out=dz[t, :, :3])
-            np.multiply(coef_o[t], dh, out=dz[t, :, 3])
+            np.multiply(coef[3, t], dh, out=dz[t, :, 3])
             if t:
                 dc_next = dc * f[t]
                 dh_next = dz[t].reshape(batch, 4 * u) @ wh.T
@@ -621,18 +681,22 @@ def gradient_check(f: Callable[[], Tensor], params: Iterable[Tensor],
 
     Relative error is guarded: |ad - fd| / max(1, |ad|, |fd|), so it reads as
     absolute error where gradients are small. Raises GradientError if any
-    evaluation or gradient is non-finite instead of silently passing.
+    evaluation or gradient is non-finite instead of silently passing. Each
+    parameter's `grad` is None on return: a gradient already on it is
+    dropped first, and the one the check made is dropped once read.
     """
     if step <= 0:
         raise ContractViolation("gradient_check: step must be positive")
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = f()
     if not np.isfinite(loss.data).all():
         raise GradientError("gradient_check: function value is not finite")
     backward(loss)
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+    for p in params:
+        p.grad = None
 
     max_rel = 0.0
     count = 0

@@ -183,8 +183,9 @@ def fit(
     ends once validation loss has failed to improve for more than
     `patience` consecutive epochs, and the best-validation parameters are
     restored before returning. Epoch 0 records the pre-training validation
-    loss. Each step's gradients are freed once applied, so every
-    parameter's `grad` is None when `fit` returns."""
+    loss. A gradient already on a parameter is dropped at entry, and each
+    step's gradients are freed once applied, so every parameter's `grad`
+    is None when `fit` returns."""
     hyper.validate()
     for name, windows in (("train", train_windows),
                           ("validation", val_windows)):
@@ -192,6 +193,8 @@ def fit(
             raise ConfigurationError(f"{name} split is empty")
 
     named = params.named_parameters()
+    for p in named.values():
+        p.grad = None   # left by a backward outside fit, not this fit's
     state = OptimizerState(learning_rate=hyper.learning_rate)
     log_fh = open(log_path, "w") if log_path is not None else None
 

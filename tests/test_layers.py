@@ -200,7 +200,7 @@ class TestLstmSequence:
                     lambda x: unrolled_cell(cell, x, reverse)):
             x = Tensor(x_data.copy(), requires_grad=True)
             for p in cell.parameters():
-                p.zero_grad()
+                p.grad = None
             out = run(x)
             backward(nm.tsum(nm.mul(out, t(probe))))
             results.append([out.data, x.grad]

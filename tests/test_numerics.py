@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,15 @@ class TestGradientCheck:
             lambda: nm.tsum(nm.mul(uf.matmul(v, aa), v)), [v], tol=1e-6)
         assert report.passed
 
+    def test_leaves_every_gradient_none(self):
+        rng = np.random.default_rng(4)
+        w, b = Parameter("w", rng.normal(size=(3, 2))), Parameter("b", np.zeros(2))
+        w.grad = np.ones((3, 2))
+        x = Tensor(rng.normal(size=(2, 4, 3)))
+        report = gradient_check(lambda: nm.tsum(nm.affine(x, w, b)), [w, b])
+        assert report.passed and report.coord_count == 8
+        assert w.grad is None and b.grad is None
+
     def test_nan_surfaces_as_error(self):
         w = Parameter("w", np.array([0.5]))
 
@@ -334,6 +345,7 @@ def fused_and_reference(fused, reference, arrays, seed=0):
 FUSED_CASES = {
     "affine": ("affine", nm.affine, uf.affine, [(3, 5, 4), (4, 6), (6,)]),
     "affine_2d": ("affine", nm.affine, uf.affine, [(7, 4), (4, 2), (2,)]),
+    "affine_4d": ("affine", nm.affine, uf.affine, [(2, 3, 2, 4), (4, 3), (3,)]),
     "layer_norm": ("layer_norm", lambda x, g, b: nm.layer_norm(x, g, b, 1e-5),
                    lambda x, g, b: uf.layer_norm(x, g, b, 1e-5),
                    [(3, 5, 4), (4,), (4,)]),
@@ -436,3 +448,104 @@ class TestFusedOps:
             nm.quantile_loss(t(np.ones((2, 3))), t(np.ones((2, 3, 2))), (0.5,))
         with pytest.raises(DimensionError, match="quantile"):
             nm.quantile_loss(t(np.ones((2, 3))), t(np.ones((2, 4, 1))), (0.5,))
+
+
+# (batch, time, features) of the tiny profile at B=32: the history and future
+# branches at d_model 32, and a wider future input
+KERNEL_SHAPES = [(32, 48, 32), (32, 12, 32), (32, 12, 48)]
+LSTM_UNITS = 16
+
+
+def kernel_cases(shape):
+    """(fused, reference, input shapes) of each kernel that reuses its
+    buffers, over inputs of `shape`; each pair rounds every step alike."""
+    f = shape[-1]
+    lstm = [shape, (f, 4 * LSTM_UNITS), (LSTM_UNITS, 4 * LSTM_UNITS), (4 * LSTM_UNITS,)]
+    return {
+        "elu": (nm.elu, uf.elu, [shape]),
+        "glu": (nm.glu, uf.glu, [shape]),
+        "layer_norm": (lambda x, g, b: nm.layer_norm(x, g, b, 1e-5),
+                       lambda x, g, b: uf.layer_norm_allocating(x, g, b, 1e-5),
+                       [shape, (f,), (f,)]),
+        **{name: (lambda *a, reverse=reverse: nm.lstm_sequence(*a, reverse=reverse),
+                  lambda *a, reverse=reverse: uf.lstm_sequence_step_scaled(
+                      *a, reverse=reverse),
+                  lstm)
+           for name, reverse in (("lstm_sequence", False),
+                                 ("lstm_sequence_reverse", True))},
+    }
+
+
+KERNELS = list(kernel_cases(KERNEL_SHAPES[0]))
+
+
+class TestRewrittenKernels:
+    """The in-place kernels against their references at the tiny model's
+    shapes: bitwise where every rounding step is kept (a signed zero
+    apart), within 1e-12 for `affine`, whose input gradient is one 2-D GEMM
+    that may block its sums unlike the reference's batched 3-D `@`."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_bitwise_the_reference(self, kernel, shape):
+        fused, reference, shapes = kernel_cases(shape)[kernel]
+        rng = np.random.default_rng(len(kernel) + shape[1])
+        arrays = [0.5 * rng.normal(size=s) for s in shapes]
+        (out, grads), (ref_out, ref_grads) = fused_and_reference(
+            fused, reference, arrays)
+        assert np.array_equal(out.data, ref_out.data)
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.array_equal(g, ref_g)
+        with nm.no_grad():
+            unrecorded = fused(*(t(a) for a in arrays))
+        assert unrecorded._backward is None
+        assert np.array_equal(unrecorded.data, ref_out.data)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    @pytest.mark.parametrize("units", [32, 64])
+    def test_affine_within_1e_12_of_the_unfused_reference(self, shape, units):
+        rng = np.random.default_rng(units + shape[1])
+        arrays = [rng.normal(size=s) for s in (shape, (shape[-1], units), (units,))]
+        (out, grads), (ref_out, ref_grads) = fused_and_reference(
+            nm.affine, uf.affine, arrays)
+        assert out.shape == ref_out.shape == shape[:-1] + (units,)
+        assert np.max(np.abs(out.data - ref_out.data)) <= 1e-12
+        assert grads[0].shape == shape
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.max(np.abs(g - ref_g)) <= 1e-12
+
+
+class TestNoGradMemory:
+    """Under `no_grad` the elementwise nodes allocate their output and at
+    most one buffer of its size, measured with tracemalloc (which traces
+    numpy's buffers)."""
+
+    SLACK = 4096   # the Tensor object and array headers
+
+    @staticmethod
+    def peak_bytes(fn, x):
+        with nm.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = fn(x)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        return out, peak
+
+    def test_glu_allocates_only_its_output(self):
+        # the gate's sigmoid is formed in the buffer that becomes the
+        # output; reading a strided half, a ufunc may also fill its fixed
+        # iteration buffer of np.getbufsize() elements
+        z = t(np.random.default_rng(8).normal(size=(32, 48, 64)))
+        out, peak = self.peak_bytes(nm.glu, z)
+        assert out.data.nbytes == z.data.nbytes // 2
+        ufunc_buffer = 8 * np.getbufsize()
+        assert ufunc_buffer < out.data.nbytes // 4
+        assert peak <= out.data.nbytes + ufunc_buffer + self.SLACK, peak
+
+    def test_elu_allocates_its_output_and_one_buffer(self):
+        x = t(np.random.default_rng(9).normal(size=(32, 48, 32)))
+        out, peak = self.peak_bytes(nm.elu, x)
+        assert peak <= 2 * out.data.nbytes + self.SLACK, peak

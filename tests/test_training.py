@@ -348,6 +348,30 @@ class TestFit:
             runs.append([r.val_loss for r in report.epochs])
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("outside", ["backward", "gradient_check"])
+    def test_gradients_left_before_fit_are_not_applied(self, outside):
+        train, val = micro_data(MICRO, 6), micro_data(MICRO, 3, seed=1)
+        hyper = Hyperparameters(batch_size=3, learning_rate=0.01, max_epochs=1)
+        clean = build_model(MICRO)
+        report = fit(clean, train, val, hyper)
+        assert report.best_epoch == 1   # the step's update is kept
+        params = build_model(MICRO)
+        named = params.named_parameters()
+        past, future, target = train.batch(range(3))
+
+        def loss():
+            out = forward_batch(params, past, future, training=False)
+            return total_quantile_loss(target, out, MICRO.quantile_levels)
+
+        if outside == "backward":
+            nm.backward(loss())
+            assert all(p.grad is not None for p in named.values())
+        else:
+            nm.gradient_check(loss, [named["head/w"], named["head/b"]])
+        fit(params, train, val, hyper)
+        for name, p in clean.named_parameters().items():
+            assert named[name].data.tobytes() == p.data.tobytes(), name
+
     def test_empty_split_rejected(self):
         params = build_model(MICRO)
         data = micro_data(MICRO, 4)
@@ -392,7 +416,7 @@ class TestFit:
         final = None
         for _ in range(500):
             for p in named.values():
-                p.zero_grad()
+                p.grad = None
             out = forward_batch(params, past[:1], future[:1], training=False)
             loss = total_quantile_loss(target[:1], out,
                                        MICRO.quantile_levels)
@@ -436,7 +460,7 @@ class TestGraphMemory:
         try:
             # traced, so that backward's replacement of each grad nets out
             for p in params.parameters():
-                p.zero_grad()
+                p.grad = np.zeros(p.shape)
             before = self.traced()
             out = forward_batch(params, past, future, training=True, rng=rng)
             loss = total_quantile_loss(target, out, params.cfg.quantile_levels)
@@ -462,7 +486,7 @@ class TestGraphMemory:
             # step rebinds them
             for _ in range(3):
                 for p in named.values():
-                    p.zero_grad()
+                    p.grad = np.zeros(p.shape)
                 before = self.traced()
                 out = forward_batch(params, past, future, training=True,
                                     rng=rng)
@@ -502,7 +526,7 @@ def zeroing_fit(params, train, val, hyper):
             idx = order[lo:lo + hyper.batch_size]
             past, future, target = train.batch(idx)
             for p in named.values():
-                p.zero_grad()
+                p.grad = np.zeros(p.shape)
             out = forward_batch(params, past, future, training=True,
                                 rng=dropout_rng)
             loss = total_quantile_loss(target, out,

@@ -11,6 +11,10 @@ step of the recurrence `numerics.lstm_sequence` runs, and `inverse_scale`
 is the per-feature reference for `Scaler.inverse_scale_targets`.
 `kept_weights` reads the softmax weights a recorded `numerics.attention`
 node keeps for its backward, to compare with those of `attention`.
+`elu` is the masked definition of `numerics.elu`, and
+`layer_norm_allocating` and `lstm_sequence_step_scaled` are the allocating
+forms of two fused kernels that now reuse their buffers, for bitwise
+comparison.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ from hvforecast.pipeline import TABLE1_INTERVALS
 # ---------------------------------------------------------------------------
 # small graph ops
 # ---------------------------------------------------------------------------
+
+
+def elu(a: Tensor) -> Tensor:
+    """exp(x)-1 for x<=0, identity above, chosen per element by a mask:
+    the definition `numerics.elu` computes without one."""
+    pos = a.data > 0
+    y = np.where(pos, a.data, np.expm1(a.data))
+    return nm._result(y, "elu", (a,), lambda g: (g * np.where(pos, 1.0, y + 1.0),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -273,6 +285,105 @@ def lstm_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     o = sigmoid(narrow(z, -1, 3 * u, u))
     c_next = nm.add(nm.mul(f, c), nm.mul(i, g))
     return nm.mul(o, tanh(c_next)), c_next
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels as they ran before their buffers were reused
+# ---------------------------------------------------------------------------
+# `numerics.layer_norm` and `numerics.lstm_sequence` reuse buffers, pre-scale
+# weights and reorder loops, but keep every rounding step; these are the
+# allocating forms they replace, which their outputs and gradients equal
+# bit for bit.
+
+
+def layer_norm_allocating(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Closed-form layer norm with a new array for every intermediate."""
+    d = x.shape[-1]
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = ((normed * normed).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed *= inv_std
+    out = normed * gain.data
+    out += bias.data
+    gd = gain.data
+
+    def bw(g):
+        g_rows = g.reshape(-1, d)
+        g_gain = (g * normed).reshape(-1, d).sum(axis=0)
+        gy = g * gd
+        gx = gy - gy.mean(axis=-1, keepdims=True)
+        gx -= normed * (gy * normed).mean(axis=-1, keepdims=True)
+        gx *= inv_std
+        return gx, g_gain, g_rows.sum(axis=0)
+
+    return nm._result(out, "layer_norm", (x, gain, bias), bw)
+
+
+def lstm_sequence_step_scaled(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+                              reverse: bool = False) -> Tensor:
+    """The LSTM pass of `numerics.lstm_sequence`, halving the sigmoid gates'
+    pre-activations at every step instead of their weights once, and
+    forming the backward's gate coefficients on strided (time, batch,
+    units) views of the packed gates."""
+    batch, steps, d = x.shape
+    u = w_h.shape[0]
+    wx, wh, bd = w_x.data, w_h.data, b.data
+    scale = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
+    offset = np.array([0.5, 0.5, 0.0, 0.5])[:, None]
+    xs = x.data.transpose(1, 0, 2)
+    if reverse:
+        xs = xs[::-1]
+    xs = np.ascontiguousarray(xs).reshape(steps * batch, d)
+    xw = (xs @ wx).reshape(steps, batch, 4, u)
+    gates = np.empty((steps, batch, 4, u))
+    cs = np.empty((steps, batch, u))
+    tcs = np.empty((steps, batch, u))
+    hs = np.empty((steps, batch, u))
+    h = np.zeros((batch, u))
+    c = np.zeros((batch, u))
+    for t in range(steps):
+        z = (xw[t].reshape(batch, 4 * u) + h @ wh).reshape(batch, 4, u)
+        z += bd.reshape(4, u)
+        z *= scale
+        a = np.tanh(z, out=gates[t])
+        a *= scale
+        a += offset
+        c = np.add(a[:, 1] * c, a[:, 0] * a[:, 2], out=cs[t])
+        h = np.multiply(a[:, 3], np.tanh(c, out=tcs[t]), out=hs[t])
+    out = hs.transpose(1, 0, 2)
+    if reverse:
+        out = out[:, ::-1]
+
+    def bw(g):
+        gs = g.transpose(1, 0, 2)
+        if reverse:
+            gs = gs[::-1]
+        i, f, cand, o = (gates[:, :, k] for k in range(4))
+        c_prev = np.zeros_like(cs)
+        c_prev[1:] = cs[:-1]
+        coef_c = np.stack((cand * i * (1.0 - i), c_prev * f * (1.0 - f),
+                           i * (1.0 - cand * cand)), axis=2)
+        coef_o = tcs * o * (1.0 - o)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros((batch, u))
+        dc_next = np.zeros((batch, u))
+        for t in reversed(range(steps)):
+            dh = gs[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(coef_c[t], dc[:, None, :], out=dz[t, :, :3])
+            np.multiply(coef_o[t], dh, out=dz[t, :, 3])
+            if t:
+                dc_next = dc * f[t]
+                dh_next = dz[t].reshape(batch, 4 * u) @ wh.T
+        dz_flat = dz.reshape(steps * batch, 4 * u)
+        g_x = (dz_flat @ wx.T).reshape(steps, batch, d)
+        if reverse:
+            g_x = g_x[::-1]
+        return (g_x.transpose(1, 0, 2), xs.T @ dz_flat,
+                hs[:-1].reshape(-1, u).T @ dz_flat[batch:], dz_flat.sum(axis=0))
+
+    return nm._result(out, "lstm_sequence", (x, w_x, w_h, b), bw)
 
 
 # ---------------------------------------------------------------------------
