@@ -120,15 +120,13 @@ class MultiHeadAttention(Layer):
 
 
 class Glu(Layer):
-    """Gated linear unit: one affine map produces value and gate halves,
-    output = value * sigmoid(gate)."""
+    """Weights of a gated linear unit: one affine map produces the value
+    and gate halves, output = value * sigmoid(gate), which
+    `numerics.gate_add_norm` applies."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
                  name: str):
         self.proj = Dense(d_in, 2 * d_out, rng, f"{name}/proj")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return nm.glu(self.proj(x))
 
 
 # Added to the variance before its inverse square root.
@@ -136,8 +134,9 @@ LAYER_NORM_EPS = 1e-5
 
 
 class LayerNorm(Layer):
-    """Normalize each last-axis slice to zero mean / unit variance
-    (population convention), then apply gain and bias."""
+    """Gain and bias of a layer norm, which normalizes each last-axis slice
+    to zero mean / unit variance (population convention) and then applies
+    them; `numerics.gate_add_norm` runs it."""
 
     def __init__(self, d: int, name: str = "ln"):
         if d < 1:
@@ -145,15 +144,13 @@ class LayerNorm(Layer):
         self.gain = Parameter(f"{name}/gain", np.ones(d))
         self.bias = Parameter(f"{name}/bias", np.zeros(d))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return nm.layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
-
 
 class Grn(Layer):
     """Gated residual wrapper: LayerNorm(x + GLU(dense(elu(dense(x))))).
 
-    Preserves the feature extent; with the gate shut it degrades to a plain
-    layer norm of its input.
+    The gate, the residual add and the layer norm are one
+    `numerics.gate_add_norm` node. Preserves the feature extent; with the
+    gate shut it degrades to a plain layer norm of its input.
     """
 
     def __init__(self, d: int, rng: np.random.Generator | None, name: str):
@@ -166,8 +163,9 @@ class Grn(Layer):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d:
             raise DimensionError(f"grn: input extent {x.shape[-1]} != {self.d}")
-        branch = self.glu(self.fc2(nm.elu(self.fc1(x))))
-        return self.ln(nm.add(x, branch))
+        gate_in = self.glu.proj(self.fc2(nm.elu(self.fc1(x))))
+        return nm.gate_add_norm(x, gate_in, self.ln.gain, self.ln.bias,
+                                LAYER_NORM_EPS)
 
 
 def dropout_apply(x: Tensor, rate: float, training: bool,
@@ -180,5 +178,4 @@ def dropout_apply(x: Tensor, rate: float, training: bool,
         return x
     if rng is None:
         raise ContractViolation("dropout: training mode needs an rng stream")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return nm.mul(x, Tensor(mask))
+    return nm.dropout(x, rng.random(x.shape) >= rate, rate)

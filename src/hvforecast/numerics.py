@@ -11,25 +11,34 @@ closure has run, so the activations the closures saved are freed during the
 walk rather than kept until the caller lets go of the loss. A training step
 then holds at most one graph, and a graph can be backpropagated only once.
 
-The small ops are the ones the model builds, `add`, `mul`, `elu`, `reshape`
-and `concat`, plus the sum reduction `tsum`. Broadcasting is deliberately
-restricted: `add` and `mul` require equal shapes or a Python scalar, so a
-shape mismatch is always a loud error instead of a silent broadcast. The
-layers' dense blocks are fused nodes with hand-written backwards: `affine`,
-`layer_norm`, `glu`, `attention`, `quantile_loss` and `lstm_sequence`. Each
+The small ops are the ones the model builds, `add`, `elu`, `dropout`,
+`reshape` and `concat`, plus the sum reduction `tsum`. Broadcasting is
+deliberately restricted: `add` requires equal shapes or a Python scalar,
+so a shape mismatch is always a loud error instead of a silent broadcast.
+The layers' dense blocks are fused nodes with hand-written backwards:
+`affine`, `gate_add_norm` (a gated residual block's gate, residual add and
+layer norm), `attention`, `quantile_loss` and `lstm_sequence`. Each
 applies its trailing-axis vectors internally after checking their extents,
-and keeps only what its backward needs, so one layer stores one output
-instead of a chain of intermediates. The two that hold the most,
-`attention` and `lstm_sequence`, each run one loop for both modes; when no
-graph is recorded that loop keeps nothing for a backward and computes the
-same values bitwise with less memory: attention in blocks of (batch, head)
-slices, the recurrence with one step's buffers. The unfused compositions
-they replace, and the small ops only those need, are test-side references.
+so one layer makes one node instead of a chain of intermediates.
+
+What a recorded node holds until its closure runs is what that closure
+captures, plus its output for as long as a consumer lists it in
+`parents`. The closures capture what the backward reads and little else:
+`dropout` keeps its bool mask, `gate_add_norm` the normalised values and
+the inverse standard deviation (the gate's output and the residual sum
+are never arrays of their own), and `lstm_sequence` the gates, cell and
+hidden states, recomputing tanh(c) and its time-major input in backward.
+The two that hold the most, `attention` and `lstm_sequence`, each run one
+loop for both modes; when no graph is recorded that loop keeps nothing for
+a backward and computes the same values bitwise with less memory:
+attention in blocks of (batch, head) slices, the recurrence with one
+step's buffers. The unfused compositions they replace, and the small ops
+only those need, are test-side references.
 
 The train step is thousands of small numpy calls, so the nodes are written
 to make few of them over few new arrays. `affine` runs its input gradient
-as one 2-D GEMM over all rows. `elu`, `glu` and `layer_norm` work in place
-in buffers they own, and `lstm_sequence` folds the sigmoid gates' halving
+as one 2-D GEMM over all rows. `elu` and `gate_add_norm` work in place in
+buffers they own, and `lstm_sequence` folds the sigmoid gates' halving
 into its weights once per call. Each keeps the rounding of every step, so
 their results are bitwise those of the allocating forms, except `affine`'s
 input gradient: a 2-D GEMM may block its sums unlike a batched 3-D `@`,
@@ -129,11 +138,6 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     return out
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 # ---------------------------------------------------------------------------
 # elementwise operations
 # ---------------------------------------------------------------------------
@@ -142,23 +146,9 @@ def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         c = float(b)
         return _result(a.data + c, "add", (a,), lambda g: (g,))
-    _check_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _result(a.data * c, "mul", (a,), lambda g: (g * c,))
-    _check_same_shape("mul", a, b)
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        # an operand outside the graph, such as a dropout mask, gets none
-        return (g * bd if a.requires_grad else None,
-                g * ad if b.requires_grad else None)
-
-    return _result(ad * bd, "mul", (a, b), bw)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -186,6 +176,25 @@ def elu(a: Tensor) -> Tensor:
         return (d,)
 
     return _result(y, "elu", (a,), bw)
+
+
+def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout with a drawn bool mask: x * keep / (1 - rate).
+    Keeps only `keep`; forward and backward multiply by it and then by
+    1 / (1 - rate), which gives the values of a product with the float
+    mask keep / (1 - rate) without forming it."""
+    if keep.shape != x.shape:
+        raise DimensionError(f"dropout: mask {keep.shape} does not match {x.shape}")
+    scale = 1.0 / (1.0 - rate)
+    out = np.multiply(x.data, keep)
+    out *= scale
+
+    def bw(g):
+        gx = np.multiply(g, keep)
+        gx *= scale
+        return (gx,)
+
+    return _result(out, "dropout", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +258,37 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out, "affine", (x, w, b), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalise each last-axis slice of `x` to zero mean and unit
-    (population) variance, then apply `gain` and `bias`.
+def gate_add_norm(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
+                  eps: float) -> Tensor:
+    """layer_norm(x + glu(z)) as one node: the gated linear unit over the
+    two halves of the last axis of `z` (value * sigmoid(gate), value
+    first), the residual add of `x`, then normalisation of each last-axis
+    slice to zero mean and unit (population) variance with `gain` and
+    `bias` applied.
 
-    Keeps only the normalised input and the inverse standard deviation; the
-    backward is the closed form of Ba et al. (arXiv:1607.06450),
-    dx = inv_std * (gy - mean(gy) - x_hat * mean(gy * x_hat)) with
-    gy = g * gain.
+    The sigmoid is formed in place in one buffer, which then takes the
+    product, the residual and the centring, so the gate's output and the
+    sum never exist as arrays of their own. Keeps `z` (a parent), the
+    normalised values and the inverse standard deviation. The backward is
+    the layer norm's closed form (Ba et al., arXiv:1607.06450),
+    dr = inv_std * (gy - mean(gy) - x_hat * mean(gy * x_hat)) with
+    gy = g * gain; `x` takes dr, and the gate recomputes its sigmoid to
+    pass dr into `z`.
     """
     d = x.shape[-1] if x.ndim else 0
-    if d < 1 or gain.shape != (d,) or bias.shape != (d,):
+    if d < 1 or z.shape != x.shape[:-1] + (2 * d,):
         raise DimensionError(
-            f"layer_norm: gain {gain.shape} or bias {bias.shape} does not "
+            f"gate_add_norm: gate input {z.shape} is not {x.shape} with its "
+            f"last extent doubled")
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(
+            f"gate_add_norm: gain {gain.shape} or bias {bias.shape} does not "
             f"match the last extent of {x.shape}")
-    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    value, gate = z.data[..., :d], z.data[..., d:]
+    normed = _sigmoid(gate)
+    normed *= value
+    normed += x.data
+    normed -= normed.mean(axis=-1, keepdims=True)
     out = np.multiply(normed, normed)
     inv_std = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
     normed *= inv_std
@@ -278,40 +303,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         buf = np.multiply(g, normed)
         g_gain = buf.reshape(-1, d).sum(axis=0)
         gy = np.multiply(g, gd, out=buf)
-        gx = gy - gy.mean(axis=-1, keepdims=True)
+        gr = gy - gy.mean(axis=-1, keepdims=True)
         gy *= normed
         np.multiply(normed, gy.mean(axis=-1, keepdims=True), out=gy)
-        gx -= gy
-        gx *= inv_std
-        return gx, g_gain, g_rows.sum(axis=0)
-
-    return _result(out, "layer_norm", (x, gain, bias), bw)
-
-
-def glu(z: Tensor) -> Tensor:
-    """Gated linear unit over the two halves of the last axis of `z`:
-    value * sigmoid(gate), value first. The sigmoid is formed in place in
-    one half-size buffer, which then becomes the output, so the forward
-    allocates nothing else. Keeps nothing but its input; the backward
-    recomputes the gate and reuses its buffer for 1 - sigmoid."""
-    if z.ndim < 1 or z.shape[-1] % 2 or z.shape[-1] == 0:
-        raise DimensionError(f"glu: last extent of {z.shape} is not a positive even number")
-    d = z.shape[-1] // 2
-    value, gate = z.data[..., :d], z.data[..., d:]
-    out = _sigmoid(gate)
-    out *= value
-
-    def bw(g):
+        gr -= gy
+        gr *= inv_std
         s = _sigmoid(gate)
         gz = np.empty(z.shape)
-        np.multiply(g, s, out=gz[..., :d])
-        gs = g * value
+        np.multiply(gr, s, out=gz[..., :d])
+        gs = np.multiply(gr, value, out=gz[..., d:])
         gs *= s
         gs *= np.subtract(1.0, s, out=s)
-        gz[..., d:] = gs
-        return (gz,)
+        return gr, gz, g_gain, g_rows.sum(axis=0)
 
-    return _result(out, "glu", (z,), bw)
+    return _result(out, "gate_add_norm", (x, z, gain, bias), bw)
 
 
 # Score elements (float64, 2 MiB) that one block of an unrecorded
@@ -480,9 +485,13 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     data; the loop carries just dh/dc and one `dz @ w_h.T`, and the weight
     and input gradients are three GEMMs over all steps.
 
-    When no graph is recorded (under `no_grad`, or with no input that
-    requires grad) the same loop keeps one step's gates, cell state and
-    tanh(c) instead of every step's, and the node has no backward.
+    A recorded node keeps every step's gates, cell state and hidden state.
+    Its backward takes tanh(c) of all steps in one call and rebuilds the
+    time-major input from `x` for the input-kernel gradient, so neither is
+    held between forward and backward; both come out bitwise as the
+    forward made them. When no graph is recorded (under `no_grad`, or with
+    no input that requires grad) the same loop keeps one step's gates and
+    cell state instead of every step's, and the node has no backward.
     """
     if x.ndim != 3:
         raise DimensionError(
@@ -502,15 +511,17 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     wx, wh = w_x.data, w_h.data
     scale = np.repeat(_GATE_SCALE, u)
 
-    # time-major, in processing order
-    xs = x.data.transpose(1, 0, 2)
-    if reverse:
-        xs = xs[::-1]
-    xs = np.ascontiguousarray(xs).reshape(steps * batch, d)
-    xw = (xs @ (wx * scale)).reshape(steps, batch, 4 * u)
+    xd = x.data
+
+    def time_major():
+        """`x` as (steps * batch, features) rows in processing order."""
+        xs = xd.transpose(1, 0, 2)
+        if reverse:
+            xs = xs[::-1]
+        return np.ascontiguousarray(xs).reshape(steps * batch, d)
+
+    xw = (time_major() @ (wx * scale)).reshape(steps, batch, 4 * u)
     keep = _records((x, w_x, w_h, b))
-    if not keep:
-        del xs   # the time-major copy, read again only by a backward
     wh_scaled = wh * scale
     # the step's vectors as whole (batch, 4*units) rows: an in-place ufunc
     # over equal shapes runs one contiguous loop, where a broadcast vector
@@ -518,11 +529,11 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     b_rows, scale_rows, offset_rows = (
         np.broadcast_to(v, (batch, 4 * u)).copy()
         for v in (b.data * scale, scale, np.repeat(_GATE_OFFSET, u)))
-    # without a graph, one step's gates, cell state and tanh(c) are kept
+    # without a graph, one step's gates and cell state are kept
     kept = steps if keep else 1
     gates = np.empty((kept, batch, 4 * u))
     cs = np.empty((kept, batch, u))
-    tcs = np.empty((kept, batch, u))
+    tc = np.empty((batch, u))
     hs = np.empty((steps, batch, u))
     h = np.zeros((batch, u))
     c = np.zeros((batch, u))
@@ -535,7 +546,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         a *= scale_rows
         a += offset_rows
         c = np.add(a[:, u:2 * u] * c, a[:, :u] * a[:, 2 * u:3 * u], out=cs[k])
-        h = np.multiply(a[:, 3 * u:], np.tanh(c, out=tcs[k]), out=hs[t])
+        h = np.multiply(a[:, 3 * u:], np.tanh(c, out=tc), out=hs[t])
 
     out = hs.transpose(1, 0, 2)
     if reverse:
@@ -564,11 +575,14 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         coef[1, 0] = 0.0   # c_prev is zero before the first step
         np.multiply(cs[:-1], f[1:], out=coef[1, 1:])
         coef[1, 1:] *= np.subtract(1.0, f[1:], out=i[1:])
+        # tanh(c) of every step, formed in place of the output gate's
+        # coefficient
+        tcs = np.tanh(cs, out=coef[3])
         dc_dh = np.multiply(tcs, tcs, out=cand)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
-        np.multiply(tcs, o, out=coef[3])
-        coef[3] *= np.subtract(1.0, o, out=o)
+        tcs *= o
+        tcs *= np.subtract(1.0, o, out=o)
         coef_c = coef[:3].transpose(1, 2, 0, 3)   # (steps, batch, 3, units)
         dz = np.empty((steps, batch, 4, u))
         dh_next = np.zeros((batch, u))
@@ -583,7 +597,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
                 dc_next = dc * f[t]
                 dh_next = dz[t].reshape(batch, 4 * u) @ wh.T
         dz_flat = dz.reshape(steps * batch, 4 * u)
-        g_wx = xs.T @ dz_flat
+        g_wx = time_major().T @ dz_flat
         g_wh = hs[:-1].reshape(-1, u).T @ dz_flat[batch:]
         g_b = dz_flat.sum(axis=0)
         g_x = (dz_flat @ wx.T).reshape(steps, batch, d)

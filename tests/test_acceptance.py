@@ -51,6 +51,7 @@ from hvforecast.evaluation import (
     plateau_step,
 )
 from hvforecast.layers import (
+    LAYER_NORM_EPS,
     BiLstm,
     Dense,
     Glu,
@@ -186,14 +187,27 @@ def layer_gradient_cases(seed):
         out = nm.reshape(head(x_head), (2, 2, 3))
         return total_quantile_loss(y_head, out, (0.1, 0.5, 0.9))
 
+    # the gate and the layer norm run inside one gate_add_norm node: each
+    # is checked with the other's weights held fixed
+    res_glu, z_norm = Tensor(u(-1, 1, (4, 2))), Tensor(u(-1, 1, (3, 8)))
+    gain, bias = Tensor(u(0.5, 1.5, 2)), Tensor(u(-1, 1, 2))
+
+    def glu_loss():
+        return uf.tmean(nm.gate_add_norm(res_glu, glu.proj(x_glu), gain, bias,
+                                         LAYER_NORM_EPS))
+
+    def norm_loss():
+        return uf.tmean(nm.gate_add_norm(x_norm, z_norm, norm.gain, norm.bias,
+                                         LAYER_NORM_EPS))
+
     return [
         ("dense", lambda: uf.tmean(dense(x_dense)), dense),
         ("lstm_cell", cell_loss, cell),
         ("bilstm", lambda: uf.tmean(bilstm(x_bilstm)), bilstm),
         ("mha", lambda: uf.tmean(mha(q_mha, kv_mha)), mha),
-        ("glu", lambda: uf.tmean(glu(x_glu)), glu),
+        ("glu", glu_loss, glu),
         ("grn", lambda: uf.tmean(grn(x_grn)), grn),
-        ("layer_norm", lambda: uf.tmean(norm(x_norm)), norm),
+        ("layer_norm", norm_loss, norm),
         ("quantile_head", head_loss, head),
     ]
 

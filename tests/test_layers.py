@@ -166,7 +166,7 @@ class TestBiLstm:
             net = BiLstm(2, 3, rng, "b")
             seq = Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
             probe = t(rng.normal(size=(2, 4, 6)))
-            report = gradient_check(lambda: nm.tsum(nm.mul(net(seq), probe)),
+            report = gradient_check(lambda: nm.tsum(uf.mul(net(seq), probe)),
                                     list(net.parameters()) + [seq])
             assert report.passed, f"seed {seed}: {report}"
             assert report.coord_count == seq.size + sum(
@@ -202,7 +202,7 @@ class TestLstmSequence:
             for p in cell.parameters():
                 p.grad = None
             out = run(x)
-            backward(nm.tsum(nm.mul(out, t(probe))))
+            backward(nm.tsum(uf.mul(out, t(probe))))
             results.append([out.data, x.grad]
                            + [p.grad.copy() for p in cell.parameters()])
         for name, got, want in zip(("h", "x", "w_x", "w_h", "b"), *results):
@@ -311,21 +311,39 @@ class TestMultiHeadAttention:
             assert report.passed, f"seed {seed}: {report}"
 
 
+def gate_add_norm(x, z, ln, eps=1e-30):
+    return nm.gate_add_norm(t(x), t(z), ln.gain, ln.bias, eps).data
+
+
+def layer_norm(x, ln, eps=1e-30):
+    """`ln` over `x` through `numerics.gate_add_norm` with a zero gate input:
+    glu(0) = 0 * sigmoid(0) = 0, so the residual sum is `x` exactly."""
+    x = np.asarray(x, dtype=float)
+    return gate_add_norm(x, np.zeros(x.shape[:-1] + (2 * x.shape[-1],)), ln, eps)
+
+
 class TestGluAndGrn:
     def test_glu_halves(self):
+        # value first, gate second, added to the residual before the norm
         rng = np.random.default_rng(0)
-        glu = Glu(3, 2, rng, "g")
-        x = t(rng.normal(size=(4, 3)))
+        glu, ln = Glu(3, 2, rng, "g"), LayerNorm(2)
+        ln.gain.data[:] = [1.5, 0.5]
+        x, res = t(rng.normal(size=(4, 3))), rng.normal(size=(4, 2))
         z = glu.proj(x).data
-        expect = z[:, :2] * (1.0 / (1.0 + np.exp(-z[:, 2:])))
-        assert np.allclose(glu(x).data, expect, atol=1e-12)
+        expect = res + z[:, :2] * (1.0 / (1.0 + np.exp(-z[:, 2:])))
+        expect = (expect - expect.mean(axis=-1, keepdims=True)) / np.sqrt(
+            expect.var(axis=-1, keepdims=True) + 1e-5)
+        got = nm.gate_add_norm(t(res), glu.proj(x), ln.gain, ln.bias, 1e-5).data
+        assert np.allclose(got, expect * [1.5, 0.5], atol=1e-12)
 
     def test_gate_shut_glu_vanishes(self):
         glu = Glu(2, 3, np.random.default_rng(0), "g")
         glu.proj.w.data[:] = 0.0
         glu.proj.b.data[:] = [7.0, 7.0, 7.0, -60.0, -60.0, -60.0]
-        x = t(np.ones((2, 2)))
-        assert np.allclose(glu(x).data, 0.0, atol=1e-20)
+        x = np.random.default_rng(1).normal(size=(2, 3))
+        z = glu.proj(t(np.ones((2, 2)))).data
+        ln = LayerNorm(3)
+        assert np.allclose(gate_add_norm(x, z, ln), layer_norm(x, ln), atol=1e-20)
 
     def test_grn_with_dead_branch_is_plain_layer_norm(self):
         rng = np.random.default_rng(1)
@@ -334,7 +352,7 @@ class TestGluAndGrn:
         grn.glu.proj.b.data[:] = 0.0
         x = rng.normal(size=(3, 4))
         got = grn(t(x)).data
-        expect = grn.ln(t(x)).data
+        expect = layer_norm(x, grn.ln, eps=ly.LAYER_NORM_EPS)
         assert np.allclose(got, expect, atol=1e-12)
 
     def test_grn_preserves_extent(self):
@@ -357,16 +375,14 @@ class TestGluAndGrn:
 
 class TestLayerNorm:
     def test_hand_values(self):
-        ln = LayerNorm(3)
-        out = nm.layer_norm(t([[1.0, 2.0, 3.0]]), ln.gain, ln.bias, 1e-30).data
+        out = layer_norm([[1.0, 2.0, 3.0]], LayerNorm(3))
         root = 1.224744871391589  # sqrt(3/2); population variance of 1,2,3 is 2/3
         assert out[0] == pytest.approx([-root, 0.0, root], abs=1e-9)
 
     def test_population_variance_convention(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 5)) * 3 + 2
-        ln = LayerNorm(5)
-        out = nm.layer_norm(t(x), ln.gain, ln.bias, 1e-30).data
+        out = layer_norm(x, LayerNorm(5))
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-9)
 
@@ -374,11 +390,11 @@ class TestLayerNorm:
         ln = LayerNorm(2)
         ln.gain.data[:] = [2.0, 2.0]
         ln.bias.data[:] = [1.0, 1.0]
-        out = nm.layer_norm(t([[0.0, 2.0]]), ln.gain, ln.bias, 1e-30).data
+        out = layer_norm([[0.0, 2.0]], ln)
         assert out[0] == pytest.approx([-1.0, 3.0], abs=1e-9)
 
     def test_constant_row_survives_via_eps(self):
-        out = LayerNorm(3)(t([[4.0, 4.0, 4.0]])).data
+        out = layer_norm([[4.0, 4.0, 4.0]], LayerNorm(3), eps=ly.LAYER_NORM_EPS)
         assert np.allclose(out, 0.0, atol=1e-12)
         assert np.isfinite(out).all()
 
@@ -391,9 +407,11 @@ class TestLayerNorm:
             rng = np.random.default_rng(seed)
             ln = LayerNorm(4)
             x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            z = Tensor(np.zeros((3, 8)))
 
             def f():
-                return uf.tmean(nm.mul(ln(x), ln(x)))
+                out = nm.gate_add_norm(x, z, ln.gain, ln.bias, ly.LAYER_NORM_EPS)
+                return uf.tmean(uf.mul(out, out))
 
             report = gradient_check(f, [ln.gain, ln.bias])
             assert report.passed, f"seed {seed}: {report}"
@@ -447,20 +465,28 @@ class TestDropout:
         def gradients(out):
             for p in params:
                 p.grad = None
-            backward(nm.tsum(nm.mul(out, probe)))
+            backward(nm.tsum(uf.mul(out, probe)))
             return [p.grad for p in params]
 
-        dropped = dropout_apply(first(x), 0.5, training=True,
+        hidden = first(x)
+        dropped = dropout_apply(hidden, 0.5, training=True,
                                 rng=np.random.default_rng(9))
-        mask = dropped.parents[1]
-        assert dropped._backward(np.ones((5, 6)))[1] is None
+        # the node's one parent is its input: the mask is no graph operand
+        # and so can take no gradient
+        assert dropped.op == "dropout" and dropped.parents == (hidden,)
+        keep = np.random.default_rng(9).random((5, 6)) >= 0.5
+        assert np.array_equal(dropped.data != 0.0, keep)
         got = gradients(second(dropped))
-        assert mask.grad is None and x.grad is None
-        # unfused reference, whose product forms both operand gradients
-        h, md = uf.affine(x, first.w, first.b), mask.data
-        product = nm._result(h.data * md, "mul", (h, mask),
-                             lambda g, hd=h.data: (g * md, g * hd))
+        assert x.grad is None
+        # unfused reference: the product with the float mask as an operand
+        # outside the graph, whose closure would also form its gradient
+        h = uf.affine(x, first.w, first.b)
+        mask = t(keep / 0.5)
+        product = nm._result(h.data * mask.data, "mul", (h, mask),
+                             lambda g, hd=h.data: (g * mask.data, g * hd))
+        assert dropped.data.tobytes() == product.data.tobytes()
         want = gradients(uf.affine(product, second.w, second.b))
+        assert mask.grad is None
         for p, g, ref in zip(params, got, want):
             assert g.tobytes() == ref.tobytes(), p.name
 

@@ -371,12 +371,12 @@ def micro_pinball(out: Tensor, target: np.ndarray, levels) -> Tensor:
     for k, q in enumerate(levels):
         pred = nm.reshape(uf.narrow(out, 3, k, 1), out.shape[:3])
         err = uf.sub(y, pred)
-        terms.append(uf.tmean(uf.maximum(nm.mul(err, q),
-                                         nm.mul(err, q - 1.0))))
+        terms.append(uf.tmean(uf.maximum(uf.mul(err, q),
+                                         uf.mul(err, q - 1.0))))
     total = terms[0]
     for t in terms[1:]:
         total = nm.add(total, t)
-    return nm.mul(total, 1.0 / len(terms))
+    return uf.mul(total, 1.0 / len(terms))
 
 
 class TestGradients:
@@ -395,37 +395,94 @@ class TestGradients:
         assert report.coord_count == params.parameter_count()
 
 
+def tiny_train_inputs():
+    """The tiny profile's model and one random batch at its batch size of
+    32, with the rng the step's dropout draws from."""
+    from hvforecast.config import RunConfig, apply_profile
+
+    profile = apply_profile(RunConfig(), "tiny")
+    cfg = ModelConfig(n_past=profile.pipeline.n_past,
+                      n_future=profile.pipeline.n_future,
+                      rnn_units=profile.model.rnn_units,
+                      mha_heads=profile.model.mha_heads,
+                      d_model=profile.model.d_model,
+                      dropout_rate=profile.model.dropout_rate,
+                      rng_seed=23)
+    batch = profile.training.batch_size
+    assert batch == 32
+    rng = np.random.default_rng(23)
+    past = rng.uniform(-1, 1, (batch, cfg.n_past, cfg.past_feature_count))
+    future = rng.uniform(-1, 1,
+                         (batch, cfg.n_future, cfg.future_feature_count))
+    target = rng.uniform(-1, 1, (batch, cfg.n_future, cfg.zone_count))
+    return cfg, build_model(cfg), past, future, target, rng
+
+
+def recorded_step_bytes(cfg, batch):
+    """Bytes a recorded train step's graph holds once the loss is formed,
+    derived from the shapes: each node's output while its consumer lists
+    it in `parents`, plus what each closure captures for its backward.
+    The model inputs are the caller's arrays and are not counted."""
+    d, u, heads, zq = cfg.d_model, cfg.rnn_units, cfg.mha_heads, (
+        cfg.zone_count * len(cfg.quantile_levels))
+    assert 2 * u == d   # no adapter after the LSTMs
+    # per (batch, step) position, in float64 values
+    grn = (d + d          # fc1 output, elu output
+           + d + 2 * d    # fc2 output, the gate's input
+           + 2 * d + 1)   # gate_add_norm output, normalised values, inv_std
+    lstm = 2 * (4 * u + u + u) + 2 * u   # per pass gates, c, h; the concat
+    dropout = d + d / 8                  # output and a bool mask
+    branch = (d                          # input projection
+              + 3 * d + 2 * d            # q, k, v, attention and out maps
+              + dropout + d + grn        # dropout, skip add, GRN
+              + lstm + dropout + grn)
+    values = (cfg.n_past * (branch + heads * cfg.n_past)
+              + cfg.n_future * (branch + heads * cfg.n_future)
+              + cfg.n_past * 2 * d       # cross-attention keys and values
+              + cfg.n_future * (d + heads * cfg.n_past + 2 * d   # its queries,
+                                + d + grn + lstm + grn + zq))    # the rest
+    below = len(cfg.quantile_levels) * cfg.n_future * cfg.zone_count   # bools
+    return batch * (8 * values + below)
+
+
 class TestGraphSize:
     def test_tiny_train_step_graph_under_100_op_nodes(self):
         # One training step of the tiny profile at its batch size of 32.
-        # Each LSTM pass, dense map, layer norm, GLU, attention core and the
-        # quantile loss is one graph node, so the count does not grow with
-        # the sequence length.
-        from hvforecast.config import RunConfig, apply_profile
+        # Each LSTM pass, dense map, gated residual tail, dropout, attention
+        # core and the quantile loss is one graph node, so the count does
+        # not grow with the sequence length.
         from hvforecast.training import total_quantile_loss
 
-        profile = apply_profile(RunConfig(), "tiny")
-        cfg = ModelConfig(n_past=profile.pipeline.n_past,
-                          n_future=profile.pipeline.n_future,
-                          rnn_units=profile.model.rnn_units,
-                          mha_heads=profile.model.mha_heads,
-                          d_model=profile.model.d_model,
-                          dropout_rate=profile.model.dropout_rate,
-                          rng_seed=23)
-        batch = profile.training.batch_size
-        assert batch == 32
-        rng = np.random.default_rng(23)
-        past = rng.uniform(-1, 1, (batch, cfg.n_past, cfg.past_feature_count))
-        future = rng.uniform(-1, 1,
-                             (batch, cfg.n_future, cfg.future_feature_count))
-        target = rng.uniform(-1, 1, (batch, cfg.n_future, cfg.zone_count))
-        out = forward_batch(build_model(cfg), past, future, training=True,
-                            rng=rng)
+        cfg, params, past, future, target, rng = tiny_train_inputs()
+        out = forward_batch(params, past, future, training=True, rng=rng)
         loss = total_quantile_loss(target, out, cfg.quantile_levels)
         ops = [n.op for n in nm.topological_order(loss) if n.op != "leaf"]
         assert len(ops) < 100
         assert not {"add_bias", "narrow", "softmax", "power", "expand_last",
-                    "maximum", "scale_by_vector"} & set(ops)
+                    "maximum", "scale_by_vector", "mul", "glu",
+                    "layer_norm"} & set(ops)
+
+    def test_tiny_train_step_graph_holds_only_what_backward_reads(self):
+        # traced bytes live once the loss is formed: the float dropout
+        # masks, the LSTM's time-major input copies and tanh(c), and the
+        # gate outputs and residual sums held as parents would add about
+        # a quarter to the derived figure
+        from hvforecast.training import total_quantile_loss
+
+        cfg, params, past, future, target, rng = tiny_train_inputs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward_batch(params, past, future, training=True, rng=rng)
+            loss = total_quantile_loss(target, out, cfg.quantile_levels)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        derived = recorded_step_bytes(cfg, len(past))
+        # the Tensor objects, closures and per-row vectors of ~160 nodes
+        slack = 2 ** 19
+        assert live <= derived + slack, (live, derived)
+        assert float(loss.data) > 0.0
 
 
 class TestForecastWindows:

@@ -72,7 +72,7 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             nm.add(t(np.ones(3)), t(np.ones(4)))
         with pytest.raises(DimensionError):
-            nm.mul(t(np.ones((2, 2))), t(np.ones(4)))
+            uf.mul(t(np.ones((2, 2))), t(np.ones(4)))
 
     def test_scalar_broadcast_allowed(self):
         out = nm.add(t([1.0, 2.0]), 1.5)
@@ -107,7 +107,7 @@ class TestSoftmax:
 class TestBackward:
     def test_square(self):
         x = t([3.0], grad=True)
-        loss = nm.tsum(nm.mul(x, x))
+        loss = nm.tsum(uf.mul(x, x))
         backward(loss)
         assert x.grad[0] == pytest.approx(6.0, abs=1e-12)
 
@@ -119,14 +119,14 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = t([1.0, 2.0], grad=True)
         with pytest.raises(ContractViolation):
-            backward(nm.mul(x, x))
+            backward(uf.mul(x, x))
 
     def test_reused_node_accumulates(self):
         # loss = sum(s*a) + sum(s*b) with s shared; ds = a + b
         x = t([0.3, -0.2], grad=True)
         s = uf.tanh(x)
         a, b = t([2.0, 1.0]), t([0.5, -1.0])
-        loss = nm.add(nm.tsum(nm.mul(s, a)), nm.tsum(nm.mul(s, b)))
+        loss = nm.add(nm.tsum(uf.mul(s, a)), nm.tsum(uf.mul(s, b)))
         backward(loss)
         expect = (1 - np.tanh(x.data) ** 2) * (a.data + b.data)
         assert np.allclose(x.grad, expect, atol=1e-12)
@@ -135,7 +135,7 @@ class TestBackward:
         used = Parameter("used", np.array([2.0]))
         unused = Parameter("unused", np.array([5.0]))
         assert used.grad is None and unused.grad is None
-        backward(nm.tsum(nm.mul(used, used)))
+        backward(nm.tsum(uf.mul(used, used)))
         assert unused.grad is None
         assert used.grad[0] == pytest.approx(4.0)
 
@@ -149,7 +149,7 @@ class TestBackward:
         def f():
             h = uf.tanh(uf.matmul(x, w1))
             out = uf.sigmoid(uf.add_bias(uf.matmul(h, w2), bias))
-            return uf.tmean(nm.mul(out, out))
+            return uf.tmean(uf.mul(out, out))
 
         report = gradient_check(f, [w1, w2, bias], step=1e-5, tol=1e-6)
         assert report.passed, report
@@ -157,7 +157,7 @@ class TestBackward:
     def test_topological_order_parents_first(self):
         x = t([1.0], grad=True)
         y = uf.tanh(x)
-        z = nm.mul(y, y)
+        z = uf.mul(y, y)
         order = nm.topological_order(z)
         pos = {id(n): i for i, n in enumerate(order)}
         for node in order:
@@ -167,7 +167,7 @@ class TestBackward:
 
     def test_backward_consumes_the_graph(self):
         x = t([1.0, 2.0], grad=True)
-        y = nm.mul(x, x)
+        y = uf.mul(x, x)
         loss = nm.tsum(y)
         backward(loss)
         for node in (y, loss):
@@ -204,7 +204,7 @@ class TestStructuralOps:
     def test_transpose_reshape_grads(self):
         x = t(np.arange(6.0).reshape(2, 3), grad=True)
         y = nm.reshape(uf.transpose(x, (1, 0)), (6,))
-        backward(nm.tsum(nm.mul(y, y)))
+        backward(nm.tsum(uf.mul(y, y)))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_add_bias_grad_sums_leading(self):
@@ -226,7 +226,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(0)
         w = Parameter("w", rng.normal(size=5))
         x = Tensor(rng.normal(size=5))
-        report = gradient_check(lambda: nm.tsum(nm.mul(w, x)), [w])
+        report = gradient_check(lambda: nm.tsum(uf.mul(w, x)), [w])
         assert report.max_rel_err < 1e-9
 
     def test_quadratic_form(self):
@@ -235,7 +235,7 @@ class TestGradientCheck:
         aa = Tensor(a + a.T)
         v = Parameter("v", rng.normal(size=(1, 4)))
         report = gradient_check(
-            lambda: nm.tsum(nm.mul(uf.matmul(v, aa), v)), [v], tol=1e-6)
+            lambda: nm.tsum(uf.mul(uf.matmul(v, aa), v)), [v], tol=1e-6)
         assert report.passed
 
     def test_leaves_every_gradient_none(self):
@@ -251,7 +251,7 @@ class TestGradientCheck:
         w = Parameter("w", np.array([0.5]))
 
         def f():
-            bad = nm.mul(w, float("nan"))
+            bad = uf.mul(w, float("nan"))
             return nm.tsum(bad)
 
         with pytest.raises(GradientError):
@@ -268,7 +268,7 @@ class TestNoGrad:
     def test_no_history_recorded(self):
         x = t([1.0], grad=True)
         with nm.no_grad():
-            y = nm.mul(x, x)
+            y = uf.mul(x, x)
         assert not y.requires_grad and y.parents == ()
 
     # (batch, heads, Tq, Tk) and the block bound in whole (batch, head)
@@ -317,14 +317,14 @@ class TestNoGrad:
         x, mask = t(rng.normal(size=(4, 3))), t(rng.normal(size=(4, 3)))
         w, b = Parameter("w", rng.normal(size=(3, 2))), Parameter("b", np.zeros(2))
         g = np.ones((4, 3))
-        assert nm.mul(Parameter("p", x.data), mask)._backward(g)[1] is None
-        assert nm.mul(mask, Parameter("p", x.data))._backward(g)[0] is None
+        assert uf.mul(Parameter("p", x.data), mask)._backward(g)[1] is None
+        assert uf.mul(mask, Parameter("p", x.data))._backward(g)[0] is None
         g_x, g_w, g_b = nm.affine(x, w, b)._backward(np.ones((4, 2)))
         assert g_x is None and g_w.shape == (3, 2) and g_b.shape == (2,)
 
 
 def probe_loss(out, probe):
-    return out if out.size == 1 else nm.tsum(nm.mul(out, Tensor(probe)))
+    return out if out.size == 1 else nm.tsum(uf.mul(out, Tensor(probe)))
 
 
 def fused_and_reference(fused, reference, arrays, seed=0):
@@ -342,14 +342,29 @@ def fused_and_reference(fused, reference, arrays, seed=0):
     return results
 
 
+def keep_mask(shape, rate=0.3, seed=5):
+    """A dropout mask drawn as `layers.dropout_apply` draws it."""
+    return np.random.default_rng(seed).random(shape) >= rate
+
+
+DROPOUT_KEEP = keep_mask((3, 5, 4))
+
 FUSED_CASES = {
     "affine": ("affine", nm.affine, uf.affine, [(3, 5, 4), (4, 6), (6,)]),
     "affine_2d": ("affine", nm.affine, uf.affine, [(7, 4), (4, 2), (2,)]),
     "affine_4d": ("affine", nm.affine, uf.affine, [(2, 3, 2, 4), (4, 3), (3,)]),
-    "layer_norm": ("layer_norm", lambda x, g, b: nm.layer_norm(x, g, b, 1e-5),
+    "gate_add_norm": (
+        "gate_add_norm", lambda x, z, g, b: nm.gate_add_norm(x, z, g, b, 1e-5),
+        lambda x, z, g, b: uf.gate_add_norm(x, z, g, b, 1e-5),
+        [(3, 5, 4), (3, 5, 8), (4,), (4,)]),
+    "dropout": ("dropout", lambda x: nm.dropout(x, DROPOUT_KEEP, 0.3),
+                lambda x: uf.dropout(x, DROPOUT_KEEP, 0.3), [(3, 5, 4)]),
+    # the one-node gate and layer norm that gate_add_norm fuses, which its
+    # bitwise check below is made against
+    "layer_norm": ("layer_norm", lambda x, g, b: uf.layer_norm_node(x, g, b, 1e-5),
                    lambda x, g, b: uf.layer_norm(x, g, b, 1e-5),
                    [(3, 5, 4), (4,), (4,)]),
-    "glu": ("glu", nm.glu, uf.glu, [(3, 5, 8)]),
+    "glu": ("glu", uf.glu_node, uf.glu, [(3, 5, 8)]),
     **{f"attention_{kind}_{heads}h": (
         "attention",
         lambda q, k, v, heads=heads: nm.attention(q, k, v, heads),
@@ -426,14 +441,20 @@ class TestFusedOps:
             nm.affine(x, t(np.ones((4, 2))), t(np.ones(3)))
         with pytest.raises(DimensionError, match="affine"):
             nm.affine(t(np.ones(4)), t(np.ones((4, 2))), t(np.ones(2)))
-        with pytest.raises(DimensionError, match="layer_norm"):
-            nm.layer_norm(x, t(np.ones(3)), t(np.ones(4)), 1e-5)
-        with pytest.raises(DimensionError, match="layer_norm"):
-            nm.layer_norm(x, t(np.ones(4)), t(np.ones((1, 4))), 1e-5)
-        with pytest.raises(DimensionError, match="glu"):
-            nm.glu(t(np.ones((2, 3))))
-        with pytest.raises(DimensionError, match="glu"):
-            nm.glu(t(np.ones((2, 0))))
+        z = t(np.ones((2, 3, 8)))
+        with pytest.raises(DimensionError, match="gate_add_norm"):
+            nm.gate_add_norm(x, z, t(np.ones(3)), t(np.ones(4)), 1e-5)
+        with pytest.raises(DimensionError, match="gate_add_norm"):
+            nm.gate_add_norm(x, z, t(np.ones(4)), t(np.ones((1, 4))), 1e-5)
+        with pytest.raises(DimensionError, match="gate_add_norm"):
+            nm.gate_add_norm(x, t(np.ones((2, 3, 7))), t(np.ones(4)), t(np.ones(4)), 1e-5)
+        with pytest.raises(DimensionError, match="gate_add_norm"):
+            nm.gate_add_norm(x, t(np.ones((2, 4, 8))), t(np.ones(4)), t(np.ones(4)), 1e-5)
+        with pytest.raises(DimensionError, match="gate_add_norm"):
+            nm.gate_add_norm(t(np.ones((2, 0))), t(np.ones((2, 0))), t(np.ones(0)),
+                             t(np.ones(0)), 1e-5)
+        with pytest.raises(DimensionError, match="dropout"):
+            nm.dropout(x, np.ones((2, 4, 3), dtype=bool), 0.5)
         with pytest.raises(DimensionError, match="attention"):
             nm.attention(x, t(np.ones((2, 5, 3))), t(np.ones((2, 5, 3))), 2)
         with pytest.raises(DimensionError, match="attention"):
@@ -461,10 +482,18 @@ def kernel_cases(shape):
     buffers, over inputs of `shape`; each pair rounds every step alike."""
     f = shape[-1]
     lstm = [shape, (f, 4 * LSTM_UNITS), (LSTM_UNITS, 4 * LSTM_UNITS), (4 * LSTM_UNITS,)]
+    keep = keep_mask(shape)
     return {
         "elu": (nm.elu, uf.elu, [shape]),
-        "glu": (nm.glu, uf.glu, [shape]),
-        "layer_norm": (lambda x, g, b: nm.layer_norm(x, g, b, 1e-5),
+        "dropout": (lambda x: nm.dropout(x, keep, 0.3),
+                    lambda x: uf.dropout(x, keep, 0.3), [shape]),
+        "gate_add_norm": (
+            lambda x, z, g, b: nm.gate_add_norm(x, z, g, b, 1e-5),
+            lambda x, z, g, b: uf.gate_add_norm_nodes(x, z, g, b, 1e-5),
+            [shape, shape[:-1] + (2 * f,), (f,), (f,)]),
+        # the references of gate_add_norm against their own
+        "glu": (uf.glu_node, uf.glu, [shape]),
+        "layer_norm": (lambda x, g, b: uf.layer_norm_node(x, g, b, 1e-5),
                        lambda x, g, b: uf.layer_norm_allocating(x, g, b, 1e-5),
                        [shape, (f,), (f,)]),
         **{name: (lambda *a, reverse=reverse: nm.lstm_sequence(*a, reverse=reverse),
@@ -534,16 +563,23 @@ class TestNoGradMemory:
                 tracemalloc.stop()
         return out, peak
 
-    def test_glu_allocates_only_its_output(self):
-        # the gate's sigmoid is formed in the buffer that becomes the
-        # output; reading a strided half, a ufunc may also fill its fixed
-        # iteration buffer of np.getbufsize() elements
-        z = t(np.random.default_rng(8).normal(size=(32, 48, 64)))
-        out, peak = self.peak_bytes(nm.glu, z)
+    def test_gate_add_norm_allocates_its_output_and_one_buffer(self):
+        # the gate's sigmoid is formed in one buffer, which then takes the
+        # residual and is normalised, so neither the gate's output nor the
+        # sum is an array of its own; reading a strided half, a ufunc may
+        # also fill its fixed iteration buffer of np.getbufsize()
+        # elements, and each row's mean and inverse standard deviation
+        # take a few row-sized vectors
+        rng = np.random.default_rng(8)
+        x, z = t(rng.normal(size=(32, 48, 32))), t(rng.normal(size=(32, 48, 64)))
+        gain, bias = t(np.ones(32)), t(np.zeros(32))
+        out, peak = self.peak_bytes(
+            lambda z: nm.gate_add_norm(x, z, gain, bias, 1e-5), z)
         assert out.data.nbytes == z.data.nbytes // 2
         ufunc_buffer = 8 * np.getbufsize()
         assert ufunc_buffer < out.data.nbytes // 4
-        assert peak <= out.data.nbytes + ufunc_buffer + self.SLACK, peak
+        row_vectors = 3 * out.data.nbytes // 32
+        assert peak <= 2 * out.data.nbytes + ufunc_buffer + row_vectors + self.SLACK, peak
 
     def test_elu_allocates_its_output_and_one_buffer(self):
         x = t(np.random.default_rng(9).normal(size=(32, 48, 32)))

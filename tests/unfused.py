@@ -3,18 +3,21 @@ test-side references.
 
 Each reference builds the same computation from small engine ops, so a
 fused node's outputs and gradients can be compared with it. The small ops
-that only these references and the tests need (`tanh`, `sigmoid`, `exp`,
-`sub`, `maximum`, `power`, `matmul`, `transpose`, `narrow`, `stack`,
+that only these references and the tests need (`mul`, `tanh`, `sigmoid`,
+`exp`, `sub`, `maximum`, `power`, `matmul`, `transpose`, `narrow`, `stack`,
 `add_bias`, `scale_by_vector`, `expand_last`, `tmean`, `softmax_last_axis`)
 live here too, built on the engine's node constructor. `lstm_step` is one
 step of the recurrence `numerics.lstm_sequence` runs, and `inverse_scale`
 is the per-feature reference for `Scaler.inverse_scale_targets`.
 `kept_weights` reads the softmax weights a recorded `numerics.attention`
 node keeps for its backward, to compare with those of `attention`.
-`elu` is the masked definition of `numerics.elu`, and
-`layer_norm_allocating` and `lstm_sequence_step_scaled` are the allocating
-forms of two fused kernels that now reuse their buffers, for bitwise
-comparison.
+`elu` is the masked definition of `numerics.elu`, and `dropout` the
+product with a float mask that `numerics.dropout` forms without one.
+`glu_node` and `layer_norm_node` are the one-node gate and layer norm
+that `numerics.gate_add_norm` fuses, with the residual `add` between
+them; `layer_norm_allocating` and `lstm_sequence_step_scaled` are the
+allocating forms of fused kernels that reuse their buffers. These, with
+`elu` and `dropout`, are the bitwise references.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ def elu(a: Tensor) -> Tensor:
     pos = a.data > 0
     y = np.where(pos, a.data, np.expm1(a.data))
     return nm._result(y, "elu", (a,), lambda g: (g * np.where(pos, 1.0, y + 1.0),))
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product of equal shapes, or by a Python scalar."""
+    if not isinstance(b, Tensor):
+        c = float(b)
+        return nm._result(a.data * c, "mul", (a,), lambda g: (g * c,))
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        # an operand outside the graph, such as a dropout mask, gets none
+        return (g * bd if a.requires_grad else None,
+                g * ad if b.requires_grad else None)
+
+    return nm._result(ad * bd, "mul", (a, b), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -216,9 +236,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     d = x.shape[-1]
     mean = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, expand_last(mean, d))
-    var = tmean(nm.mul(centered, centered), axis=-1, keepdims=True)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
     inv_std = power(nm.add(var, eps), -0.5)
-    normed = nm.mul(centered, expand_last(inv_std, d))
+    normed = mul(centered, expand_last(inv_std, d))
     return add_bias(scale_by_vector(normed, gain), bias)
 
 
@@ -226,7 +246,18 @@ def glu(z: Tensor) -> Tensor:
     d = z.shape[-1] // 2
     value = narrow(z, -1, 0, d)
     gate = narrow(z, -1, d, d)
-    return nm.mul(value, sigmoid(gate))
+    return mul(value, sigmoid(gate))
+
+
+def gate_add_norm(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
+                  eps: float) -> Tensor:
+    return layer_norm(nm.add(x, glu(z)), gain, bias, eps)
+
+
+def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout as the product with the float mask keep / (1 - rate),
+    an operand outside the graph."""
+    return mul(x, Tensor(keep / (1.0 - rate)))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
@@ -239,7 +270,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
         return transpose(nm.reshape(x, (batch, x.shape[1], heads, d_head)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = nm.mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(d_head))
+    scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(d_head))
     weights = softmax_last_axis(scores)
     mixed = matmul(weights, vh)
     return nm.reshape(transpose(mixed, (0, 2, 1, 3)), (batch, tq, dm)), weights
@@ -254,7 +285,7 @@ def kept_weights(node: Tensor) -> np.ndarray:
 
 def pinball_loss(y: Tensor, yhat: Tensor, q: float) -> Tensor:
     err = sub(y, yhat)
-    return tmean(maximum(nm.mul(err, q), nm.mul(err, q - 1.0)))
+    return tmean(maximum(mul(err, q), mul(err, q - 1.0)))
 
 
 def quantile_loss(y: Tensor, yhat: Tensor, levels) -> Tensor:
@@ -264,7 +295,7 @@ def quantile_loss(y: Tensor, yhat: Tensor, levels) -> Tensor:
         slice_k = nm.reshape(narrow(yhat, yhat.ndim - 1, k, 1), y.shape)
         term = pinball_loss(y, slice_k, q)
         total = term if total is None else nm.add(total, term)
-    return nm.mul(total, 1.0 / len(levels))
+    return mul(total, 1.0 / len(levels))
 
 
 def lstm_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -283,17 +314,78 @@ def lstm_step(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     f = sigmoid(narrow(z, -1, u, u))
     g = tanh(narrow(z, -1, 2 * u, u))
     o = sigmoid(narrow(z, -1, 3 * u, u))
-    c_next = nm.add(nm.mul(f, c), nm.mul(i, g))
-    return nm.mul(o, tanh(c_next)), c_next
+    c_next = nm.add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c_next)), c_next
 
 
 # ---------------------------------------------------------------------------
-# the fused kernels as they ran before their buffers were reused
+# the fused kernels as they ran before they were fused further
 # ---------------------------------------------------------------------------
-# `numerics.layer_norm` and `numerics.lstm_sequence` reuse buffers, pre-scale
-# weights and reorder loops, but keep every rounding step; these are the
-# allocating forms they replace, which their outputs and gradients equal
-# bit for bit.
+# `numerics.gate_add_norm` runs the one-node gate and layer norm below with
+# the residual add between them, and `numerics.lstm_sequence` reuses
+# buffers, pre-scales weights and reorders loops; each keeps every rounding
+# step, so their outputs and gradients equal these forms bit for bit.
+
+
+def glu_node(z: Tensor) -> Tensor:
+    """Gated linear unit over the two halves of the last axis of `z`,
+    value * sigmoid(gate), value first, as one node that keeps only its
+    input and recomputes the gate in backward."""
+    if z.ndim < 1 or z.shape[-1] % 2 or z.shape[-1] == 0:
+        raise DimensionError(f"glu: last extent of {z.shape} is not a positive even number")
+    d = z.shape[-1] // 2
+    value, gate = z.data[..., :d], z.data[..., d:]
+    out = nm._sigmoid(gate)
+    out *= value
+
+    def bw(g):
+        s = nm._sigmoid(gate)
+        gz = np.empty(z.shape)
+        np.multiply(g, s, out=gz[..., :d])
+        gs = g * value
+        gs *= s
+        gs *= np.subtract(1.0, s, out=s)
+        gz[..., d:] = gs
+        return (gz,)
+
+    return nm._result(out, "glu", (z,), bw)
+
+
+def layer_norm_node(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer norm as one node in owned buffers, keeping the normalised
+    input and the inverse standard deviation."""
+    d = x.shape[-1] if x.ndim else 0
+    if d < 1 or gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(
+            f"layer_norm: gain {gain.shape} or bias {bias.shape} does not "
+            f"match the last extent of {x.shape}")
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.multiply(normed, normed)
+    inv_std = (out.mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed *= inv_std
+    gd = gain.data
+    np.multiply(normed, gd, out=out)
+    out += bias.data
+
+    def bw(g):
+        g_rows = g.reshape(-1, d)
+        buf = np.multiply(g, normed)
+        g_gain = buf.reshape(-1, d).sum(axis=0)
+        gy = np.multiply(g, gd, out=buf)
+        gx = gy - gy.mean(axis=-1, keepdims=True)
+        gy *= normed
+        np.multiply(normed, gy.mean(axis=-1, keepdims=True), out=gy)
+        gx -= gy
+        gx *= inv_std
+        return gx, g_gain, g_rows.sum(axis=0)
+
+    return nm._result(out, "layer_norm", (x, gain, bias), bw)
+
+
+def gate_add_norm_nodes(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float) -> Tensor:
+    """The gated residual block's tail as three nodes."""
+    return layer_norm_node(nm.add(x, glu_node(z)), gain, bias, eps)
 
 
 def layer_norm_allocating(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
