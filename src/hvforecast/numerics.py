@@ -27,13 +27,17 @@ captures, plus its output for as long as a consumer lists it in
 `dropout` keeps its bool mask, `gate_add_norm` the normalised values and
 the inverse standard deviation (the gate's output and the residual sum
 are never arrays of their own), and `lstm_sequence` the gates, cell and
-hidden states, recomputing tanh(c) and its time-major input in backward.
-The two that hold the most, `attention` and `lstm_sequence`, each run one
-loop for both modes; when no graph is recorded that loop keeps nothing for
-a backward and computes the same values bitwise with less memory:
-attention in blocks of (batch, head) slices, the recurrence with one
-step's buffers. The unfused compositions they replace, and the small ops
-only those need, are test-side references.
+hidden states, recomputing tanh(c) and its time-major input in backward
+and releasing the gates and cell states as soon as it has read them. The
+two that hold the most, `attention` and `lstm_sequence`, each run one
+loop for both modes. Attention runs in blocks of (batch, head) slices
+whose scores fit `ATTENTION_BLOCK_SCORES`, recorded or not: a recorded
+node of one block keeps its softmax weights, and a node of several keeps
+none and recomputes each block's in backward. When no graph is recorded
+neither keeps anything for a backward, and the recurrence keeps one
+step's buffers. Each computes the same values bitwise either way. The
+unfused compositions they replace, and the small ops only those need, are
+test-side references.
 
 The train step is thousands of small numpy calls, so the nodes are written
 to make few of them over few new arrays. `affine` runs its input gradient
@@ -151,10 +155,10 @@ def add(a: Tensor, b) -> Tensor:
     return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(z) = 0.5*(tanh(z/2)+1), overflow-free for any finite z,
-    computed in place in one new buffer."""
-    s = z * 0.5
+    computed in place in `out`, or in one new buffer."""
+    s = np.multiply(z, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -299,7 +303,7 @@ def gate_add_norm(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
     def bw(g):
         g_rows = g.reshape(-1, d)
         # one buffer holds g * x_hat, then gy, then gy * x_hat and its
-        # product with the mean of that
+        # product with the mean of that, and then the gate's sigmoid
         buf = np.multiply(g, normed)
         g_gain = buf.reshape(-1, d).sum(axis=0)
         gy = np.multiply(g, gd, out=buf)
@@ -308,7 +312,7 @@ def gate_add_norm(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
         np.multiply(normed, gy.mean(axis=-1, keepdims=True), out=gy)
         gr -= gy
         gr *= inv_std
-        s = _sigmoid(gate)
+        s = _sigmoid(gate, out=buf)
         gz = np.empty(z.shape)
         np.multiply(gr, s, out=gz[..., :d])
         gs = np.multiply(gr, value, out=gz[..., d:])
@@ -319,9 +323,8 @@ def gate_add_norm(x: Tensor, z: Tensor, gain: Tensor, bias: Tensor,
     return _result(out, "gate_add_norm", (x, z, gain, bias), bw)
 
 
-# Score elements (float64, 2 MiB) that one block of an unrecorded
-# `attention` may hold; a single (batch, head) slice larger than this is its
-# own block.
+# Score elements (float64, 2 MiB) that one block of `attention` may hold;
+# a single (batch, head) slice larger than this is its own block.
 ATTENTION_BLOCK_SCORES = 2 ** 18
 
 
@@ -333,16 +336,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     softmax of its scaled scores, and the heads are merged back to the
     (batch, Tq, d) output.
 
-    One loop runs over blocks of whole (batch, head) slices and writes each
-    block's mix into the output. A recorded node is a single block, whose
-    softmax weights (batch, heads, Tq, Tk) are the only intermediate its
-    backward keeps: the softmax row term comes from the node's own output,
-    sum_k(dW * W) = sum_j(dO * O) per query and head. When no graph is
-    recorded (under `no_grad`, or with no input that requires grad) the
-    blocks hold scores within `ATTENTION_BLOCK_SCORES`, so the scores of all
-    slices never exist at once, and nothing is kept. Each slice runs the
-    same matrix products and row reductions in either case, so the output
-    is bitwise the same.
+    One loop runs over blocks of whole (batch, head) slices whose scores
+    fit `ATTENTION_BLOCK_SCORES`, recorded or not, and writes each block's
+    mix into the output; a block's scores are freed before the next
+    block's are made. A recorded node that is one block keeps its softmax
+    weights (batch, heads, Tq, Tk) for the backward. A node of several
+    blocks keeps none: its backward runs the same blocks, rebuilds each
+    block's weights with the forward's ops and writes that block's q, k
+    and v gradients into the whole ones, so the scores of all slices never
+    exist at once (recompute, Chen et al., arXiv:1604.06174, per block of
+    the softmax as in FlashAttention, Dao et al., arXiv:2205.14135). The
+    softmax row term comes from the node's own output,
+    sum_k(dW * W) = sum_j(dO * O) per query and head. Each slice runs the
+    same matrix products and row reductions however the slices are
+    blocked, so the output and the gradients are bitwise the same.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
         raise DimensionError(
@@ -362,44 +369,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def split(a, steps):
         return a.reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a, steps):
-        return a.transpose(0, 2, 1, 3).reshape(batch, steps, dm)
-
     qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
-    keep = _records((q, k, v))
-    if keep:   # one block, whose weights the backward reads
-        items, head_run = batch, heads
-    else:
-        # a block is several batch items with every head, or some heads
-        # of one batch item
-        per_block = max(1, ATTENTION_BLOCK_SCORES // (tq * tk))
-        items, head_run = max(1, per_block // heads), min(heads, per_block)
+    # a block is several batch items with every head, or some heads of
+    # one batch item
+    per_block = max(1, ATTENTION_BLOCK_SCORES // (tq * tk))
+    items, head_run = max(1, per_block // heads), min(heads, per_block)
+    blocks = [(slice(i, i + items), slice(h, h + head_run))
+              for i in range(0, batch, items) for h in range(0, heads, head_run)]
+
+    def softmax(block):
+        w = qh[block] @ kh[block].transpose(0, 1, 3, 2)
+        w *= scale
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w
+
     out = np.empty((batch, tq, dm))
     out_h = split(out, tq)
-    for i in range(0, batch, items):
-        for h in range(0, heads, head_run):
-            block = (slice(i, i + items), slice(h, h + head_run))
-            weights = qh[block] @ kh[block].transpose(0, 1, 3, 2)
-            weights *= scale
-            weights -= weights.max(axis=-1, keepdims=True)
-            np.exp(weights, out=weights)
-            weights /= weights.sum(axis=-1, keepdims=True)
-            out_h[block] = weights @ vh[block]
-            if not keep:
-                del weights   # before the next block's scores are made
-    if not keep:
+    for block in blocks:
+        weights = softmax(block)
+        out_h[block] = weights @ vh[block]
+        if len(blocks) > 1:
+            weights = None   # before the next block's scores are made
+    if not _records((q, k, v)):
         return _result(out, "attention", (q, k, v), None)
 
     def bw(g):
         gm = split(g, tq)
-        g_v = weights.transpose(0, 1, 3, 2) @ gm
-        gs = gm @ vh.transpose(0, 1, 3, 2)
-        gs -= (gm * out_h).sum(axis=-1, keepdims=True)
-        gs *= weights
-        gs *= scale
-        g_q = gs @ kh
-        g_k = gs.transpose(0, 1, 3, 2) @ qh
-        return merge(g_q, tq), merge(g_k, tk), merge(g_v, tk)
+        g_q, g_k, g_v = (np.empty((batch, tq, dm)), np.empty((batch, tk, dm)),
+                         np.empty((batch, tk, dm)))
+        gq_h, gk_h, gv_h = split(g_q, tq), split(g_k, tk), split(g_v, tk)
+        for block in blocks:
+            w = softmax(block) if weights is None else weights
+            gb = gm[block]
+            gv_h[block] = w.transpose(0, 1, 3, 2) @ gb
+            gs = gb @ vh[block].transpose(0, 1, 3, 2)
+            gs -= (gb * out_h[block]).sum(axis=-1, keepdims=True)
+            gs *= w
+            gs *= scale
+            gq_h[block] = gs @ kh[block]
+            gk_h[block] = gs.transpose(0, 1, 3, 2) @ qh[block]
+            w = gs = None   # before the next block's weights are made
+        return g_q, g_k, g_v
 
     return _result(out, "attention", (q, k, v), bw)
 
@@ -489,9 +501,12 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     Its backward takes tanh(c) of all steps in one call and rebuilds the
     time-major input from `x` for the input-kernel gradient, so neither is
     held between forward and backward; both come out bitwise as the
-    forward made them. When no graph is recorded (under `no_grad`, or with
-    no input that requires grad) the same loop keeps one step's gates and
-    cell state instead of every step's, and the node has no backward.
+    forward made them. The backward releases the kept gates once their
+    gate-major copy exists, and the cell states once the coefficients are
+    formed, so neither is held through the loop. When no graph is recorded
+    (under `no_grad`, or with no input that requires grad) the same loop
+    keeps one step's gates and cell state instead of every step's, and the
+    node has no backward.
     """
     if x.ndim != 3:
         raise DimensionError(
@@ -555,14 +570,16 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         return _result(out, "lstm_sequence", (x, w_x, w_h, b), None)
 
     def bw(g):
+        nonlocal gates, cs
         gs = g.transpose(1, 0, 2)
         if reverse:
             gs = gs[::-1]
         # a gate-major copy, so that every product below runs over
-        # contiguous data; once read, i, cand and o serve as scratch, and
-        # f stays for the loop
-        packed = gates.reshape(steps, batch, 4, u).transpose(2, 0, 1, 3)
-        i, f, cand, o = np.ascontiguousarray(packed)
+        # contiguous data, which replaces the captured gates; once read,
+        # i, cand and o serve as scratch, and f stays for the loop
+        i, f, cand, o = np.ascontiguousarray(
+            gates.reshape(steps, batch, 4, u).transpose(2, 0, 1, 3))
+        gates = None
         # dz_{i,f,g} = dc * coef[k]; dz_o = dh * coef[3];
         # dc gains dh * dc_dh from the output gate path. Each product is
         # associated as in (cand * i) * (1 - i).
@@ -578,6 +595,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         # tanh(c) of every step, formed in place of the output gate's
         # coefficient
         tcs = np.tanh(cs, out=coef[3])
+        cs = None   # read for the last time
         dc_dh = np.multiply(tcs, tcs, out=cand)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o

@@ -61,38 +61,44 @@ class OptimizerState:
 def adam_step(named: dict[str, "nm.Parameter"],
               grads: dict[str, np.ndarray],
               state: OptimizerState) -> None:
-    """One bias-corrected Adam update, in place on the parameter values.
-    A parameter's moments start at zero, made at its first update. The
-    moments and values are updated through `out=` with two temporaries per
-    parameter, in the operation order of
-    p - lr * (m / bias1) / (sqrt(v / bias2) + eps)."""
+    """One bias-corrected Adam update, in place on the parameter values,
+    one parameter at a time in the order of `named`. A parameter's
+    moments start at zero, made at its first update. `grads` is only
+    read."""
     state.t += 1
+    for name, p in named.items():
+        _adam_update(name, p, grads[name], state)
+
+
+def _adam_update(name: str, p: "nm.Parameter", g, state: OptimizerState) -> None:
+    """Adam's update of one parameter at step `state.t`. The moments and
+    values are updated through `out=` with two temporaries, in the
+    operation order of p - lr * (m / bias1) / (sqrt(v / bias2) + eps)."""
+    g = np.asarray(g)
+    if not np.all(np.isfinite(g)):
+        raise GradientError(f"non-finite gradient for parameter {name}")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for name, p in named.items():
-        g = np.asarray(grads[name])
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient for parameter {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros(p.shape)
-            state.v[name] = np.zeros(p.shape)
-        m = state.m[name]
-        v = state.v[name]
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v *= b2
-        v += step
-        np.divide(m, bias1, out=step)
-        step *= state.learning_rate
-        denom = np.divide(v, bias2)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p.data -= step
+    if name not in state.m:
+        state.m[name] = np.zeros(p.shape)
+        state.v[name] = np.zeros(p.shape)
+    m = state.m[name]
+    v = state.v[name]
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += step
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v *= b2
+    v += step
+    np.divide(m, bias1, out=step)
+    step *= state.learning_rate
+    denom = np.divide(v, bias2)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    p.data -= step
 
 
 def clip_gradient_norm(grads: dict[str, np.ndarray],
@@ -131,10 +137,18 @@ class Hyperparameters:
 
 @dataclass
 class EpochRecord:
+    """One line of the training log. The gradient fields describe the
+    epoch's train steps: the mean and largest pre-clip gradient norm, and
+    the fraction of steps whose norm was clipped. Epoch 0, the
+    pre-training validation, has no train loss and no gradients."""
+
     epoch: int
     train_loss: float | None
     val_loss: float
     seconds: float
+    grad_norm_mean: float | None = None
+    grad_norm_max: float | None = None
+    clipped_fraction: float | None = None
 
 
 @dataclass
@@ -157,18 +171,29 @@ def evaluate_loss(params: ModelParams, windows, batch_size: int = 256) -> float:
     return total / len(windows)
 
 
+class _Spent(dict):
+    """Gradients that a lookup also removes, so that `adam_step` frees
+    each one once its parameter is updated, before it reads the next."""
+
+    __getitem__ = dict.pop
+
+
 def _apply_gradients(named: dict[str, "nm.Parameter"], max_norm: float,
-                     state: OptimizerState) -> None:
+                     state: OptimizerState) -> float:
     """Clip and apply the gradients `backward` left on the parameters, and
-    take them off the parameters, so that none is held through the next
-    forward; the next `backward` makes new ones. A parameter `backward` did
-    not reach has a zero gradient."""
-    grads = {}
+    take them off the parameters; returns the pre-clip norm. The norm and
+    the clip run over all of them in place; then each gradient is applied
+    and freed before the next is read, so none is held through the next
+    forward, and the moments Adam makes at its first update take the
+    place of the gradients already freed. The next `backward` makes new
+    ones. A parameter `backward` did not reach has a zero gradient."""
+    grads = _Spent()
     for name, p in named.items():
         grads[name] = np.zeros(p.shape) if p.grad is None else p.grad
         p.grad = None
-    clip_gradient_norm(grads, max_norm)
+    norm = clip_gradient_norm(grads, max_norm)
     adam_step(named, grads, state)
+    return norm
 
 
 def fit(
@@ -184,8 +209,15 @@ def fit(
     `patience` consecutive epochs, and the best-validation parameters are
     restored before returning. Epoch 0 records the pre-training validation
     loss. A gradient already on a parameter is dropped at entry, and each
-    step's gradients are freed once applied, so every parameter's `grad`
-    is None when `fit` returns."""
+    gradient is freed once applied, so every parameter's `grad` is None
+    when `fit` returns.
+
+    Only one copy of the best values exists. It is taken after the first
+    backward, just before the first update, when the parameters still hold
+    the epoch-0 values, so the first forward and backward run without it;
+    an improving epoch copies into the same arrays. Adam's moments are
+    freed before the restore, and the restore is skipped when the best
+    epoch is the last one run, whose values the parameters hold."""
     hyper.validate()
     for name, windows in (("train", train_windows),
                           ("validation", val_windows)):
@@ -213,7 +245,7 @@ def fit(
 
         best_epoch = 0
         best_val = val0
-        best_values = {n: p.data.copy() for n, p in named.items()}
+        best_values = None
         stale = 0
         reason = "max_epochs reached"
 
@@ -226,6 +258,7 @@ def fit(
             order = shuffle_rng.permutation(len(train_windows))
             running = 0.0
             seen = 0
+            norms = []
             for lo in range(0, len(order), hyper.batch_size):
                 idx = order[lo:lo + hyper.batch_size]
                 past, future, target = train_windows.batch(idx)
@@ -239,20 +272,28 @@ def fit(
                         f"epoch {epoch}, batch order[{lo}:{lo + len(idx)}] "
                         f"starting at window {idx[0]}")
                 nm.backward(loss)
-                _apply_gradients(named, hyper.grad_clip_norm, state)
+                if best_values is None:
+                    best_values = {n: p.data.copy() for n, p in named.items()}
+                norms.append(_apply_gradients(named, hyper.grad_clip_norm,
+                                              state))
                 running += float(loss.data) * len(idx)
                 seen += len(idx)
 
             val = evaluate_loss(params, val_windows, hyper.batch_size)
-            record = EpochRecord(epoch, running / seen, val,
-                                 time.perf_counter() - tick)
+            record = EpochRecord(
+                epoch, running / seen, val, time.perf_counter() - tick,
+                grad_norm_mean=sum(norms) / len(norms),
+                grad_norm_max=max(norms),
+                clipped_fraction=sum(n > hyper.grad_clip_norm
+                                     for n in norms) / len(norms))
             records.append(record)
             emit(record)
 
             if val < best_val:
                 best_val = val
                 best_epoch = epoch
-                best_values = {n: p.data.copy() for n, p in named.items()}
+                for n, p in named.items():
+                    np.copyto(best_values[n], p.data)
                 stale = 0
             else:
                 stale += 1
@@ -261,7 +302,9 @@ def fit(
                               f"epochs")
                     break
 
-        set_parameter_values(params, best_values)
+        del state   # Adam's moments, freed before the restore
+        if best_epoch != records[-1].epoch:
+            set_parameter_values(params, best_values)
         return TrainReport(epochs=records, best_epoch=best_epoch,
                            best_val_loss=best_val, stopping_reason=reason)
     finally:

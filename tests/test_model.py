@@ -422,7 +422,9 @@ def recorded_step_bytes(cfg, batch):
     """Bytes a recorded train step's graph holds once the loss is formed,
     derived from the shapes: each node's output while its consumer lists
     it in `parents`, plus what each closure captures for its backward.
-    The model inputs are the caller's arrays and are not counted."""
+    An attention node keeps its softmax weights only when it is one block,
+    its scores over the whole batch fitting `ATTENTION_BLOCK_SCORES`. The
+    model inputs are the caller's arrays and are not counted."""
     d, u, heads, zq = cfg.d_model, cfg.rnn_units, cfg.mha_heads, (
         cfg.zone_count * len(cfg.quantile_levels))
     assert 2 * u == d   # no adapter after the LSTMs
@@ -436,13 +438,19 @@ def recorded_step_bytes(cfg, batch):
               + 3 * d + 2 * d            # q, k, v, attention and out maps
               + dropout + d + grn        # dropout, skip add, GRN
               + lstm + dropout + grn)
-    values = (cfg.n_past * (branch + heads * cfg.n_past)
-              + cfg.n_future * (branch + heads * cfg.n_future)
+    values = ((cfg.n_past + cfg.n_future) * branch
               + cfg.n_past * 2 * d       # cross-attention keys and values
-              + cfg.n_future * (d + heads * cfg.n_past + 2 * d   # its queries,
-                                + d + grn + lstm + grn + zq))    # the rest
+              + cfg.n_future * (d + 2 * d              # its queries,
+                                + d + grn + lstm + grn + zq))   # the rest
     below = len(cfg.quantile_levels) * cfg.n_future * cfg.zone_count   # bools
-    return batch * (8 * values + below)
+
+    def weights(tq, tk):
+        scores = batch * heads * tq * tk
+        return scores if scores <= nm.ATTENTION_BLOCK_SCORES else 0
+
+    kept = (weights(cfg.n_past, cfg.n_past) + weights(cfg.n_future, cfg.n_future)
+            + weights(cfg.n_future, cfg.n_past))
+    return batch * (8 * values + below) + 8 * kept
 
 
 class TestGraphSize:
@@ -482,6 +490,33 @@ class TestGraphSize:
         # the Tensor objects, closures and per-row vectors of ~160 nodes
         slack = 2 ** 19
         assert live <= derived + slack, (live, derived)
+        assert float(loss.data) > 0.0
+
+    def test_paper_geometry_train_step_graph_keeps_no_multi_block_weights(self):
+        # at batch 1 the encoder's self-attention (4 x 672 x 672 scores) is
+        # several blocks and keeps no weights, where the cross-attention
+        # (4 x 96 x 672) and the decoder's self-attention are one block
+        # each; keeping the encoder's weights would add 13.8 MiB
+        from hvforecast.training import total_quantile_loss
+
+        cfg = ModelConfig()
+        params = build_model(cfg)
+        past, future = random_inputs(cfg, seed=12, batch=1)
+        rng = np.random.default_rng(12)
+        target = rng.uniform(-1, 1, (1, cfg.n_future, cfg.zone_count))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = forward_batch(params, past, future, training=True, rng=rng)
+            loss = total_quantile_loss(target, out, cfg.quantile_levels)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        derived = recorded_step_bytes(cfg, 1)
+        heads, n_past, n_future = cfg.mha_heads, cfg.n_past, cfg.n_future
+        assert (heads * n_past * n_past > nm.ATTENTION_BLOCK_SCORES
+                >= heads * n_future * n_past)
+        assert live <= derived + 2 ** 19, (live, derived)
         assert float(loss.data) > 0.0
 
 

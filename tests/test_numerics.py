@@ -280,19 +280,27 @@ class TestNoGrad:
     def test_blocked_attention_is_bitwise_the_recorded_output(
             self, monkeypatch, slices):
         batch, heads, tq, tk, dm = 3, 4, 6, 9, 8
-        if slices is not None:
-            monkeypatch.setattr(nm, "ATTENTION_BLOCK_SCORES", slices * tq * tk)
         rng = np.random.default_rng(21)
         q, k, v = (Parameter(name, rng.normal(size=shape)) for name, shape in
                    (("q", (batch, tq, dm)), ("k", (batch, tk, dm)),
                     ("v", (batch, tk, dm))))
+        g = rng.normal(size=(batch, tq, dm))
+        one_block = nm.attention(q, k, v, heads)
+        assert uf.kept_weights(one_block).shape == (batch, heads, tq, tk)
+        if slices is not None:
+            monkeypatch.setattr(nm, "ATTENTION_BLOCK_SCORES", slices * tq * tk)
         recorded = nm.attention(q, k, v, heads)
         with nm.no_grad():
             out = nm.attention(q, k, v, heads)
         assert recorded.requires_grad and recorded._backward is not None
-        assert uf.kept_weights(recorded).shape == (batch, heads, tq, tk)
+        if slices is not None:
+            # several blocks: the backward recomputes each block's weights
+            assert uf.kept_weights(recorded) is None
         assert not out.requires_grad and out._backward is None
         assert out.data.tobytes() == recorded.data.tobytes()
+        assert recorded.data.tobytes() == one_block.data.tobytes()
+        for got, want in zip(recorded._backward(g), one_block._backward(g)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slices", [None, 8, 3],
                              ids=["one block", "batch split", "head split"])
@@ -585,3 +593,49 @@ class TestNoGradMemory:
         x = t(np.random.default_rng(9).normal(size=(32, 48, 32)))
         out, peak = self.peak_bytes(nm.elu, x)
         assert peak <= 2 * out.data.nbytes + self.SLACK, peak
+
+
+class TestRecordedAttentionMemory:
+    """A recorded attention node of several blocks keeps no softmax
+    weights, and its forward and backward hold one block's scores at a
+    time, measured with tracemalloc."""
+
+    @pytest.mark.parametrize("slices", [2, 1], ids=["batch split", "head split"])
+    def test_recompute_holds_one_block_of_scores(self, monkeypatch, slices):
+        # 2 batch items of 2 heads of 128 x 128 scores, in blocks of 1
+        # batch item or of 1 head
+        batch, heads, tq, tk, dm = 2, 2, 128, 128, 8
+        rng = np.random.default_rng(31)
+        arrays = [rng.normal(size=s) for s in ((batch, tq, dm), (batch, tk, dm),
+                                               (batch, tk, dm))]
+        g = rng.normal(size=(batch, tq, dm))
+        one_block = nm.attention(*(Parameter(n, a) for n, a in zip("qkv", arrays)),
+                                 heads)
+        want = [one_block.data] + list(one_block._backward(g))
+        del one_block
+        monkeypatch.setattr(nm, "ATTENTION_BLOCK_SCORES", slices * tq * tk)
+        q, k, v = (Parameter(n, a) for n, a in zip("qkv", arrays))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            node = nm.attention(q, k, v, heads)
+            cells = [c.cell_contents for c in node._backward.__closure__]
+            got = [node.data] + list(node._backward(g))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        scores = batch * heads * tq * tk
+        assert not any(isinstance(c, np.ndarray) and c.size >= scores
+                       for c in cells)
+        # the output and the three gradients; one block's weights and
+        # score gradient, freed before the next block's are made; and the
+        # fixed iteration buffer a ufunc fills when it broadcasts the row
+        # maxima and sums. The whole node's weights and score gradient
+        # alone would take 2 * scores.
+        block = 8 * slices * tq * tk
+        io = 4 * 8 * batch * tq * dm
+        bound = io + 2 * block + 8 * np.getbufsize() + 2 ** 15
+        assert bound < 8 * 2 * scores
+        assert peak <= bound, (peak, bound)

@@ -403,8 +403,44 @@ class TestFit:
         lines = log.read_text().strip().splitlines()
         assert len(lines) == len(report.epochs)
         first = json.loads(lines[0])
-        assert set(first) == {"epoch", "train_loss", "val_loss", "seconds"}
+        assert set(first) == {"epoch", "train_loss", "val_loss", "seconds",
+                              "grad_norm_mean", "grad_norm_max",
+                              "clipped_fraction"}
         assert first["epoch"] == 0
+
+    @pytest.mark.parametrize("clip, fraction", [(1e-12, 1.0), (1e12, 0.0)],
+                             ids=["every step clipped", "none clipped"])
+    def test_log_records_gradient_norms(self, monkeypatch, tmp_path, clip,
+                                        fraction):
+        params = build_model(MICRO)
+        named = params.named_parameters()
+        norms = []   # each step's pre-clip norm, recomputed
+
+        def on_backward(loss):
+            backward(loss)
+            total = 0.0
+            for p in named.values():
+                g = np.zeros(p.shape) if p.grad is None else p.grad
+                total += float(np.sum(g * g))
+            norms.append(float(np.sqrt(total)))
+
+        backward = nm.backward
+        monkeypatch.setattr(nm, "backward", on_backward)
+        log = tmp_path / "train.jsonl"
+        report = fit(params, micro_data(MICRO, 8), micro_data(MICRO, 4, seed=1),
+                     Hyperparameters(batch_size=3, max_epochs=2,
+                                     grad_clip_norm=clip),
+                     log_path=str(log))
+        assert len(norms) == 2 * 3 and min(norms) > 0.0
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert lines == [dataclasses.asdict(r) for r in report.epochs]
+        first = report.epochs[0]
+        assert (first.grad_norm_mean, first.grad_norm_max,
+                first.clipped_fraction) == (None, None, None)
+        for record, steps in zip(report.epochs[1:], (norms[:3], norms[3:])):
+            assert record.grad_norm_mean == sum(steps) / 3
+            assert record.grad_norm_max == max(steps)
+            assert record.clipped_fraction == fraction
 
     def test_single_batch_overfit_collapses_loss(self):
         params = build_model(MICRO)
@@ -543,9 +579,9 @@ def zeroing_fit(params, train, val, hyper):
 
 
 class TestOptimizerMemory:
-    """`fit` frees each step's gradients before the next forward and makes
-    Adam's moments at the first update, without changing a bit of its
-    result."""
+    """`fit` frees each gradient once Adam has applied it, makes Adam's
+    moments at the first update and holds one copy of the best values,
+    taken at the first update, without changing a bit of its result."""
 
     # parameters (about 1.4 MB) that outweigh the graph of a 2-window batch
     WIDE = dataclasses.replace(MICRO, n_past=3, n_future=2, rnn_units=48)
@@ -614,11 +650,118 @@ class TestOptimizerMemory:
         assert len(entries) == 1 + 2 * (2 + 1)
         for traced, done, freed in entries:
             assert freed
-            # fit's copy of the best values; once an update has run, also
-            # the updated parameter values (built before tracing began) and
-            # Adam's two moments. A gradient would add one more `size`.
-            assert traced < size * (1.5 + 3 * (done > 0)), (traced, done)
+            # once an update has run, fit's copy of the best values, taken
+            # just before the first update, and Adam's two moments. A
+            # gradient would add one more `size`.
+            assert traced < size * (0.5 + 3 * (done > 0)), (traced, done)
         assert all(p.grad is None for p in params.parameters())
+
+    def test_update_frees_each_gradient_before_the_next(self):
+        # traced from before the gradients are made, so that freeing one
+        # lowers the count. The first update makes Adam's moments (2 *
+        # size) and frees the gradients (size) as it goes: its growth is at
+        # most what it has made less what it has freed, plus the updated
+        # parameter's moments and two temporaries. Holding every gradient
+        # through the update would reach 2 * size.
+        params = build_model(self.WIDE)
+        named = params.named_parameters()
+        size = sum(p.data.nbytes for p in named.values())
+        largest = max(p.data.nbytes for p in named.values())
+        assert largest < size / 8
+        rng = np.random.default_rng(5)
+        state = OptimizerState()
+        tracemalloc.start()
+        try:
+            for p in named.values():
+                p.grad = rng.normal(size=p.shape)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            norm = training._apply_gradients(named, 1.0, state)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth <= size + 4 * largest + 2 ** 14, growth / size
+        assert all(p.grad is None for p in named.values())
+        assert norm > 1.0
+
+    def wide_fit(self, monkeypatch, hyper, on_update=None, on_restore=None):
+        """`fit` on the wide model, calling `on_update(named, state)` after
+        each update and `on_restore(values)` just before the restore."""
+        params = build_model(self.WIDE)
+        apply = training._apply_gradients
+
+        def update(named, max_norm, state):
+            norm = apply(named, max_norm, state)
+            if on_update is not None:
+                on_update(named, state)
+            return norm
+
+        def restore(params, values):
+            if on_restore is not None:
+                on_restore(values)
+            set_values(params, values)
+
+        set_values = training.set_parameter_values
+        monkeypatch.setattr(training, "_apply_gradients", update)
+        monkeypatch.setattr(training, "set_parameter_values", restore)
+        report = fit(params, micro_data(self.WIDE, 4),
+                     micro_data(self.WIDE, 2, seed=1), hyper)
+        return params, report
+
+    def test_improving_epoch_copies_into_the_one_snapshot(self, monkeypatch):
+        # from the last update to the return: the validation forward, the
+        # copy of the improved values and the (skipped) restore, beside the
+        # model (built under the trace), its one snapshot and Adam's two
+        # moments. A second snapshot would reach 5 * size.
+        size = sum(p.data.nbytes for p in build_model(self.WIDE).parameters())
+        tracemalloc.start()
+        try:
+            params, report = self.wide_fit(
+                monkeypatch, Hyperparameters(batch_size=2, max_epochs=2),
+                on_update=lambda named, state: tracemalloc.reset_peak())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vals = [r.val_loss for r in report.epochs]
+        assert vals[0] > vals[1] > vals[2] and report.best_epoch == 2
+        assert size * 4 < peak < size * 4.5, peak / size
+
+    def test_best_epoch_zero_restores_the_initial_values(self, monkeypatch):
+        initial = {n: p.data.copy() for n, p in
+                   build_model(self.WIDE).named_parameters().items()}
+        moments = []   # weak references to Adam's moments
+
+        def on_update(named, state):
+            moments.extend(weakref.ref(a) for a in (*state.m.values(),
+                                                    *state.v.values()))
+
+        def on_restore(values):
+            assert all(ref() is None for ref in moments)   # freed first
+            moments.append(None)
+
+        params, report = self.wide_fit(
+            monkeypatch, Hyperparameters(batch_size=2, max_epochs=2,
+                                         learning_rate=0.5),
+            on_update, on_restore)
+        assert report.best_epoch == 0 and moments[-1] is None
+        for name, p in params.named_parameters().items():
+            assert p.data.tobytes() == initial[name].tobytes(), name
+
+    def test_best_last_epoch_keeps_the_last_update(self, monkeypatch):
+        last = {}
+
+        def on_update(named, state):
+            last.update((n, p.data.copy()) for n, p in named.items())
+
+        def on_restore(values):
+            raise AssertionError("the parameters hold the best values")
+
+        params, report = self.wide_fit(
+            monkeypatch, Hyperparameters(batch_size=2, max_epochs=2),
+            on_update, on_restore)
+        assert report.best_epoch == 2
+        for name, p in params.named_parameters().items():
+            assert p.data.tobytes() == last[name].tobytes(), name
 
 
 class TestCheckpoint:

@@ -10,7 +10,8 @@ live here too, built on the engine's node constructor. `lstm_step` is one
 step of the recurrence `numerics.lstm_sequence` runs, and `inverse_scale`
 is the per-feature reference for `Scaler.inverse_scale_targets`.
 `kept_weights` reads the softmax weights a recorded `numerics.attention`
-node keeps for its backward, to compare with those of `attention`.
+node of one block keeps for its backward, to compare with those of
+`attention`.
 `elu` is the masked definition of `numerics.elu`, and `dropout` the
 product with a float mask that `numerics.dropout` forms without one.
 `glu_node` and `layer_norm_node` are the one-node gate and layer norm
@@ -278,7 +279,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
 
 def kept_weights(node: Tensor) -> np.ndarray:
     """The softmax weights (batch, heads, Tq, Tk) held by the backward
-    closure of a recorded `numerics.attention` node."""
+    closure of a recorded `numerics.attention` node; None for a node of
+    several blocks, whose backward recomputes them."""
     names = node._backward.__code__.co_freevars
     return node._backward.__closure__[names.index("weights")].cell_contents
 
