@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 
@@ -229,26 +229,24 @@ def generate_mprs_setpoints(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Randomized multi-level heating setpoints with a fixed cooling offset.
 
-    During occupied hours the heating setpoint is drawn uniformly from
-    {18.0, 18.5, ..., 22.0} and held for a uniform 1..16 occupied steps;
-    outside them the setback pair (15, 30) applies and holds are frozen.
+    Each zone runs one hold after another over the occupied steps: a
+    hold draws its heating setpoint uniformly from {18.0, 18.5, ..., 22.0},
+    then its length, a uniform 1..16 occupied steps, so it spans any
+    unoccupied gap. Unoccupied steps keep the setback pair (15, 30).
     """
-    n = len(timestamps)
-    occupied = np.array([is_occupied(ts) for ts in timestamps])
-    sp_heat = np.full((n, ZONE_COUNT), SETBACK_HEAT_C)
-    sp_cool = np.full((n, ZONE_COUNT), SETBACK_COOL_C)
+    occupied = np.flatnonzero([is_occupied(ts) for ts in timestamps])
+    sp_heat = np.full((len(timestamps), ZONE_COUNT), SETBACK_HEAT_C)
+    sp_cool = np.full((len(timestamps), ZONE_COUNT), SETBACK_COOL_C)
+    levels = np.empty(len(occupied))  # one zone's setpoint per occupied row
     for z in range(ZONE_COUNT):
-        remaining = 0
-        level = MPRS_LEVELS[0]
-        for k in range(n):
-            if not occupied[k]:
-                continue
-            if remaining == 0:
-                level = MPRS_LEVELS[rng.integers(0, len(MPRS_LEVELS))]
-                remaining = int(rng.integers(1, MPRS_MAX_HOLD_STEPS + 1))
-            sp_heat[k, z] = level
-            sp_cool[k, z] = level + COOL_OFFSET_C
-            remaining -= 1
+        start = 0
+        while start < len(occupied):
+            level = MPRS_LEVELS[rng.integers(0, len(MPRS_LEVELS))]
+            stop = start + int(rng.integers(1, MPRS_MAX_HOLD_STEPS + 1))
+            levels[start:stop] = level
+            start = stop
+        sp_heat[occupied, z] = levels
+        sp_cool[occupied, z] = levels + COOL_OFFSET_C
     return sp_heat, sp_cool
 
 
@@ -261,20 +259,20 @@ def generate_prbs_windows(
     p_open: float = 0.05,
     windows: int = len(WINDOW_ZONES),
 ) -> np.ndarray:
-    """Pseudo-random binary window commands: each trigger opens a window
-    for exactly two consecutive 15-min steps; no draws occur mid-pulse."""
+    """Pseudo-random binary window commands: each closed step draws once,
+    and a trigger opens the window for exactly two consecutive 15-min
+    steps; no draws occur mid-pulse."""
     if not 0.0 <= p_open <= 1.0:
         raise ConfigurationError(f"p_open {p_open} outside [0, 1]")
     out = np.zeros((steps, windows), dtype=np.int64)
     for w in range(windows):
-        remaining = 0
-        for k in range(steps):
-            if remaining > 0:
-                out[k, w] = 1
-                remaining -= 1
-            elif rng.random() < p_open:
-                out[k, w] = 1
-                remaining = PRBS_PULSE_STEPS - 1
+        k = 0
+        while k < steps:
+            if rng.random() < p_open:
+                out[k:k + PRBS_PULSE_STEPS, w] = 1
+                k += PRBS_PULSE_STEPS
+            else:
+                k += 1
     return out
 
 
@@ -291,20 +289,23 @@ def generate_schedules(
     timestamps: list[datetime],
 ) -> ScheduleSet:
     """Stochastic occupancy (arrive 07:00-09:00, leave 16:00-19:00, lunch
-    dip), equipment tied to presence, and a fixed working-hours lighting
-    flag."""
+    dip), equipment tied to presence, and a lighting flag on in occupied
+    hours. Days run 96 steps from the first timestamp, which must be at
+    00:00; each working day draws every zone's arrival, departure and
+    headcount."""
     n = len(timestamps)
+    if n and timestamps[0].time() != time():
+        raise ConfigurationError(
+            f"schedules start at {timestamps[0].isoformat()}, not at 00:00")
     steps_per_day = 24 * 3600 // SAMPLE_STEP_S
+    step_of_day = np.arange(steps_per_day)[:, None]
     occupancy = np.zeros((n, ZONE_COUNT))
-    lighting = np.zeros(n)
+    lighting = np.array([is_occupied(ts) for ts in timestamps], dtype=float)
     holiday = np.zeros(n)
 
-    day_starts = range(0, n, steps_per_day)
-    for start_idx in day_starts:
-        day = timestamps[start_idx].date()
-        day_slice = slice(start_idx, min(start_idx + steps_per_day, n))
-        if is_holiday(day):
-            holiday[day_slice] = 1.0
+    for start in range(0, n, steps_per_day):
+        day = timestamps[start].date()
+        holiday[start:start + steps_per_day] = is_holiday(day)
         if not is_working_day(day):
             continue
         arrivals = rng.integers(28, 37, size=ZONE_COUNT)    # 07:00-09:00
@@ -312,17 +313,11 @@ def generate_schedules(
         counts = np.clip(
             np.asarray(OCCUPANCY_BASE) + rng.integers(-2, 3, size=ZONE_COUNT),
             0, 30)
-        for k in range(day_slice.start, day_slice.stop):
-            step_of_day = k - start_idx
-            hour = timestamps[k].hour
-            if OCCUPIED_START_HOUR <= hour < OCCUPIED_END_HOUR:
-                lighting[k] = 1.0
-            for z in range(ZONE_COUNT):
-                if arrivals[z] <= step_of_day < departures[z]:
-                    people = counts[z]
-                    if 48 <= step_of_day < 52:  # lunch hour, 12:00-13:00
-                        people = math.ceil(people / 2)
-                    occupancy[k, z] = float(people)
+        people = np.where((arrivals <= step_of_day)
+                          & (step_of_day < departures), counts, 0)
+        # lunch hour, 12:00-13:00: half of each zone stays, rounded up
+        people[48:52] = (people[48:52] + 1) // 2
+        occupancy[start:start + steps_per_day] = people[:n - start]
 
     jitter = rng.normal(0.0, 5.0, size=(n, ZONE_COUNT))
     equipment = np.clip(
@@ -354,16 +349,16 @@ def ventilation_flow(
     return math.hypot(q_wind, q_stack)
 
 
-# (envelope UA, [(neighbour, UA)], summed interzone UA, thermostat gain,
-# heating capacity, cooling capacity) per zone as Python floats; zero-area
-# neighbours are left out, which adds nothing to the sum.
+# (capacitance, envelope UA, [(neighbour, UA)], summed interzone UA,
+# thermostat gain, heating capacity, cooling capacity) per zone as Python
+# floats; zero-area neighbours are left out, which adds nothing to the sum.
 _ZONES = tuple(
-    (ua_ext, [(j, ua) for j, ua in enumerate(row) if ua != 0.0],
+    (cap, ua_ext, [(i, ua) for i, ua in enumerate(row) if ua != 0.0],
      ua_sum, gain, heat_cap, cool_cap)
-    for ua_ext, row, ua_sum, gain, heat_cap, cool_cap in zip(
-        UA_EXT_W_PER_K.tolist(), UA_INT_W_PER_K.tolist(),
-        UA_INT_W_PER_K.sum(axis=1).tolist(), THERMOSTAT_GAIN_W_PER_K,
-        HEAT_CAPACITY_W, COOL_CAPACITY_W))
+    for cap, ua_ext, row, ua_sum, gain, heat_cap, cool_cap in zip(
+        CAPACITANCES_J_PER_K.tolist(), UA_EXT_W_PER_K.tolist(),
+        UA_INT_W_PER_K.tolist(), UA_INT_W_PER_K.sum(axis=1).tolist(),
+        THERMOSTAT_GAIN_W_PER_K, HEAT_CAPACITY_W, COOL_CAPACITY_W))
 
 
 def _boundary_gains(
@@ -387,43 +382,6 @@ def _boundary_gains(
     internal = (OCCUPANT_GAIN_W * occupants + equipment_w
                 + LIGHTING_W_PER_M2 * np.asarray(FLOOR_AREAS_M2) * lights_on)
     return solar + internal
-
-
-def _zone_flux(
-    z: int,
-    t: list[float],
-    t_out: float,
-    wind: float,
-    gain_w: float,
-    sp_heat: float,
-    sp_cool: float,
-    window_open: bool,
-) -> float:
-    """Return the total flux (W) into zone `z` at zone temperatures `t`.
-    The terms are summed in a fixed order: envelope conduction,
-    interzone conduction, gains, HVAC, and ventilation when the zone's
-    window is open."""
-    ua_ext, neighbours, ua_sum, stat_gain, heat_cap, cool_cap = _ZONES[z]
-    t_z = t[z]
-    coupled = 0.0
-    for j, ua in neighbours:
-        coupled += ua * t[j]
-    heat = stat_gain * (sp_heat - t_z)
-    if heat < 0.0:
-        heat = 0.0
-    elif heat > heat_cap:
-        heat = heat_cap
-    cool = stat_gain * (t_z - sp_cool)
-    if cool < 0.0:
-        cool = 0.0
-    elif cool > cool_cap:
-        cool = cool_cap
-    total = (ua_ext * (t_out - t_z) + (coupled - ua_sum * t_z)
-             + gain_w + (heat - cool))
-    if window_open:
-        flow = ventilation_flow(WINDOW_OPEN_AREA_M2, wind, t_z, t_out)
-        total += RHO_CP_AIR * flow * (t_out - t_z)
-    return total
 
 
 def simulate(
@@ -457,7 +415,6 @@ def simulate(
             f"inner step {inner_step_s}s must divide {SAMPLE_STEP_S}s")
     weather.validate()
 
-    capacitances = CAPACITANCES_J_PER_K.tolist()
     inner_per_block = SAMPLE_STEP_S // inner_step_s
     dt = float(inner_step_s)
     t = [float(initial_t_in_c)] * ZONE_COUNT
@@ -477,13 +434,33 @@ def simulate(
 
     for k, (t_out, wind, *per_zone) in enumerate(blocks):
         rows.append(t)
-        block = tuple(zip(range(ZONE_COUNT), capacitances, *per_zone))
+        block = tuple(zip(range(ZONE_COUNT), _ZONES, *per_zone))
         for j in range(inner_per_block):
             t_next = []
-            for z, cap, gain, sp_heat, sp_cool, is_open in block:
-                total = _zone_flux(z, t, t_out, wind, gain, sp_heat,
-                                   sp_cool, is_open)
+            for (z, (cap, ua_ext, neighbours, ua_sum, stat_gain, heat_cap,
+                     cool_cap), gain, sp_heat, sp_cool, is_open) in block:
+                # The flux into the zone (W), summed in a fixed order:
+                # envelope, interzone, gains, HVAC, then ventilation if open.
                 t_z = t[z]
+                coupled = 0.0
+                for i, ua in neighbours:
+                    coupled += ua * t[i]
+                heat = stat_gain * (sp_heat - t_z)
+                if heat < 0.0:
+                    heat = 0.0
+                elif heat > heat_cap:
+                    heat = heat_cap
+                cool = stat_gain * (t_z - sp_cool)
+                if cool < 0.0:
+                    cool = 0.0
+                elif cool > cool_cap:
+                    cool = cool_cap
+                total = (ua_ext * (t_out - t_z) + (coupled - ua_sum * t_z)
+                         + gain + (heat - cool))
+                if is_open:
+                    flow = ventilation_flow(WINDOW_OPEN_AREA_M2, wind, t_z,
+                                            t_out)
+                    total += RHO_CP_AIR * flow * (t_out - t_z)
                 t_new = t_z + dt * total / cap
                 scale = abs(total * dt)
                 err = abs(cap * (t_new - t_z) - total * dt) / (
@@ -532,6 +509,9 @@ def synth_weather(
     check_count("days", days, minimum=1)
     if start is None:
         start = datetime(2021, 1, 1)
+    if start.time() != time():
+        raise ConfigurationError(
+            f"weather starts at {start.isoformat()}, not at 00:00")
     n = days * (24 * 3600 // SAMPLE_STEP_S)
     timestamps = make_timestamps(start, n)
 

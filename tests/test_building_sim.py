@@ -107,6 +107,92 @@ class NumpyReference:
         return rows, audit_max
 
 
+class PerStepReference:
+    """The three excitation generators as they ran before each looped once
+    per event (day, hold, pulse): one iteration per 15-minute step, with
+    hand-kept counters. Tests check the generators against them bitwise."""
+
+    @staticmethod
+    def schedules(rng, timestamps):
+        n = len(timestamps)
+        steps_per_day = 24 * 3600 // bs.SAMPLE_STEP_S
+        occupancy = np.zeros((n, bs.ZONE_COUNT))
+        lighting = np.zeros(n)
+        holiday = np.zeros(n)
+        for start_idx in range(0, n, steps_per_day):
+            day = timestamps[start_idx].date()
+            day_slice = slice(start_idx, min(start_idx + steps_per_day, n))
+            if bs.is_holiday(day):
+                holiday[day_slice] = 1.0
+            if not bs.is_working_day(day):
+                continue
+            arrivals = rng.integers(28, 37, size=bs.ZONE_COUNT)
+            departures = rng.integers(64, 77, size=bs.ZONE_COUNT)
+            counts = np.clip(np.asarray(bs.OCCUPANCY_BASE)
+                             + rng.integers(-2, 3, size=bs.ZONE_COUNT), 0, 30)
+            for k in range(day_slice.start, day_slice.stop):
+                step_of_day = k - start_idx
+                hour = timestamps[k].hour
+                if bs.OCCUPIED_START_HOUR <= hour < bs.OCCUPIED_END_HOUR:
+                    lighting[k] = 1.0
+                for z in range(bs.ZONE_COUNT):
+                    if arrivals[z] <= step_of_day < departures[z]:
+                        people = counts[z]
+                        if 48 <= step_of_day < 52:
+                            people = math.ceil(people / 2)
+                        occupancy[k, z] = float(people)
+        jitter = rng.normal(0.0, 5.0, size=(n, bs.ZONE_COUNT))
+        equipment = np.clip(bs.EQUIPMENT_STANDBY_W
+                            + bs.EQUIPMENT_PER_PERSON_W * occupancy + jitter,
+                            0.0, 600.0)
+        return bs.ScheduleSet(occupancy, equipment, lighting, holiday)
+
+    @staticmethod
+    def mprs_setpoints(rng, timestamps):
+        n = len(timestamps)
+        occupied = np.array([is_occupied(ts) for ts in timestamps])
+        sp_heat = np.full((n, bs.ZONE_COUNT), bs.SETBACK_HEAT_C)
+        sp_cool = np.full((n, bs.ZONE_COUNT), bs.SETBACK_COOL_C)
+        for z in range(bs.ZONE_COUNT):
+            remaining = 0
+            level = MPRS_LEVELS[0]
+            for k in range(n):
+                if not occupied[k]:
+                    continue
+                if remaining == 0:
+                    level = MPRS_LEVELS[rng.integers(0, len(MPRS_LEVELS))]
+                    remaining = int(rng.integers(1, bs.MPRS_MAX_HOLD_STEPS + 1))
+                sp_heat[k, z] = level
+                sp_cool[k, z] = level + bs.COOL_OFFSET_C
+                remaining -= 1
+        return sp_heat, sp_cool
+
+    @staticmethod
+    def prbs_windows(rng, steps, p_open, windows):
+        out = np.zeros((steps, windows), dtype=np.int64)
+        for w in range(windows):
+            remaining = 0
+            for k in range(steps):
+                if remaining > 0:
+                    out[k, w] = 1
+                    remaining -= 1
+                elif rng.random() < p_open:
+                    out[k, w] = 1
+                    remaining = bs.PRBS_PULSE_STEPS - 1
+        return out
+
+
+def assert_bitwise(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def seeded_pair(seed):
+    """Two generators in the same state."""
+    return tuple(np.random.default_rng(np.random.SeedSequence(seed))
+                 for _ in range(2))
+
+
 def saturating_inputs(days=3):
     """Seeded inputs with windows open a third of the time and setpoints
     that alternate every two hours between far above and far below the
@@ -208,6 +294,45 @@ class TestExcitationSignals:
             generate_prbs_windows(np.random.default_rng(0), 10, p_open=1.5)
 
 
+# From 2020-12-15, 60 days cross Christmas and New Year, and 400 days
+# cross every fixed holiday and two year ends.
+REFERENCE_START = datetime(2020, 12, 15)
+
+
+class TestGeneratorsMatchPerStepReference:
+    def test_longest_span_crosses_every_holiday(self):
+        ts = make_timestamps(REFERENCE_START, 400 * 96)
+        assert {(t.month, t.day) for t in ts} >= set(bs.HOLIDAYS)
+        assert len({t.year for t in ts}) == 3
+
+    @pytest.mark.parametrize("days", [1, 60, 400])
+    @pytest.mark.parametrize("seed", [3, 23, 41])
+    def test_schedules_then_setpoints(self, seed, days):
+        ts = make_timestamps(REFERENCE_START, days * 96)
+        rng, ref_rng = seeded_pair(seed)
+        got = generate_schedules(rng, ts)
+        want = PerStepReference.schedules(ref_rng, ts)
+        for name in ("occupancy", "equipment_w", "lighting_on", "holiday"):
+            assert_bitwise(getattr(got, name), getattr(want, name))
+        for got_sp, want_sp in zip(generate_mprs_setpoints(rng, ts),
+                                   PerStepReference.mprs_setpoints(ref_rng,
+                                                                   ts)):
+            assert_bitwise(got_sp, want_sp)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("windows", [4, 1])
+    @pytest.mark.parametrize("p_open", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("days", [1, 60, 400])
+    def test_windows(self, days, p_open, windows):
+        for seed in (3, 23, 41):
+            rng, ref_rng = seeded_pair(seed)
+            assert_bitwise(
+                generate_prbs_windows(rng, days * 96, p_open, windows),
+                PerStepReference.prbs_windows(ref_rng, days * 96, p_open,
+                                              windows))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSchedules:
     def test_empty_outside_working_days(self):
         rng = np.random.default_rng(2)
@@ -231,6 +356,13 @@ class TestSchedules:
         sched = generate_schedules(rng, ts)
         assert np.all(sched.holiday == 1.0)
         assert sched.occupancy.sum() == 0
+
+    def test_start_off_midnight_refused(self):
+        # days are cut every 96 steps from the first timestamp
+        ts = make_timestamps(datetime(2021, 3, 3, 7, 15), 96)
+        with pytest.raises(ConfigurationError, match=r"^schedules start at "
+                           r"2021-03-03T07:15:00, not at 00:00$"):
+            generate_schedules(np.random.default_rng(2), ts)
 
 
 class TestZonePhysics:
@@ -411,6 +543,13 @@ class TestSynthWeather:
                     if ts.hour == 0 and ts.minute == 0]
         assert all(w.l_norm[k] == 0.0 for k in midnight)
         assert all(w.l_hor[k] == 0.0 for k in midnight)
+
+    def test_start_off_midnight_refused(self):
+        # the hour of day is read from the step index
+        with pytest.raises(ConfigurationError, match=r"^weather starts at "
+                           r"2021-03-03T07:15:00, not at 00:00$"):
+            synth_weather(np.random.default_rng(21), 3,
+                          start=datetime(2021, 3, 3, 7, 15))
 
     def test_seeded_reproducibility(self):
         a = synth_weather(np.random.default_rng(np.random.SeedSequence(4)), 5)
